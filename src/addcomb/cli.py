@@ -1,7 +1,9 @@
 """Command-line entry points: the verification battery and experiment scans.
 
-Exit status is 0 when every asserted check passes, 1 otherwise.  CSV goes
-to --csv (stdout default); the verify report serializes to --json.
+Exit status is 0 when every asserted check passes and 1 when a check fails
+or a scan has no rows; bad input prints one ``addcomb: error:`` line and
+exits 2.  CSV goes to --csv (stdout default); the verify report serializes
+to --json.
 """
 
 from __future__ import annotations
@@ -23,10 +25,14 @@ from .experiments import (
 from .verify import Report, run_identity_suite, run_inequality_suite, run_subgroup_suite
 
 
-def _emit_rows(rows, out_path: str | None) -> None:
+def _emit_rows(rows, out_path: str | None, empty: str = "no rows") -> int:
+    """Write the rows as CSV; an empty result prints ``empty`` and gives 1."""
+    if not rows:
+        print(empty, file=sys.stderr)
+        return 1
     if out_path:
         write_csv(out_path, rows)
-        return
+        return 0
     import csv as _csv
     from dataclasses import fields
 
@@ -37,15 +43,22 @@ def _emit_rows(rows, out_path: str | None) -> None:
     writer.writerow(names)
     for row in rows:
         writer.writerow([_fmt(getattr(row, n)) for n in names])
+    return 0
 
 
 def _cmd_verify(args) -> int:
+    try:
+        primes = [int(p) for p in args.primes.split(",")]
+    except ValueError:
+        raise ValueError(
+            f"--primes must be comma-separated integers, got {args.primes!r}"
+        ) from None
     identity_trials = args.trials if args.trials else 200
     inequality_trials = args.trials if args.trials else 1000
     suites = [
         run_identity_suite(args.seed, identity_trials),
         run_inequality_suite(args.seed, inequality_trials),
-        run_subgroup_suite([int(p) for p in args.primes.split(",")], args.seed),
+        run_subgroup_suite(primes, args.seed),
     ]
     report = Report(suites)
     for s in suites:
@@ -62,31 +75,24 @@ def _cmd_verify(args) -> int:
 
 def _cmd_subgroup_scan(args) -> int:
     rows = subgroup_scan(args.pmax, args.tmin, args.tmax, seed=args.seed)
-    _emit_rows(rows, args.csv)
+    if _emit_rows(rows, args.csv, "no subgroups in range"):
+        return 1
     finite = [r.ratio_52 for r in rows if r.ratio_52 is not None]
     print(f"rows: {len(rows)}, worst ratio_52: {max(finite):.6g}", file=sys.stderr)
     return 0
 
 
 def _cmd_level_profile(args) -> int:
-    rows = level_set_profile(args.p, args.t)
-    if rows:
-        _emit_rows(rows, args.csv)
-    else:
-        print("no super-threshold values", file=sys.stderr)
-    return 0
+    return _emit_rows(level_set_profile(args.p, args.t), args.csv,
+                      "no super-threshold values")
 
 
 def _cmd_coverage(args) -> int:
-    rows = coverage_scan(args.pmax, args.cap)
-    _emit_rows(rows, args.csv)
-    return 0
+    return _emit_rows(coverage_scan(args.pmax, args.cap), args.csv)
 
 
 def _cmd_expansion(args) -> int:
-    rows = expansion_scan(args.p, args.t, args.trials, args.seed)
-    _emit_rows(rows, args.csv)
-    return 0
+    return _emit_rows(expansion_scan(args.p, args.t, args.trials, args.seed), args.csv)
 
 
 def _cmd_convex_scan(args) -> int:
@@ -96,9 +102,7 @@ def _cmd_convex_scan(args) -> int:
         sizes.append(n)
         n *= 2
     sizes.append(args.nmax)
-    rows = convex_scan(sizes, args.generator, args.seed)
-    _emit_rows(rows, args.csv)
-    return 0
+    return _emit_rows(convex_scan(sizes, args.generator, args.seed), args.csv)
 
 
 def _cmd_doubling(args) -> int:
@@ -110,17 +114,11 @@ def _cmd_doubling(args) -> int:
                 continue
             vals = [int(v) for v in line.replace(",", " ").split()]
             rows.append(doubling_stats(vals, args.shift))
-    if not rows:
-        print("no sets found", file=sys.stderr)
-        return 1
-    _emit_rows(rows, args.csv)
-    return 0
+    return _emit_rows(rows, args.csv, "no sets found")
 
 
 def _cmd_ap_scan(args) -> int:
-    rows = progression_batch(args.pmax)
-    _emit_rows(rows, args.csv)
-    return 0
+    return _emit_rows(progression_batch(args.pmax), args.csv, "no subgroups in range")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -191,7 +189,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        # the library raises ValueError only for arguments it rejects
+        print(f"addcomb: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

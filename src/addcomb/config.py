@@ -33,6 +33,10 @@ class Tolerances:
 TOL = Tolerances()
 
 # set/tuple size caps
-BITSET_LIMIT = 4096        # bitmask fast path for groups up to this modulus
 TUPLE_CELL_CAP = 10 ** 6   # dense tables over Gr^k refuse to exceed this
 MULT_ENERGY_CAP = 10 ** 7  # direct product-energy enumeration cap t^(2k-1)
+
+# Read by no library code: sets are Python-int bitmasks at every modulus.
+# Kept only because perfbench/workloads.py imports it to size its
+# large-modulus counting queries.
+BITSET_LIMIT = 4096

@@ -11,41 +11,25 @@ import itertools
 from fractions import Fraction
 
 from .checks import IneqCheck
-from .config import BITSET_LIMIT, TOL, TUPLE_CELL_CAP
+from .config import TOL, TUPLE_CELL_CAP
 from .groups import (
     GroupSet,
-    diag_shift_size,
     indicator,
     intersect_shifts,
+    iter_bits,
     mask_shift_minus,
+    mask_sumset,
     set_from_mask,
     sumset,
 )
 from .transform import GroupFn, kfold_convolve
 
 
-def _bits(mask: int):
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
-
-
 def correlation_counts(a: GroupSet, b: GroupSet) -> tuple[int, ...]:
     """(A ∘ B)(x) = |A ∩ (B - x)| for every x."""
     n = a.group.modulus
-    if n <= BITSET_LIMIT:
-        am, bm = a.mask, b.mask
-        return tuple(
-            (am & mask_shift_minus(bm, x, n)).bit_count() for x in range(n)
-        )
-    bs = b.member_set
-    out = []
-    for x in range(n):
-        out.append(sum(1 for y in a.members if (y + x) % n in bs))
-    return tuple(out)
+    am, bm = a.mask, b.mask
+    return tuple((am & mask_shift_minus(bm, x, n)).bit_count() for x in range(n))
 
 
 def convolution_counts(a: GroupSet, b: GroupSet) -> tuple[int, ...]:
@@ -66,22 +50,11 @@ def shift_counts(a: GroupSet) -> tuple[int, ...]:
 def shift_spread_sizes(a: GroupSet, sign: str = "-") -> tuple[int, ...]:
     """|A ∓ A_x| for every x (0 where A_x is empty)."""
     n = a.group.modulus
-    if n > BITSET_LIMIT:
-        out = []
-        for x in range(n):
-            ax = intersect_shifts(a, a, (x,))
-            out.append(len(sumset(a, ax, sign)) if len(ax) else 0)
-        return tuple(out)
     am = a.mask
-    out = []
-    for x in range(n):
-        axm = am & mask_shift_minus(am, x, n)
-        u = 0
-        for c in _bits(axm):
-            # A - c for '-', A + c for '+'
-            u |= mask_shift_minus(am, c if sign == "-" else -c, n)
-        out.append(u.bit_count())
-    return tuple(out)
+    return tuple(
+        _diag_spread_from_mask(a, am & mask_shift_minus(am, x, n), 1, sign)
+        for x in range(n)
+    )
 
 
 def energy(a: GroupSet, b: GroupSet | None = None) -> int:
@@ -164,18 +137,14 @@ def sigma_k(a: GroupSet, k: int) -> int:
 def check_katz_koester(a: GroupSet, sign: str = "+") -> list[IneqCheck]:
     """|(A±A) ∩ (A±A - x)| >= |A ± A_x| for every x with A_x nonempty."""
     n = a.group.modulus
-    s2 = sumset(a, a, sign)
+    s2m = sumset(a, a, sign).mask
     spread = shift_spread_sizes(a, sign)
     ax_sizes = shift_counts(a)
     out = []
-    s2m = s2.mask if n <= BITSET_LIMIT else None
     for x in range(n):
         if ax_sizes[x] == 0:
             continue
-        if s2m is not None:
-            lhs = (s2m & mask_shift_minus(s2m, x, n)).bit_count()
-        else:
-            lhs = len(intersect_shifts(s2, s2, (x,)))
+        lhs = (s2m & mask_shift_minus(s2m, x, n)).bit_count()
         out.append(
             IneqCheck.from_ge(
                 f"katz-koester{sign}", lhs, spread[x], 0.0, {"x": x}
@@ -226,25 +195,7 @@ def _tuple_grid(n: int, k: int):
 
 def weight_counts(a: GroupSet, b: GroupSet, k: int) -> dict:
     """|A^B_x| = |B ∩ (A-x_1) ∩ ... ∩ (A-x_k)| for every x in Gr^k."""
-    n = a.group.modulus
-    if k not in (1, 2) or n ** k > TUPLE_CELL_CAP:
-        raise ValueError("k out of range")
-    out = {}
-    if n <= BITSET_LIMIT:
-        am, bm = a.mask, b.mask
-        shifts = [mask_shift_minus(am, s, n) for s in range(n)]
-        if k == 1:
-            for x in range(n):
-                out[(x,)] = (bm & shifts[x]).bit_count()
-        else:
-            for x1 in range(n):
-                m1 = bm & shifts[x1]
-                for x2 in range(n):
-                    out[(x1, x2)] = (m1 & shifts[x2]).bit_count()
-        return out
-    for xs in _tuple_grid(n, k):
-        out[xs] = len(intersect_shifts(a, b, xs))
-    return out
+    return {xs: cm.bit_count() for xs, cm in _system_cells(a, b, k)}
 
 
 def _shift_system_masks(a: GroupSet, b: GroupSet) -> list[int]:
@@ -253,18 +204,32 @@ def _shift_system_masks(a: GroupSet, b: GroupSet) -> list[int]:
     return [b.mask & mask_shift_minus(am, s, n) for s in range(n)]
 
 
+def _cell_mask(sysmasks: list[int], xs) -> int:
+    """Mask of A^B_x = B ∩ (A - x_1) ∩ ... from the per-shift system masks."""
+    m = sysmasks[xs[0]]
+    for s in xs[1:]:
+        m &= sysmasks[s]
+    return m
+
+
+def _system_cells(a: GroupSet, b: GroupSet, k: int):
+    """(x, bitmask of A^B_x) for every x in Gr^k, k in (1, 2)."""
+    n = a.group.modulus
+    if k not in (1, 2) or n ** k > TUPLE_CELL_CAP:
+        raise ValueError("k out of range")
+    sysmasks = _shift_system_masks(a, b)
+    for xs in _tuple_grid(n, k):
+        yield xs, _cell_mask(sysmasks, xs)
+
+
 def _diag_spread_from_mask(a: GroupSet, cmask: int, l: int, sign: str) -> int:
     """|A^l ∓ Δ_l(C)| given C as a bitmask."""
     n = a.group.modulus
-    am = a.mask
     if l == 1:
-        u = 0
-        for c in _bits(cmask):
-            u |= mask_shift_minus(am, c if sign == "-" else -c, n)
-        return u.bit_count()
+        return mask_sumset(a.mask, cmask, n, sign).bit_count()
     seen = set()
     mem = a.members
-    for c in _bits(cmask):
+    for c in iter_bits(cmask):
         if sign == "-":
             pts = [(x - c) % n for x in mem]
         else:
@@ -272,6 +237,17 @@ def _diag_spread_from_mask(a: GroupSet, cmask: int, l: int, sign: str) -> int:
         for t in itertools.product(pts, repeat=l):
             seen.add(t)
     return len(seen)
+
+
+def _weight_cells(a: GroupSet, b: GroupSet, k: int, l: int, sign: str):
+    """(x, |A^B_x|, |A^l ∓ Δ_l(A^B_x)|) for each x in Gr^k with A^B_x nonempty.
+
+    Empty cells are skipped: every sum over x in the weight bounds has a
+    factor |A^B_x| or |A^l ∓ Δ_l(A^B_x)| that vanishes there.
+    """
+    for xs, cm in _system_cells(a, b, k):
+        if cm:
+            yield xs, cm.bit_count(), _diag_spread_from_mask(a, cm, l, sign)
 
 
 def check_weight_inequality(
@@ -293,28 +269,17 @@ def check_weight_inequality(
     if k not in (1, 2) or l not in (1, 2):
         raise ValueError("k, l must be 1 or 2")
     qv = _normalize_weight(q, n, k)
-    wt = weight_counts(a, b, k)
     aa = correlation_counts(a, a)
     bb = correlation_counts(b, b)
     e_high = sum(u * v ** (k + l) for u, v in zip(bb, aa))
 
-    sysmasks = _shift_system_masks(a, b) if n <= BITSET_LIMIT else None
     lin = 0
     quad = 0
-    for xs, cnt in wt.items():
+    for xs, cnt, spread in _weight_cells(a, b, k, l, sign):
         qx = qv[xs]
         if qx:
             lin += qx * cnt
-        if not qx:
-            continue
-        if sysmasks is not None:
-            cm = sysmasks[xs[0]]
-            for s in xs[1:]:
-                cm &= sysmasks[s]
-            spread = _diag_spread_from_mask(a, cm, l, sign)
-        else:
-            spread = diag_shift_size(a, intersect_shifts(a, b, xs), l, sign)
-        quad += spread * _abs_sq(qx)
+            quad += spread * _abs_sq(qx)
     lhs = len(a) ** (2 * l) * _abs_sq(lin)
     rhs = e_high * quad
     exact = all(isinstance(v, int) for v in qv.values())
@@ -354,25 +319,11 @@ def check_energy_weight_a(
     S = sum_x |A^l ∓ Δ_l(A^B_x)| |A^B_x|^2; integer exact.
     """
     b = a if b is None else b
-    wt = weight_counts(a, b, k)
     aa = correlation_counts(a, a)
     bb = correlation_counts(b, b)
     e_mid = sum(u * v ** k for u, v in zip(bb, aa))
     e_high = sum(u * v ** (k + l) for u, v in zip(bb, aa))
-    n = a.group.modulus
-    sysmasks = _shift_system_masks(a, b) if n <= BITSET_LIMIT else None
-    s = 0
-    for xs, cnt in wt.items():
-        if not cnt:
-            continue
-        if sysmasks is not None:
-            cm = sysmasks[xs[0]]
-            for sh in xs[1:]:
-                cm &= sysmasks[sh]
-            spread = _diag_spread_from_mask(a, cm, l, sign)
-        else:
-            spread = diag_shift_size(a, intersect_shifts(a, b, xs), l, sign)
-        s += spread * cnt * cnt
+    s = sum(spread * cnt * cnt for _, cnt, spread in _weight_cells(a, b, k, l, sign))
     lhs = len(a) ** (2 * l) * e_mid ** 2
     return IneqCheck.from_le(f"shift-energy-bound-a-k{k}l{l}{sign}", lhs, e_high * s)
 
@@ -385,23 +336,11 @@ def check_energy_weight_b(
     |A|^(2l) sum_x |A^B_x|^2 / |A^l ∓ Δ_l(A^B_x)|  <=  E_(k+l+1)(B,A).
     """
     b = a if b is None else b
-    wt = weight_counts(a, b, k)
     aa = correlation_counts(a, a)
     bb = correlation_counts(b, b)
     e_high = sum(u * v ** (k + l) for u, v in zip(bb, aa))
-    n = a.group.modulus
-    sysmasks = _shift_system_masks(a, b) if n <= BITSET_LIMIT else None
     acc = Fraction(0)
-    for xs, cnt in wt.items():
-        if not cnt:
-            continue
-        if sysmasks is not None:
-            cm = sysmasks[xs[0]]
-            for sh in xs[1:]:
-                cm &= sysmasks[sh]
-            spread = _diag_spread_from_mask(a, cm, l, sign)
-        else:
-            spread = diag_shift_size(a, intersect_shifts(a, b, xs), l, sign)
+    for _, cnt, spread in _weight_cells(a, b, k, l, sign):
         acc += Fraction(cnt * cnt, spread)
     lhs = len(a) ** (2 * l) * acc
     return IneqCheck.from_le(f"shift-energy-bound-b-k{k}l{l}{sign}", lhs, Fraction(e_high))
@@ -473,27 +412,16 @@ def check_membership_identity(
     sysmasks = _shift_system_masks(a, b)
     worst = 0
     for xs in _tuple_grid(n, k):
-        xm = sysmasks[xs[0]]
-        for sh in xs[1:]:
-            xm &= sysmasks[sh]
-        count = 0
-        for ss in _tuple_grid(n, l):
-            m = xm
-            for sh in ss:
-                m &= sysmasks[sh]
-            if m:
-                count += 1
-        size = _diag_spread_from_mask(a, xm, l, "-") if xm else 0
+        xm = _cell_mask(sysmasks, xs)
+        count = sum(1 for ss in _tuple_grid(n, l) if xm & _cell_mask(sysmasks, ss))
+        size = _diag_spread_from_mask(a, xm, l, "-")
         worst = max(worst, abs(count - size))
     checks = [IneqCheck.from_identity(f"shift-duality-k{k}l{l}", worst)]
 
     aa = correlation_counts(a, a)
     total = 0
     for ss in _tuple_grid(n, l):
-        m = sysmasks[ss[0]]
-        for sh in ss[1:]:
-            m &= sysmasks[sh]
-        c = set_from_mask(a.group, m)
+        c = set_from_mask(a.group, _cell_mask(sysmasks, ss))
         cc = correlation_counts(c, c)
         total += sum(u * v ** k for u, v in zip(cc, aa))
     bb = correlation_counts(b, b)

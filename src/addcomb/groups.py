@@ -1,8 +1,8 @@
 """Cyclic group Z/N, finite subsets, set algebra and shifted intersections.
 
-Sets are immutable sorted residue tuples with a cached bitmask fast path
-(one Python int, bit i = membership of residue i) for moduli up to
-``config.BITSET_LIMIT``.  All counting is exact integer arithmetic.
+Sets are immutable sorted residue tuples with a cached bitmask (one Python
+int, bit i = membership of residue i) at every modulus; all set algebra and
+counting runs on these masks in exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .config import BITSET_LIMIT, TUPLE_CELL_CAP
+from .config import TUPLE_CELL_CAP
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,7 @@ class GroupSet:
 
     @cached_property
     def mask(self) -> int:
-        """Bitmask with bit i set iff i is a member (moduli <= BITSET_LIMIT)."""
-        if self.group.modulus > BITSET_LIMIT:
-            raise ValueError("bitmask fast path disabled beyond BITSET_LIMIT")
+        """Bitmask with bit i set iff i is a member."""
         m = 0
         for x in self.members:
             m |= 1 << x
@@ -93,28 +91,39 @@ def mask_shift_minus(mask: int, s: int, n: int) -> int:
     return ((mask >> s) | (mask << (n - s))) & full_mask(n) if s else mask
 
 
+def iter_bits(mask: int):
+    """Indices of the set bits of mask, lowest first.
+
+    Each step strips the lowest set bit, so the number of steps is the
+    number of set bits, not the bit length.
+    """
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def mask_sumset(amask: int, bmask: int, n: int, sign: str = "+") -> int:
+    """Bitmask of A + B for sign '+', A - B for sign '-', from their masks."""
+    out = 0
+    for y in iter_bits(bmask):
+        t = -y % n if sign == "-" else y
+        # A + t: the right shift wraps the bits pushed past n - 1 round to
+        # the bottom; the final mask clears the unwrapped copies
+        out |= (amask << t) | (amask >> (n - t))
+    return out & full_mask(n)
+
+
 def mask_reflect(mask: int, n: int) -> int:
     """Bitmask of -A: bit i set iff (-i) mod n in A."""
-    out = mask & 1
-    m = mask >> 1
-    i = n - 1
-    while m:
-        if m & 1:
-            out |= 1 << i
-        m >>= 1
-        i -= 1
+    out = 0
+    for i in iter_bits(mask):
+        out |= 1 << (-i % n)
     return out
 
 
 def set_from_mask(group: CyclicGroup, mask: int) -> GroupSet:
-    members = []
-    i = 0
-    while mask:
-        if mask & 1:
-            members.append(i)
-        mask >>= 1
-        i += 1
-    return GroupSet(group, tuple(members))
+    return GroupSet(group, tuple(iter_bits(mask)))
 
 
 def indicator(a: GroupSet) -> "GroupFn":
@@ -135,17 +144,6 @@ def _require_same_group(*sets: GroupSet) -> CyclicGroup:
     return g
 
 
-def shifted(a: GroupSet, s: int, sign: str = "-") -> GroupSet:
-    """A - s for sign '-', s - A for sign '+'."""
-    g = a.group
-    n = g.modulus
-    if sign == "-":
-        return GroupSet.of(g, ((x - s) % n for x in a.members))
-    if sign == "+":
-        return GroupSet.of(g, ((s - x) % n for x in a.members))
-    raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-
-
 def intersect_shifts(
     a: GroupSet,
     b: GroupSet,
@@ -164,24 +162,21 @@ def intersect_shifts(
         signs = ["-"] * len(shifts)
     if len(signs) != len(shifts):
         raise ValueError("signs and shifts must have equal length")
-    if n <= BITSET_LIMIT:
-        m = b.mask
-        amask = a.mask
-        for s, sg in zip(shifts, signs):
-            if sg == "-":
-                m &= mask_shift_minus(amask, s, n)
-            elif sg == "+":
-                m &= mask_shift_minus(mask_reflect(amask, n), -s, n)
-            else:
-                raise ValueError(f"sign must be '+' or '-', got {sg!r}")
-            if not m:
-                break
-        return set_from_mask(g, m)
-    cur = set(b.members)
+    m = b.mask
+    amask = a.mask
+    reflected = None  # mask of -A, built on the first '+' shift
     for s, sg in zip(shifts, signs):
-        sh = shifted(a, s, "-" if sg == "-" else "+")
-        cur &= sh.member_set
-    return GroupSet.of(g, cur)
+        if sg == "-":
+            m &= mask_shift_minus(amask, s, n)
+        elif sg == "+":
+            if reflected is None:
+                reflected = mask_reflect(amask, n)
+            m &= mask_shift_minus(reflected, -s, n)
+        else:
+            raise ValueError(f"sign must be '+' or '-', got {sg!r}")
+        if not m:
+            break
+    return set_from_mask(g, m)
 
 
 def shift_set(a: GroupSet, x: int) -> GroupSet:
@@ -195,20 +190,7 @@ def sumset(a: GroupSet, b: GroupSet, sign: str = "+") -> GroupSet:
     n = g.modulus
     if sign not in "+-":
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    if n <= BITSET_LIMIT and a.members and b.members:
-        out = 0
-        amask = a.mask
-        fm = full_mask(n)
-        if sign == "+":
-            for y in b.members:
-                y %= n
-                out |= ((amask << y) | (amask >> (n - y))) & fm if y else amask
-        else:
-            for y in b.members:
-                out |= mask_shift_minus(amask, y, n)
-        return set_from_mask(g, out)
-    op = (lambda x, y: (x + y) % n) if sign == "+" else (lambda x, y: (x - y) % n)
-    return GroupSet.of(g, (op(x, y) for x in a.members for y in b.members))
+    return set_from_mask(g, mask_sumset(a.mask, b.mask, n, sign))
 
 
 def iterated_sumset(a: GroupSet, m: int) -> GroupSet:

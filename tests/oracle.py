@@ -92,3 +92,75 @@ def longest_ap_naive(members, p):
                 length += 1
             best = max(best, length)
     return best
+
+
+# --- set-enumeration oracles for the counting kernels ----------------------
+# Each works on plain Python sets of residues; the pair-difference forms cost
+# O(|A|^2) or so, so they stay cheap for sparse sets at large moduli.
+
+
+def shifted_intersection(a, b, shifts, signs, n):
+    """B ∩ (A ∓ s_1) ∩ ...: '-' uses A - s, '+' uses s - A."""
+    cur = set(b)
+    for s, sg in zip(shifts, signs):
+        if sg == "-":
+            cur &= {(x - s) % n for x in a}
+        else:
+            cur &= {(s - x) % n for x in a}
+    return cur
+
+
+def sumset_naive(a, b, n, sign):
+    if sign == "+":
+        return {(x + y) % n for x in a for y in b}
+    return {(x - y) % n for x in a for y in b}
+
+
+def correlation(a, b, n):
+    """(A ∘ B)(x) = |A ∩ (B - x)|, counted over pairs (y, z) with z - y = x."""
+    out = [0] * n
+    for y in a:
+        for z in b:
+            out[(z - y) % n] += 1
+    return out
+
+
+def shift_spreads(a, n, sign):
+    """|A ∓ A_x| for every x, where A_x = A ∩ (A - x); 0 where A_x is empty."""
+    mem = set(a)
+    out = [0] * n
+    for x in {(z - y) % n for y in a for z in a}:
+        ax = {y for y in a if (y + x) % n in mem}
+        out[x] = len(sumset_naive(a, ax, n, sign))
+    return out
+
+
+def heart_sides(a, n, sign):
+    """(sum_x |A_x|^2 / |A ∓ A_x|, sum_x |A_x|^3 / |A|^2) as Fractions."""
+    from fractions import Fraction
+
+    counts = correlation(a, a, n)
+    spreads = shift_spreads(a, n, sign)
+    lhs = sum(
+        (Fraction(c * c, d) for c, d in zip(counts, spreads) if c), Fraction(0)
+    )
+    rhs = Fraction(sum(c ** 3 for c in counts), len(a) ** 2)
+    return lhs, rhs
+
+
+def energy_weight_b_sides(a, b, n, sign):
+    """Both sides of the optimal-weight bound at k = l = 1:
+
+    |A|^2 sum_x |A^B_x|^2 / |A ∓ A^B_x|  and  sum_x (B∘B)(x) (A∘A)(x)^2,
+    with A^B_x = B ∩ (A - x).
+    """
+    from fractions import Fraction
+
+    mem = set(a)
+    lhs = Fraction(0)
+    for x in sorted({(y - z) % n for y in a for z in b}):
+        cell = {z for z in b if (z + x) % n in mem}
+        lhs += Fraction(len(cell) ** 2, len(sumset_naive(a, cell, n, sign)))
+    ra = correlation(a, a, n)
+    rb = correlation(b, b, n)
+    return len(a) ** 2 * lhs, sum(u * v * v for u, v in zip(rb, ra))

@@ -95,3 +95,26 @@ def test_expansion_cli(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "p,t,kind,size,sumset,ratio"
     assert len(out) == 6
+
+
+@pytest.mark.parametrize("argv", [
+    ["subgroup-scan", "--pmax", "2"],
+    ["ap-scan", "--pmax", "1"],
+])
+def test_empty_scan_exits_1(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--primes", "7,x"],
+    ["level-profile", "--p", "7", "--t", "4"],
+])
+def test_bad_input_exits_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("addcomb: error: ")

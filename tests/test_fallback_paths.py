@@ -1,9 +1,12 @@
-"""The set-based fallbacks must agree with the bitmask fast paths."""
+"""The bitmask counting kernels agree with plain set enumeration, at small
+moduli and at moduli above 4096.
+
+Small moduli use dense random sets; the large ones use sparse sets of 10-20
+elements, where the oracles in tests/oracle.py stay cheap.
+"""
 
 import importlib
 import random
-
-import pytest
 
 from addcomb.energy import (
     correlation_counts,
@@ -12,94 +15,71 @@ from addcomb.energy import (
 )
 from addcomb.groups import CyclicGroup, GroupSet, intersect_shifts, sumset
 
+import oracle
+
 # the package re-exports a function named `energy`, so fetch the module
 # itself through the import system
 energy_mod = importlib.import_module("addcomb.energy")
-groups_mod = importlib.import_module("addcomb.groups")
+
+SMALL = (11, 13, 16)
+LARGE = (4099, 4201)
 
 
-def rand_pair(rng, n):
-    g = CyclicGroup(n)
-    a = GroupSet.of(g, [x for x in range(n) if rng.random() < 0.5] or [0])
-    b = GroupSet.of(g, [x for x in range(n) if rng.random() < 0.5] or [1])
-    return a, b
+def rand_set(rng, n):
+    if n in LARGE:
+        return GroupSet.of(CyclicGroup(n), rng.sample(range(n), rng.randint(10, 20)))
+    return GroupSet.of(
+        CyclicGroup(n), [x for x in range(n) if rng.random() < 0.5] or [0]
+    )
 
 
-@pytest.fixture
-def no_bitsets(monkeypatch):
-    monkeypatch.setattr(groups_mod, "BITSET_LIMIT", 0)
-    monkeypatch.setattr(energy_mod, "BITSET_LIMIT", 0)
+def instances(seed, per_modulus):
+    rng = random.Random(seed)
+    for n in SMALL + LARGE:
+        for _ in range(per_modulus):
+            yield n, rand_set(rng, n), rand_set(rng, n), rng
 
 
-def test_intersect_shifts_paths_agree(no_bitsets):
-    rng = random.Random(1)
-    for _ in range(30):
-        a, b = rand_pair(rng, 13)
-        shifts = [rng.randrange(13) for _ in range(2)]
-        signs = [rng.choice("+-") for _ in range(2)]
-        slow = intersect_shifts(a, b, shifts, signs)
-        fast = GroupSet.of(a.group, slow.members)
-        # recompute by definition
-        expect = set(b.members)
-        for s, sg in zip(shifts, signs):
-            if sg == "-":
-                expect &= {(x - s) % 13 for x in a.members}
-            else:
-                expect &= {(s - x) % 13 for x in a.members}
-        assert set(slow.members) == expect == set(fast.members)
+def test_intersect_shifts_paths_agree():
+    for n, a, b, rng in instances(1, 10):
+        for m in (1, 2, 3):
+            for signs in (["-"] * m, ["+"] * m, [rng.choice("+-") for _ in range(m)]):
+                # every shift keeps one element c of B, so the intersection
+                # stays nonempty at large N: c in A - s and c in s - A
+                c = rng.choice(b.members)
+                shifts = [
+                    rng.choice(a.members) + (c if sg == "+" else -c) for sg in signs
+                ]
+                got = intersect_shifts(a, b, shifts, signs)
+                assert c in got
+                want = oracle.shifted_intersection(a.members, b.members, shifts, signs, n)
+                assert set(got.members) == want
 
 
-def test_sumset_paths_agree(no_bitsets):
-    rng = random.Random(2)
-    for _ in range(20):
-        a, b = rand_pair(rng, 11)
-        for sign, op in (("+", lambda x, y: x + y), ("-", lambda x, y: x - y)):
-            expect = {op(x, y) % 11 for x in a for y in b}
-            assert set(sumset(a, b, sign).members) == expect
-
-
-def test_energy_tables_paths_agree(no_bitsets):
-    rng = random.Random(3)
-    for _ in range(15):
-        a, b = rand_pair(rng, 12)
-        slow_corr = correlation_counts(a, b)
-        expect = tuple(
-            sum(1 for y in a.members if (y + x) % 12 in b.member_set)
-            for x in range(12)
-        )
-        assert slow_corr == expect
-        slow_w = weight_counts(a, b, 1)
-        for x in range(12):
-            assert slow_w[(x,)] == len(intersect_shifts(a, b, (x,)))
+def test_sumset_paths_agree():
+    for n, a, b, _ in instances(2, 8):
         for sign in "+-":
-            spread = shift_spread_sizes(a, sign)
-            for x in range(12):
-                ax = intersect_shifts(a, a, (x,))
-                want = len(sumset(a, ax, sign)) if len(ax) else 0
-                assert spread[x] == want
+            got = sumset(a, b, sign)
+            assert set(got.members) == oracle.sumset_naive(a.members, b.members, n, sign)
+
+
+def test_energy_tables_paths_agree():
+    for n, a, b, _ in instances(3, 4):
+        assert list(correlation_counts(a, b)) == oracle.correlation(a.members, b.members, n)
+        # |B ∩ (A - x)| = (B ∘ A)(x)
+        want = oracle.correlation(b.members, a.members, n)
+        assert weight_counts(a, b, 1) == {(x,): want[x] for x in range(n)}
+        for sign in "+-":
+            assert list(shift_spread_sizes(a, sign)) == oracle.shift_spreads(a.members, n, sign)
 
 
 def test_fast_and_slow_checks_match():
-    """Same inequality values with and without the bitmask fast path."""
-    rng = random.Random(4)
-    instances = [rand_pair(rng, 16) for _ in range(8)]
-    fast = [
-        (
-            energy_mod.check_heart(a, "-").slack,
-            energy_mod.check_energy_weight_b(a, b, 1, 1, "+").slack,
-        )
-        for a, b in instances
-    ]
-    import unittest.mock as mock
-
-    with mock.patch.object(energy_mod, "BITSET_LIMIT", 0), mock.patch.object(
-        groups_mod, "BITSET_LIMIT", 0
-    ):
-        slow = [
-            (
-                energy_mod.check_heart(a, "-").slack,
-                energy_mod.check_energy_weight_b(a, b, 1, 1, "+").slack,
+    """check_heart and check_energy_weight_b give the oracle's exact sides."""
+    for n, a, b, _ in instances(4, 3):
+        for sign in "+-":
+            heart = energy_mod.check_heart(a, sign)
+            assert (heart.lhs, heart.rhs) == oracle.heart_sides(a.members, n, sign)
+            wb = energy_mod.check_energy_weight_b(a, b, 1, 1, sign)
+            assert (wb.lhs, wb.rhs) == oracle.energy_weight_b_sides(
+                a.members, b.members, n, sign
             )
-            for a, b in instances
-        ]
-    assert fast == slow
