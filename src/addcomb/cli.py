@@ -22,7 +22,13 @@ from .experiments import (
     subgroup_scan,
     write_csv,
 )
-from .verify import Report, run_identity_suite, run_inequality_suite, run_subgroup_suite
+from .verify import (
+    Report,
+    run_identity_suite,
+    run_inequality_suite,
+    run_subgroup_suite,
+    validate_suite_primes,
+)
 
 
 def _emit_rows(rows, out_path: str | None, empty: str = "no rows") -> int:
@@ -53,6 +59,8 @@ def _cmd_verify(args) -> int:
         raise ValueError(
             f"--primes must be comma-separated integers, got {args.primes!r}"
         ) from None
+    # reject the list before the two long suites run, not after them
+    primes = validate_suite_primes(primes)
     identity_trials = args.trials if args.trials else 200
     inequality_trials = args.trials if args.trials else 1000
     suites = [

@@ -239,14 +239,17 @@ def _diag_spread_from_mask(a: GroupSet, cmask: int, l: int, sign: str) -> int:
     return len(seen)
 
 
-def _weight_cells(a: GroupSet, b: GroupSet, k: int, l: int, sign: str):
-    """(x, |A^B_x|, |A^l ∓ Δ_l(A^B_x)|) for each x in Gr^k with A^B_x nonempty.
+def _weight_cells(a: GroupSet, b: GroupSet, k: int, l: int, sign: str, used=None):
+    """(x, |A^B_x|, |A^l ∓ Δ_l(A^B_x)|) for each x in Gr^k with A^B_x nonempty
+    and, when ``used`` is given, ``used(x)`` true.
 
     Empty cells are skipped: every sum over x in the weight bounds has a
-    factor |A^B_x| or |A^l ∓ Δ_l(A^B_x)| that vanishes there.
+    factor |A^B_x| or |A^l ∓ Δ_l(A^B_x)| that vanishes there.  ``used`` lets a
+    check skip the cells it would multiply by zero before their spread is
+    computed.
     """
     for xs, cm in _system_cells(a, b, k):
-        if cm:
+        if cm and (used is None or used(xs)):
             yield xs, cm.bit_count(), _diag_spread_from_mask(a, cm, l, sign)
 
 
@@ -275,11 +278,11 @@ def check_weight_inequality(
 
     lin = 0
     quad = 0
-    for xs, cnt, spread in _weight_cells(a, b, k, l, sign):
+    # cells with q(x) = 0 add q·0 and 0·|q|^2: skip them before their spread
+    for xs, cnt, spread in _weight_cells(a, b, k, l, sign, used=qv.__getitem__):
         qx = qv[xs]
-        if qx:
-            lin += qx * cnt
-            quad += spread * _abs_sq(qx)
+        lin += qx * cnt
+        quad += spread * _abs_sq(qx)
     lhs = len(a) ** (2 * l) * _abs_sq(lin)
     rhs = e_high * quad
     exact = all(isinstance(v, int) for v in qv.values())

@@ -6,6 +6,14 @@ Counts are exact integers (numpy bincount / hashed counting); asymptotic
 statements are reported as ratio columns and never asserted against
 invented constants.  Rows are emitted in sorted (p, t) order so CSV output
 is deterministic.
+
+Subgroup statistics come from the orbit kernel ``subgroup.subgroup_stats``:
+Gamma ∘ Gamma and Gamma + Gamma are constant on the n = (p-1)/t cosets
+g^j Gamma, so with c_j = #{gamma != 1 : dlog(gamma - 1) = j mod n},
+E2 = t^2 + t sum c_j^2, E3 = t^3 + t sum c_j^3, |Gamma - Gamma| =
+1 + t #{j : c_j > 0} and |Gamma + Gamma| = [-1 in Gamma] +
+t #{dlog(1 + gamma) mod n}.  The numpy pair counts below serve the sets
+that are not Gamma-invariant (convex sets, progressions, A + Gamma).
 """
 
 from __future__ import annotations
@@ -17,7 +25,8 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .subgroup import MultSubgroup, make_field, subgroup
+from .config import CONVEX_N_CAP, SCAN_PRIME_CAP
+from .subgroup import MultSubgroup, make_field, subgroup, subgroup_stats
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -46,7 +55,7 @@ def _log2(x) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exact counting helpers (numpy int64 paths, ranges checked)
+# exact counting helpers (numpy int64; _energy_sums asserts its cube sum fits)
 # ---------------------------------------------------------------------------
 
 
@@ -54,7 +63,7 @@ def autocorrelation_np(elements, p: int) -> np.ndarray:
     """(S ∘ S)(x) for S inside Z/p as an int64 vector of length p.
 
     Difference pairs are processed in row blocks so the peak footprint
-    stays a few million entries even at the p <= 10^4 cap.
+    stays a few million entries whatever the size of S.
     """
     g = np.asarray(sorted(elements), dtype=np.int64)
     t = len(g)
@@ -91,7 +100,10 @@ def _support_convolve(ind_a: np.ndarray, ind_b: np.ndarray) -> np.ndarray:
 
 
 def _energy_sums(counts: np.ndarray) -> tuple[int, int]:
+    """(sum c^2, sum c^3) in int64, refusing counts whose cube sum could wrap."""
     c = counts.astype(np.int64)
+    if int(c.max(initial=0)) ** 3 * len(c) >= 2 ** 63:
+        raise AssertionError("int64 energy sums could overflow")
     e2 = int(np.sum(c * c))
     e3 = int(np.sum(c * c * c))
     return e2, e3
@@ -128,9 +140,16 @@ def subgroup_scan(
     difference-set sizes, reported ratio columns, and the largest nontrivial
     Fourier coefficient.  E2 * |sum| >= t^4 is asserted on every row; a
     random sample of rows is re-counted by an independent hashed method.
+
+    The integer columns come from ``subgroup_stats`` in O(t + n) per row,
+    n = (p-1)/t: with c_j = (Gamma ∘ Gamma)(g^j) =
+    #{gamma != 1 : dlog(gamma - 1) = j mod n},
+    E2 = t^2 + t sum c_j^2, E3 = t^3 + t sum c_j^3,
+    diff = 1 + t #{j : c_j > 0} and
+    sum = [-1 in Gamma] + t #{dlog(1 + gamma) mod n : gamma != -1}.
     """
-    if p_max > 10 ** 4:
-        raise ValueError("scan capped at p <= 10^4")
+    if p_max > SCAN_PRIME_CAP:
+        raise ValueError(f"scan capped at p <= {SCAN_PRIME_CAP}")
     rng = random.Random(seed)
     rows = []
     for p in primes_up_to(p_max):
@@ -142,10 +161,8 @@ def subgroup_scan(
                 continue
             gamma = subgroup(fld, t)
             els = gamma.elements
-            counts = autocorrelation_np(els, p)
-            e2, e3 = _energy_sums(counts)
-            ssum = sumset_size_np(els, els, p)
-            sdiff = int(np.count_nonzero(counts))
+            stats = subgroup_stats(gamma)
+            e2, ssum = stats.E2, stats.sum
             if e2 * ssum < t ** 4:
                 raise AssertionError(f"energy lower bound failed at p={p}, t={t}")
             fhat = np.fft.fft(_indicator_np(els, p))
@@ -156,9 +173,9 @@ def subgroup_scan(
                     p=p,
                     t=t,
                     E2=e2,
-                    E3=e3,
+                    E3=stats.E3,
                     sum=ssum,
-                    diff=sdiff,
+                    diff=stats.diff,
                     ratio_52=e2 / t ** 2.5,
                     ratio_229=(e2 / (t ** (22 / 9) * logt)) if logt else None,
                     ratio_sumw=(e2 / (t ** (4 / 3) * ssum ** (2 / 3) * logt))
@@ -185,13 +202,15 @@ def _crosscheck_subgroup_row(row: SubgroupScanRow, els, p: int) -> None:
     if e2 != row.E2 or len(sums) != row.sum:
         raise AssertionError(f"cross-check failed at p={row.p}, t={row.t}")
     shifts = 0
+    support = 0
     mem = set(els)
     e3 = 0
     for x in range(p):
         ax = sum(1 for y in els if (y + x) % p in mem)
         e3 += ax ** 3
         shifts += ax
-    if e3 != row.E3 or shifts != row.t ** 2:
+        support += ax > 0
+    if e3 != row.E3 or shifts != row.t ** 2 or support != row.diff:
         raise AssertionError(f"E3 cross-check failed at p={row.p}, t={row.t}")
 
 
@@ -219,10 +238,9 @@ def level_set_profile(p: int, t: int) -> list[LevelSetRow]:
     """
     fld = make_field(p)
     gamma = subgroup(fld, t)
-    counts = autocorrelation_np(gamma.elements, p)
-    e2, e3 = _energy_sums(counts)
-    d = e2 ** 2 / (2 ** 4 * t ** 3 * math.sqrt(e3))
-    psi = counts.tolist()
+    stats = subgroup_stats(gamma)
+    d = stats.E2 ** 2 / (2 ** 4 * t ** 3 * math.sqrt(stats.E3))
+    psi = stats.autocorrelation().tolist()
     above = [x for x in range(1, p) if psi[x] > d]
     rows = []
     i = 1
@@ -268,8 +286,8 @@ class CoverageRow:
 
 def coverage_scan(p_max: int, cap: int = 12) -> list[CoverageRow]:
     """Smallest m <= cap with the m-fold sumset of each subgroup covering F_p."""
-    if p_max > 10 ** 4:
-        raise ValueError("scan capped at p <= 10^4")
+    if p_max > SCAN_PRIME_CAP:
+        raise ValueError(f"scan capped at p <= {SCAN_PRIME_CAP}")
     rows = []
     for p in primes_up_to(p_max):
         if p == 2:
@@ -389,11 +407,14 @@ def convex_scan(
 ) -> list[ConvexScanRow]:
     """Exact additive statistics of strictly convex integer sequences,
     embedded wraparound-free into Z/N with N > 4 max(A)."""
+    sizes = sorted(set(n_list))
+    if sizes and sizes[0] < 2:
+        raise ValueError("need n >= 2")
+    if sizes and sizes[-1] > CONVEX_N_CAP:
+        raise ValueError(f"convex scan capped at n <= {CONVEX_N_CAP}")
     rng = random.Random(seed)
     rows = []
-    for n in sorted(set(n_list)):
-        if n < 2:
-            raise ValueError("need n >= 2")
+    for n in sizes:
         seq = squares_sequence(n) if generator == "squares" else perturbed_quadratic(n, seed)
         assert_convex(seq)
         modulus = 4 * max(seq) + 1
@@ -567,16 +588,17 @@ def longest_progression(gamma: MultSubgroup) -> tuple[int, int, int]:
 
 def progression_scan(p: int, t: int) -> ProgressionRow:
     """Longest progression inside the subgroup plus its energy statistics."""
-    if p > 10 ** 4:
-        raise ValueError("exact progression search capped at p <= 10^4")
+    if p > SCAN_PRIME_CAP:
+        raise ValueError(f"exact progression search capped at p <= {SCAN_PRIME_CAP}")
     fld = make_field(p)
     gamma = subgroup(fld, t)
     length, start, step = longest_progression(gamma)
     prog = [(start + i * step) % p for i in range(length)]
     if any(x not in gamma.element_set for x in prog):
         raise AssertionError("progression search produced a non-member")
-    pc = autocorrelation_np(prog, p).astype(np.int64)
-    gc = autocorrelation_np(gamma.elements, p).astype(np.int64)
+    # int64 is exact: every count is <= t < p <= SCAN_PRIME_CAP, so p t^3 < 2^63
+    pc = autocorrelation_np(prog, p)
+    gc = subgroup_stats(gamma).autocorrelation()
     e_pg = int(np.sum(pc * gc))
     e3_pg = int(np.sum(pc * gc * gc))
     prods: dict[int, int] = {}

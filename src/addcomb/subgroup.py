@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+import numpy as np
+
 from .checks import IneqCheck
 from .config import MULT_ENERGY_CAP, TOL
 from .energy import correlation_counts, energy_k
@@ -67,6 +69,13 @@ class PrimeField:
         if x == 0:
             raise ValueError("0 has no discrete logarithm")
         return self.dlog[x - 1]
+
+    @cached_property
+    def dlog_array(self) -> np.ndarray:
+        """Read-only int64 copy of ``dlog``: entry x - 1 is dlog x."""
+        arr = np.asarray(self.dlog, dtype=np.int64)
+        arr.flags.writeable = False
+        return arr
 
     @cached_property
     def inverse_table(self) -> tuple[int, ...]:
@@ -244,9 +253,59 @@ def random_invariant_fn(
     return fn_from_profile(gamma, rng.randint(lo, hi), reps)
 
 
+@dataclass(frozen=True, eq=False)
+class SubgroupStats:
+    """Exact Gamma ∘ Gamma and |Gamma ± Gamma|, counted once per coset.
+
+    Both functions are constant on each coset g^j Gamma (j < n = (p-1)/t),
+    and dividing a pair (a, b) by a leaves one element gamma = b/a, so
+    every count reduces to one pass over Gamma:
+
+    - c_j = (Gamma ∘ Gamma)(g^j) = #{gamma != 1 : dlog(gamma - 1) = j mod n};
+    - E2 = t^2 + t sum_j c_j^2 and E3 = t^3 + t sum_j c_j^3;
+    - |Gamma - Gamma| = 1 + t #{j : c_j > 0};
+    - |Gamma + Gamma| = [-1 in Gamma] + t #{dlog(1 + gamma) mod n : gamma != -1}.
+    """
+
+    gamma: MultSubgroup
+    coset_counts: np.ndarray  # int64 c_j, j < index
+    E2: int
+    E3: int
+    sum: int
+    diff: int
+
+    def autocorrelation(self) -> np.ndarray:
+        """(Gamma ∘ Gamma)(x) for x in Z/p as int64: t at 0, c_j on g^j Gamma."""
+        fld = self.gamma.field
+        out = np.empty(fld.p, dtype=np.int64)
+        out[0] = self.gamma.order
+        out[1:] = self.coset_counts[fld.dlog_array % self.gamma.index]
+        return out
+
+
+def subgroup_stats(gamma: MultSubgroup) -> SubgroupStats:
+    """The orbit kernel: every Gamma ∘ Gamma / Gamma + Gamma count in O(t + n)."""
+    fld = gamma.field
+    p, t, n = fld.p, gamma.order, gamma.index
+    dl = fld.dlog_array
+    els = np.asarray(gamma.elements, dtype=np.int64)
+    # dlog(gamma - 1) sits at index gamma - 2, dlog(gamma + 1) at index gamma
+    counts = np.bincount(dl[els[els != 1] - 2] % n, minlength=n)
+    sum_cosets = np.count_nonzero(np.bincount(dl[els[els != p - 1]] % n, minlength=n))
+    nz = counts[counts > 0].tolist()  # Python ints: the moment sums cannot wrap
+    return SubgroupStats(
+        gamma=gamma,
+        coset_counts=counts,
+        E2=t * t + t * sum(v * v for v in nz),
+        E3=t ** 3 + t * sum(v ** 3 for v in nz),
+        sum=int((p - 1) in gamma.element_set) + t * sum_cosets,
+        diff=1 + t * len(nz),
+    )
+
+
 def subgroup_autocorrelation(gamma: MultSubgroup) -> GroupFn:
     """(Gamma ∘ Gamma) as an integer function on Z/p (always invariant)."""
-    return GroupFn(gamma.field.group, correlation_counts(gamma.as_set, gamma.as_set))
+    return GroupFn(gamma.field.group, tuple(subgroup_stats(gamma).autocorrelation().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +537,7 @@ def _check_exact_fourier_c3(
                     acc += w * uv[(z + x) % p] * complex(uv[(z + y) % p]).conjugate()
             table[(x, y)] = acc
     lhs = sum(table.values()).real
-    gg = correlation_counts(gamma.as_set, gamma.as_set)
+    gg = subgroup_autocorrelation(gamma).values
     out = []
     for idx, h in enumerate(h_family):
         # (h ∘ conj(h))(x) = sum_y h(y) conj(h(y+x))

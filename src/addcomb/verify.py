@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from . import __version__ as _version
 from .checks import IneqCheck, _json_number
-from .config import TOL
+from .config import SCAN_PRIME_CAP, TOL
 from .energy import (
     check_energy_weight_a,
     check_energy_weight_b,
@@ -39,6 +39,7 @@ from .spectral import (
 from .subgroup import (
     Character,
     MultSubgroup,
+    _is_prime,
     check_eigenbasis,
     check_exact_fourier,
     check_mu_convolution,
@@ -537,13 +538,23 @@ def _flat_weight(q: GroupFn, group: CyclicGroup, k: int):
 # ---------------------------------------------------------------------------
 
 
-def run_subgroup_suite(p_list, seed: int = 1, tk_order_cap: int = 12) -> CheckSuite:
-    """Spectral and character checks for every subgroup of every listed prime."""
+def validate_suite_primes(p_list) -> list[int]:
+    """The subgroup suite's primes as a list: nonempty, each a prime within
+    the cap.  Raises ValueError otherwise."""
     p_list = list(p_list)
     if not p_list:
         raise ValueError("p_list must be nonempty")
-    if any(p > 10 ** 4 for p in p_list):
-        raise ValueError("suite primes capped at 10^4")
+    if any(p > SCAN_PRIME_CAP for p in p_list):
+        raise ValueError(f"suite primes capped at {SCAN_PRIME_CAP}")
+    for p in p_list:
+        if not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
+    return p_list
+
+
+def run_subgroup_suite(p_list, seed: int = 1, tk_order_cap: int = 12) -> CheckSuite:
+    """Spectral and character checks for every subgroup of every listed prime."""
+    p_list = validate_suite_primes(p_list)
     suite = CheckSuite("subgroups", {"p": p_list, "seed": seed})
     rng = random.Random(seed)
     t0 = time.monotonic()
@@ -648,9 +659,7 @@ def _mu_trace_checks(suite, gamma, g, inst) -> None:
     mus = mu_alpha_direct(gamma, g).values
     t = gamma.order
     p = gamma.field.p
-    from .energy import correlation_counts
-
-    gg = correlation_counts(gamma.as_set, gamma.as_set)
+    gg = subgroup_autocorrelation(gamma).values
     tr_exact = t * g.values[0]
     trsq_exact = sum(g.values[z] ** 2 * gg[z] for z in range(p))
     s1 = sum(m.real for m in mus)

@@ -164,3 +164,36 @@ def energy_weight_b_sides(a, b, n, sign):
     ra = correlation(a, a, n)
     rb = correlation(b, b, n)
     return len(a) ** 2 * lhs, sum(u * v * v for u, v in zip(rb, ra))
+
+
+def weight_inequality_sides(a, b, q, n, sign):
+    """Both sides of the weighted bound at k = l = 1 for an integer weight q:
+
+    |A|^2 (sum_x q(x) |A^B_x|)^2  and
+    sum_x (B∘B)(x) (A∘A)(x)^2 * sum_x |A ∓ A^B_x| q(x)^2.
+    """
+    mem = set(a)
+    lin = quad = 0
+    for x in range(n):
+        cell = {z for z in b if (z + x) % n in mem}
+        if cell:
+            lin += q[x] * len(cell)
+            quad += len(sumset_naive(a, cell, n, sign)) * q[x] ** 2
+    ra = correlation(a, a, n)
+    rb = correlation(b, b, n)
+    return len(a) ** 2 * lin * lin, sum(u * v * v for u, v in zip(rb, ra)) * quad
+
+
+def subgroup_stats_naive(elements, p):
+    """(E2, E3, |S+S|, |S-S|, S∘S) for a set S of residues mod p, by pair
+    enumeration; S∘S is the list of (S∘S)(x) = #{(y, z) : z - y = x}."""
+    corr = [0] * p
+    sums = set()
+    for y in elements:
+        for z in elements:
+            corr[(z - y) % p] += 1
+            sums.add((y + z) % p)
+    e2 = sum(v * v for v in corr)
+    e3 = sum(v ** 3 for v in corr)
+    diff = sum(1 for v in corr if v)
+    return e2, e3, len(sums), diff, corr

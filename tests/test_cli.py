@@ -111,8 +111,22 @@ def test_empty_scan_exits_1(argv, capsys):
 @pytest.mark.parametrize("argv", [
     ["verify", "--primes", "7,x"],
     ["level-profile", "--p", "7", "--t", "4"],
+    ["verify", "--primes", "8"],
+    ["verify", "--primes", "20000"],
+    ["convex-scan", "--nmax", "65536"],
 ])
-def test_bad_input_exits_2(argv, capsys):
+def test_bad_input_exits_2(argv, capsys, monkeypatch):
+    # bad input is rejected before any suite runs or any count is allocated
+    import addcomb.cli as cli_mod
+    import addcomb.experiments as exp_mod
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("work started before the input was checked")
+
+    for mod, name in ((cli_mod, "run_identity_suite"),
+                      (cli_mod, "run_inequality_suite"),
+                      (exp_mod, "autocorrelation_np")):
+        monkeypatch.setattr(mod, name, must_not_run)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,10 +1,14 @@
 import csv
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from addcomb.experiments import (
     ConvexScanRow,
+    _crosscheck_subgroup_row,
+    _energy_sums,
     assert_convex,
     autocorrelation_np,
     convex_scan,
@@ -53,6 +57,22 @@ def test_subgroup_scan_energy_matches_oracle():
             continue
         g = subgroup(fld, r.t)
         assert r.E2 == quadruple_energy(g.elements, g.elements, 13)
+
+
+def test_subgroup_crosscheck_catches_wrong_columns():
+    row = next(r for r in subgroup_scan(13, sample_fraction=0.0) if (r.p, r.t) == (13, 4))
+    els = subgroup(make_field(13), 4).elements
+    _crosscheck_subgroup_row(row, els, 13)
+    for field in ("E2", "E3", "sum", "diff"):
+        bad = dataclasses.replace(row, **{field: getattr(row, field) + 1})
+        with pytest.raises(AssertionError):
+            _crosscheck_subgroup_row(bad, els, 13)
+
+
+def test_energy_sums_refuse_int64_overflow():
+    assert _energy_sums(np.array([3, 1, 0])) == (10, 28)
+    with pytest.raises(AssertionError):
+        _energy_sums(np.array([2 ** 21]))  # (2^21)^3 = 2^63
 
 
 def test_autocorrelation_np_matches_definition():

@@ -74,9 +74,17 @@ def test_energy_tables_paths_agree():
 
 
 def test_fast_and_slow_checks_match():
-    """check_heart and check_energy_weight_b give the oracle's exact sides."""
+    """check_heart, check_energy_weight_b and check_weight_inequality give
+    the oracle's exact sides."""
+    qrng = random.Random(5)
     for n, a, b, _ in instances(4, 3):
+        # about a fifth of the weights are 0: those cells must be skipped
+        q = [qrng.randint(-2, 2) for _ in range(n)]
         for sign in "+-":
+            wq = energy_mod.check_weight_inequality(a, b, q, 1, 1, sign)
+            assert (wq.lhs, wq.rhs) == oracle.weight_inequality_sides(
+                a.members, b.members, q, n, sign
+            )
             heart = energy_mod.check_heart(a, sign)
             assert (heart.lhs, heart.rhs) == oracle.heart_sides(a.members, n, sign)
             wb = energy_mod.check_energy_weight_b(a, b, 1, 1, sign)

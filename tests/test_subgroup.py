@@ -28,9 +28,11 @@ from addcomb.subgroup import (
     random_invariant_fn,
     subgroup,
     subgroup_autocorrelation,
+    subgroup_stats,
 )
+from addcomb.experiments import divisors, primes_up_to
 from addcomb.transform import GroupFn
-from oracle import mult_tuple_energy
+from oracle import correlation, mult_tuple_energy, subgroup_stats_naive
 
 
 def test_make_field_examples():
@@ -396,3 +398,22 @@ def test_energy_max_attained_at_trivial_character():
         from addcomb.energy import energy_k
 
         assert abs(vals[0] - energy_k(g.as_set, k=k + 1)) < 1e-8
+
+
+def test_subgroup_stats_match_pair_enumeration():
+    # every (p, t) with p < 300: t runs over odd and even orders, so both
+    # cases of -1 in Gamma reach the |Gamma + Gamma| formula
+    minus_one_cases = set()
+    for p in primes_up_to(299):
+        fld = make_field(p)
+        for t in divisors(p - 1):
+            g = subgroup(fld, t)
+            e2, e3, ssum, diff, corr = subgroup_stats_naive(g.elements, p)
+            st = subgroup_stats(g)
+            assert (st.E2, st.E3, st.sum, st.diff) == (e2, e3, ssum, diff), (p, t)
+            assert st.autocorrelation().tolist() == corr, (p, t)
+            psi = subgroup_autocorrelation(g)
+            assert psi.kind == "int"
+            assert list(psi.values) == correlation(g.elements, g.elements, p), (p, t)
+            minus_one_cases.add((p - 1) in g.element_set)
+    assert minus_one_cases == {True, False}
