@@ -5,8 +5,8 @@ and multiplicative-subgroup experiments over prime fields."""
 from .checks import IneqCheck
 from .groups import (
     CyclicGroup,
+    GridFn,
     GroupSet,
-    TupleSet,
     indicator,
     intersect_shifts,
     make_group,
@@ -16,7 +16,6 @@ from .groups import (
 )
 from .transform import (
     FourierCoeffs,
-    GenConvTable,
     GroupFn,
     check_commutation,
     convolve,

@@ -59,8 +59,10 @@ def _cmd_verify(args) -> int:
         raise ValueError(
             f"--primes must be comma-separated integers, got {args.primes!r}"
         ) from None
-    # reject the list before the two long suites run, not after them
+    # reject the list and the report path before the long suites run
     primes = validate_suite_primes(primes)
+    if args.json:
+        open(args.json, "w", encoding="utf-8").close()
     identity_trials = args.trials if args.trials else 200
     inequality_trials = args.trials if args.trials else 1000
     suites = [
@@ -199,8 +201,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        # the library raises ValueError only for arguments it rejects
+    except (ValueError, OSError) as exc:
+        # the library raises ValueError only for arguments it rejects;
+        # OSError is an input or output file that cannot be opened
         print(f"addcomb: error: {exc}", file=sys.stderr)
         return 2
 

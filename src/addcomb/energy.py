@@ -13,10 +13,11 @@ from fractions import Fraction
 from .checks import IneqCheck
 from .config import TOL, TUPLE_CELL_CAP
 from .groups import (
+    GridFn,
     GroupSet,
+    diag_shift_size,
     indicator,
     intersect_shifts,
-    iter_bits,
     mask_shift_minus,
     mask_sumset,
     set_from_mask,
@@ -189,68 +190,44 @@ def check_heart_triple(a: GroupSet) -> IneqCheck:
     return IneqCheck.from_ge("triple-shift-product-bound", Fraction(lhs), rhs)
 
 
-def _tuple_grid(n: int, k: int):
-    return itertools.product(range(n), repeat=k)
-
-
-def weight_counts(a: GroupSet, b: GroupSet, k: int) -> dict:
+def weight_counts(a: GroupSet, b: GroupSet, k: int) -> GridFn:
     """|A^B_x| = |B ∩ (A-x_1) ∩ ... ∩ (A-x_k)| for every x in Gr^k."""
-    return {xs: cm.bit_count() for xs, cm in _system_cells(a, b, k)}
+    return GridFn.of(a.group, [cm.bit_count() for cm in _system_cells(a, b, k)], k)
 
 
-def _shift_system_masks(a: GroupSet, b: GroupSet) -> list[int]:
+def _system_cells(a: GroupSet, b: GroupSet, k: int) -> list[int]:
+    """Bitmask of A^B_x for every x in Gr^k, in row-major order."""
     n = a.group.modulus
-    am = a.mask
-    return [b.mask & mask_shift_minus(am, s, n) for s in range(n)]
-
-
-def _cell_mask(sysmasks: list[int], xs) -> int:
-    """Mask of A^B_x = B ∩ (A - x_1) ∩ ... from the per-shift system masks."""
-    m = sysmasks[xs[0]]
-    for s in xs[1:]:
-        m &= sysmasks[s]
-    return m
-
-
-def _system_cells(a: GroupSet, b: GroupSet, k: int):
-    """(x, bitmask of A^B_x) for every x in Gr^k, k in (1, 2)."""
-    n = a.group.modulus
-    if k not in (1, 2) or n ** k > TUPLE_CELL_CAP:
+    if k < 1 or n ** k > TUPLE_CELL_CAP:
         raise ValueError("k out of range")
-    sysmasks = _shift_system_masks(a, b)
-    for xs in _tuple_grid(n, k):
-        yield xs, _cell_mask(sysmasks, xs)
+    am, bm = a.mask, b.mask
+    rows = [bm & mask_shift_minus(am, s, n) for s in range(n)]
+    cells = rows
+    for _ in range(k - 1):
+        cells = [c & r for c in cells for r in rows]
+    return cells
 
 
 def _diag_spread_from_mask(a: GroupSet, cmask: int, l: int, sign: str) -> int:
     """|A^l ∓ Δ_l(C)| given C as a bitmask."""
-    n = a.group.modulus
     if l == 1:
-        return mask_sumset(a.mask, cmask, n, sign).bit_count()
-    seen = set()
-    mem = a.members
-    for c in iter_bits(cmask):
-        if sign == "-":
-            pts = [(x - c) % n for x in mem]
-        else:
-            pts = [(x + c) % n for x in mem]
-        for t in itertools.product(pts, repeat=l):
-            seen.add(t)
-    return len(seen)
+        return mask_sumset(a.mask, cmask, a.group.modulus, sign).bit_count()
+    return diag_shift_size(a, set_from_mask(a.group, cmask), l, sign)
 
 
 def _weight_cells(a: GroupSet, b: GroupSet, k: int, l: int, sign: str, used=None):
-    """(x, |A^B_x|, |A^l ∓ Δ_l(A^B_x)|) for each x in Gr^k with A^B_x nonempty
-    and, when ``used`` is given, ``used(x)`` true.
+    """(i, |A^B_x|, |A^l ∓ Δ_l(A^B_x)|) for the i-th x of Gr^k in row-major
+    order, for each x with A^B_x nonempty and, when ``used`` is given,
+    ``used[i]`` true.
 
     Empty cells are skipped: every sum over x in the weight bounds has a
     factor |A^B_x| or |A^l ∓ Δ_l(A^B_x)| that vanishes there.  ``used`` lets a
     check skip the cells it would multiply by zero before their spread is
     computed.
     """
-    for xs, cm in _system_cells(a, b, k):
-        if cm and (used is None or used(xs)):
-            yield xs, cm.bit_count(), _diag_spread_from_mask(a, cm, l, sign)
+    for i, cm in enumerate(_system_cells(a, b, k)):
+        if cm and (used is None or used[i]):
+            yield i, cm.bit_count(), _diag_spread_from_mask(a, cm, l, sign)
 
 
 def check_weight_inequality(
@@ -268,10 +245,9 @@ def check_weight_inequality(
 
     with x ranging over Gr^k.  Exact when q is integer-valued.
     """
-    n = a.group.modulus
     if k not in (1, 2) or l not in (1, 2):
         raise ValueError("k, l must be 1 or 2")
-    qv = _normalize_weight(q, n, k)
+    qv = _weight_table(q, a.group, k).flat
     aa = correlation_counts(a, a)
     bb = correlation_counts(b, b)
     e_high = sum(u * v ** (k + l) for u, v in zip(bb, aa))
@@ -279,13 +255,13 @@ def check_weight_inequality(
     lin = 0
     quad = 0
     # cells with q(x) = 0 add q·0 and 0·|q|^2: skip them before their spread
-    for xs, cnt, spread in _weight_cells(a, b, k, l, sign, used=qv.__getitem__):
-        qx = qv[xs]
+    for i, cnt, spread in _weight_cells(a, b, k, l, sign, used=qv):
+        qx = qv[i]
         lin += qx * cnt
         quad += spread * _abs_sq(qx)
     lhs = len(a) ** (2 * l) * _abs_sq(lin)
     rhs = e_high * quad
-    exact = all(isinstance(v, int) for v in qv.values())
+    exact = all(isinstance(v, int) for v in qv)
     return IneqCheck.from_le(
         f"weighted-shift-bound-k{k}l{l}{sign}", lhs, rhs,
         0.0 if exact else TOL.complex_rel * max(1.0, abs(rhs)),
@@ -298,20 +274,16 @@ def _abs_sq(v):
     return abs(v) ** 2
 
 
-def _normalize_weight(q, n: int, k: int) -> dict:
+def _weight_table(q, group, k: int) -> GridFn:
+    """The weight as a table over Gr^k: a GridFn, a GroupFn (k = 1) or
+    row-major values."""
     if isinstance(q, GroupFn):
-        if k != 1:
-            raise ValueError("GroupFn weight only valid for k = 1")
-        return {(x,): q.values[x] for x in range(n)}
-    if callable(q):
-        return {xs: q(*xs) for xs in _tuple_grid(n, k)}
-    seq = list(q)
-    if len(seq) != n ** k:
-        raise ValueError("weight table has wrong length")
-    out = {}
-    for i, xs in enumerate(_tuple_grid(n, k)):
-        out[xs] = seq[i]
-    return out
+        q = q.values
+    if not isinstance(q, GridFn):
+        q = GridFn.of(group, q, k)
+    if q.group != group or q.arity != k:
+        raise ValueError("weight must be a table over Gr^k")
+    return q
 
 
 def check_energy_weight_a(
@@ -409,22 +381,20 @@ def check_membership_identity(
         #{s in Gr^l : A^B_(s,x) nonempty} = |A^l - Δ_l(A^B_x)|
     (2) sum_{s in Gr^l} E(A^k, Δ(A^B_s)) = E_(k+l+1)(B,A).
     """
-    n = a.group.modulus
-    if n ** (k + l) > TUPLE_CELL_CAP:
+    if a.group.modulus ** (k + l) > TUPLE_CELL_CAP:
         raise ValueError("k + l too large for direct enumeration")
-    sysmasks = _shift_system_masks(a, b)
+    cells_l = _system_cells(a, b, l)
     worst = 0
-    for xs in _tuple_grid(n, k):
-        xm = _cell_mask(sysmasks, xs)
-        count = sum(1 for ss in _tuple_grid(n, l) if xm & _cell_mask(sysmasks, ss))
+    for xm in _system_cells(a, b, k):
+        count = sum(1 for sm in cells_l if xm & sm)
         size = _diag_spread_from_mask(a, xm, l, "-")
         worst = max(worst, abs(count - size))
     checks = [IneqCheck.from_identity(f"shift-duality-k{k}l{l}", worst)]
 
     aa = correlation_counts(a, a)
     total = 0
-    for ss in _tuple_grid(n, l):
-        c = set_from_mask(a.group, _cell_mask(sysmasks, ss))
+    for sm in cells_l:
+        c = set_from_mask(a.group, sm)
         cc = correlation_counts(c, c)
         total += sum(u * v ** k for u, v in zip(cc, aa))
     bb = correlation_counts(b, b)

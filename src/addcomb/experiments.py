@@ -192,25 +192,22 @@ def subgroup_scan(
 
 
 def _crosscheck_subgroup_row(row: SubgroupScanRow, els, p: int) -> None:
-    """Hashed-sum recount of the integer fields, independent of bincount."""
+    """Hashed recount of the integer fields from the t^2 pair sums and pair
+    differences, independent of ``subgroup_stats``."""
     sums: dict[int, int] = {}
+    diffs: dict[int, int] = {}  # (Gamma ∘ Gamma)(x) = #{(y, z) : z - y = x}
     for a in els:
         for b in els:
             s = (a + b) % p
             sums[s] = sums.get(s, 0) + 1
+            d = (b - a) % p
+            diffs[d] = diffs.get(d, 0) + 1
     e2 = sum(v * v for v in sums.values())
     if e2 != row.E2 or len(sums) != row.sum:
         raise AssertionError(f"cross-check failed at p={row.p}, t={row.t}")
-    shifts = 0
-    support = 0
-    mem = set(els)
-    e3 = 0
-    for x in range(p):
-        ax = sum(1 for y in els if (y + x) % p in mem)
-        e3 += ax ** 3
-        shifts += ax
-        support += ax > 0
-    if e3 != row.E3 or shifts != row.t ** 2 or support != row.diff:
+    e3 = sum(v ** 3 for v in diffs.values())
+    shifts = sum(diffs.values())
+    if e3 != row.E3 or shifts != row.t ** 2 or len(diffs) != row.diff:
         raise AssertionError(f"E3 cross-check failed at p={row.p}, t={row.t}")
 
 
@@ -631,6 +628,8 @@ def progression_scan(p: int, t: int) -> ProgressionRow:
 
 
 def progression_batch(p_max: int) -> list[ProgressionRow]:
+    if p_max > SCAN_PRIME_CAP:
+        raise ValueError(f"scan capped at p <= {SCAN_PRIME_CAP}")
     rows = []
     for p in primes_up_to(p_max):
         if p == 2:

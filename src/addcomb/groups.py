@@ -1,16 +1,20 @@
-"""Cyclic group Z/N, finite subsets, set algebra and shifted intersections.
+"""Cyclic group Z/N, finite subsets, set algebra and shifted intersections,
+and functions on (Z/N)^k as dense tables.
 
 Sets are immutable sorted residue tuples with a cached bitmask (one Python
 int, bit i = membership of residue i) at every modulus; all set algebra and
-counting runs on these masks in exact integer arithmetic.
+counting runs on these masks in exact integer arithmetic.  A function on
+(Z/N)^k is a ``GridFn``: one read-only ndarray of shape (N,)*k.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .config import TUPLE_CELL_CAP
 
@@ -203,34 +207,120 @@ def iterated_sumset(a: GroupSet, m: int) -> GroupSet:
     return out
 
 
-@dataclass(frozen=True)
-class TupleSet:
-    """Subset of (Z/N)^k for k <= 3, stored as an explicit frozenset."""
+INT64_MAX = 2 ** 63 - 1
+
+
+def _check_grid(n: int, k: int) -> None:
+    if not 1 <= k <= 3:
+        raise ValueError("arity must be in 1..3")
+    if n ** k > TUPLE_CELL_CAP:
+        raise ValueError("N^k exceeds the dense tuple cap")
+
+
+def _exact_operands(fns: Sequence["GridFn"], terms: int) -> list[np.ndarray]:
+    """The tables of ``fns`` in one dtype for a sum of ``terms`` products
+    that take one entry from each table.
+
+    complex128 when any table is complex.  Integer tables stay int64 only
+    when all are int64 and terms * prod(max |entry|) <= INT64_MAX, which
+    bounds every product and partial sum; otherwise they become object
+    arrays of Python ints.
+    """
+    tables = [f.table for f in fns]
+    if any(t.dtype == np.complex128 for t in tables):
+        dtype = np.complex128
+    elif any(t.dtype == object for t in tables):
+        dtype = object
+    else:
+        bound = terms
+        for t in tables:
+            bound *= max(int(t.max()), -int(t.min()))
+        dtype = np.int64 if bound <= INT64_MAX else object
+    return [t.astype(dtype, copy=False) for t in tables]
+
+
+@dataclass(frozen=True, eq=False)
+class GridFn:
+    """Function (Z/N)^k -> C for k in 1..3, stored as a read-only ndarray of
+    shape (N,)*k indexed by residues (row-major, last coordinate fastest).
+
+    Integer tables are int64 when every entry fits, object arrays of Python
+    ints otherwise; any other values are complex128.  Everything handed out
+    (``__call__``, ``flat``, ``dot``) is a Python scalar.
+    """
 
     group: CyclicGroup
-    arity: int
-    members: frozenset[tuple[int, ...]] = field(default_factory=frozenset)
+    table: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (1 <= self.arity <= 3):
-            raise ValueError("arity must be in 1..3")
-        if self.group.modulus ** self.arity > TUPLE_CELL_CAP:
-            raise ValueError("N^k exceeds the dense tuple cap")
-        for t in self.members:
-            if len(t) != self.arity:
-                raise ValueError("tuple arity mismatch")
+        t = self.table
+        _check_grid(self.group.modulus, t.ndim)
+        if t.shape != (self.group.modulus,) * t.ndim:
+            raise ValueError("table shape must be (N,)*k")
+        if t.dtype not in (np.int64, np.complex128, object):
+            raise ValueError(f"unsupported table dtype {t.dtype}")
+        view = t.view()
+        view.flags.writeable = False
+        object.__setattr__(self, "table", view)
 
-    def __len__(self) -> int:
-        return len(self.members)
+    @classmethod
+    def of(cls, group: CyclicGroup, values, arity: int | None = None) -> "GridFn":
+        """Table from nested values, or from row-major flat values of the
+        given arity."""
+        arr = np.array(values, dtype=object)
+        if arity is not None:
+            arr = arr.reshape((group.modulus,) * arity)
+        if not all(isinstance(v, (int, np.integer)) for v in arr.flat):
+            return cls(group, arr.astype(np.complex128))
+        ints = np.frompyfunc(int, 1, 1)(arr)
+        if np.abs(ints).max() <= INT64_MAX:
+            ints = ints.astype(np.int64)
+        return cls(group, ints)
 
-    def __contains__(self, t: tuple[int, ...]) -> bool:
-        return tuple(x % self.group.modulus for x in t) in self.members
+    @property
+    def arity(self) -> int:
+        return self.table.ndim
+
+    @cached_property
+    def flat(self) -> tuple:
+        """Every value in row-major order."""
+        return tuple(self.table.ravel().tolist())
+
+    def __call__(self, *xs: int):
+        if len(xs) != self.arity:
+            raise ValueError("wrong number of arguments")
+        n = self.group.modulus
+        return self.table.item(tuple(x % n for x in xs))
+
+    def shift(self, xs: Sequence[int]) -> "GridFn":
+        """z -> f(z + x) for x in Gr^k."""
+        if len(xs) != self.arity:
+            raise ValueError("wrong number of shift coordinates")
+        rolled = np.roll(self.table, [-x for x in xs], axis=tuple(range(self.arity)))
+        return GridFn(self.group, rolled)
+
+    def dot(self, *others: "GridFn"):
+        """sum over x in Gr^k of f(x) g_1(x) ... g_m(x), exact on integers;
+        with no others, the sum of the table."""
+        if any(o.table.shape != self.table.shape for o in others):
+            raise ValueError("tables live on different grids")
+        arrays = _exact_operands((self, *others), self.table.size)
+        out = arrays[0]
+        for t in arrays[1:]:
+            out = out * t
+        total = out.sum()  # a Python int already for object tables
+        return total.item() if isinstance(total, np.generic) else total
+
+    def outer(self, other: "GridFn") -> "GridFn":
+        """(x, y) -> f(x) g(y) on Gr^(k + k')."""
+        f, g = _exact_operands((self, other), 1)
+        return GridFn(self.group, np.multiply.outer(f, g))
 
 
 def tuple_sumset_with_diagonal(
     sets: Sequence[GroupSet], b: GroupSet, sign: str = "-"
-) -> TupleSet:
-    """A_1 x ... x A_k ∓ Δ(B) built by direct enumeration.
+) -> GridFn:
+    """0/1 table of A_1 x ... x A_k ∓ Δ(B) over Gr^k.
 
     For sign '-' this is {(a_1 - c, ..., a_k - c) : a_i in A_i, c in B},
     which coincides with {x : B ∩ (A_1 - x_1) ∩ ... ∩ (A_k - x_k) != ∅}.
@@ -240,24 +330,28 @@ def tuple_sumset_with_diagonal(
     g = _require_same_group(*sets, b)
     n = g.modulus
     k = len(sets)
-    if k > 3 or n ** k > TUPLE_CELL_CAP:
-        raise ValueError("tuple arity/size cap exceeded")
+    _check_grid(n, k)
     if sign not in "+-":
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    out: set[tuple[int, ...]] = set()
-    for c in b.members:
-        grids = [
-            tuple((a - c) % n if sign == "-" else (a + c) % n for a in s.members)
-            for s in sets
-        ]
-        out.update(itertools.product(*grids))
-    return TupleSet(g, k, frozenset(out))
+    c = np.asarray(b.members, dtype=np.int64)
+    if sign == "-":
+        c = -c
+    # axis 0 runs over c, axis i + 1 over A_i: one assignment marks every point
+    index = []
+    for i, s in enumerate(sets):
+        shape = [len(c)] + [1] * k
+        shape[i + 1] = len(s)
+        pts = (np.asarray(s.members, dtype=np.int64)[None, :] + c[:, None]) % n
+        index.append(pts.reshape(shape))
+    grid = np.zeros((n,) * k, dtype=np.int64)
+    grid[tuple(index)] = 1
+    return GridFn(g, grid)
 
 
 def diag_shift_size(a: GroupSet, c: GroupSet, l: int, sign: str = "-") -> int:
-    """|A^l ∓ Δ_l(C)| by direct enumeration (l <= 3)."""
-    if not c.members:
-        return 0
+    """|A^l ∓ Δ_l(C)| (l <= 3): one masked sumset for l = 1, the 0/1
+    tuple table otherwise."""
+    _require_same_group(a, c)
     if l == 1:
-        return len(sumset(a, c, "-" if sign == "-" else "+"))
-    return len(tuple_sumset_with_diagonal([a] * l, c, sign))
+        return mask_sumset(a.mask, c.mask, a.group.modulus, sign).bit_count()
+    return tuple_sumset_with_diagonal([a] * l, c, sign).dot()

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .checks import IneqCheck
-from .config import MULT_ENERGY_CAP, TOL
+from .config import FIELD_PRIME_CAP, MULT_ENERGY_CAP, TOL
 from .energy import correlation_counts, energy_k
 from .groups import CyclicGroup, GroupSet
 from .spectral import build_restricted_operator, jacobi_eigh
@@ -99,8 +99,8 @@ def primitive_root(p: int) -> int:
 
 
 def make_field(p: int, root: int | None = None) -> PrimeField:
-    if p > 10 ** 6:
-        raise ValueError("field size capped at 10^6")
+    if p > FIELD_PRIME_CAP:
+        raise ValueError(f"field size capped at {FIELD_PRIME_CAP}")
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     g = primitive_root(p) if root is None else root
@@ -132,8 +132,13 @@ class MultSubgroup:
 
     @cached_property
     def elements(self) -> tuple[int, ...]:
-        p, n = self.field.p, self.index
-        return tuple(sorted(pow(self.field.root, n * l, p) for l in range(self.order)))
+        """g^(n l) for l < t, sorted: successive products by g^n."""
+        p = self.field.p
+        step = pow(self.field.root, self.index, p)
+        out = [1]
+        for _ in range(self.order - 1):
+            out.append(out[-1] * step % p)
+        return tuple(sorted(out))
 
     @cached_property
     def element_set(self) -> frozenset[int]:

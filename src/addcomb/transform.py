@@ -9,16 +9,17 @@ inversion carries the 1/N.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
+import numpy as np
+
 from .checks import IneqCheck
-from .config import TOL, TUPLE_CELL_CAP
-from .groups import CyclicGroup
+from .config import TOL
+from .groups import CyclicGroup, GridFn, _exact_operands
 
 
 @dataclass(frozen=True)
@@ -179,70 +180,22 @@ def kfold_correlate(f: GroupFn, k: int) -> GroupFn:
     return correlate(kfold_convolve(f, k), f)
 
 
-@dataclass(frozen=True)
-class GenConvTable:
-    """Dense table of C_k(f_0,...,f_{k-1}) over Gr^{k-1} (k in {2,3})."""
-
-    group: CyclicGroup
-    arity: int  # k - 1
-    flat: tuple
-
-    def __post_init__(self) -> None:
-        n = self.group.modulus
-        if self.arity not in (1, 2):
-            raise ValueError("table arity must be 1 or 2")
-        if n ** self.arity > TUPLE_CELL_CAP:
-            raise ValueError("table exceeds dense cap")
-        if len(self.flat) != n ** self.arity:
-            raise ValueError("flat storage has wrong length")
-
-    def __call__(self, *xs: int):
-        n = self.group.modulus
-        if len(xs) != self.arity:
-            raise ValueError("wrong number of arguments")
-        idx = 0
-        for x in xs:
-            idx = idx * n + (x % n)
-        return self.flat[idx]
-
-
-def gen_convolution(fns: Sequence[GroupFn]) -> GenConvTable:
-    """C_k(f_0,...,f_{k-1})(x_1,..,x_{k-1}) = sum_z f_0(z) f_1(z+x_1) ...."""
+def gen_convolution(fns: Sequence[GroupFn]) -> GridFn:
+    """C_k(f_0,...,f_{k-1})(x_1,..,x_{k-1}) = sum_z f_0(z) f_1(z+x_1) ...,
+    as a table over Gr^(k-1) (k in {2, 3})."""
     k = len(fns)
     if k not in (2, 3):
         raise ValueError("k must be 2 or 3")
-    n = _same_group(*fns).modulus
-    vals = [f.values for f in fns]
+    group = _same_group(*fns)
+    n = group.modulus
+    f0, *rest = _exact_operands([GridFn.of(group, f.values) for f in fns], n)
+    r = np.arange(n)
+    at = (r[:, None] + r) % n  # at[x, z] = z + x
     if k == 2:
-        return GenConvTable(fns[0].group, 1, correlate(fns[0], fns[1]).values)
-    f0, f1, f2 = vals
-    flat = []
-    for x1 in range(n):
-        for x2 in range(n):
-            acc = 0
-            for z in range(n):
-                v = f0[z]
-                if v:
-                    acc += v * f1[(z + x1) % n] * f2[(z + x2) % n]
-            flat.append(acc)
-    return GenConvTable(fns[0].group, 2, tuple(flat))
-
-
-def _table_eval(tables: Sequence[GenConvTable], args, n: int):
-    """C_l(T_0,...,T_{l-1}) at argument tuples over the tables' domain.
-
-    args is a tuple of (l-1) points, each a tuple in Gr^{arity}.
-    """
-    arity = tables[0].arity
-    acc = 0
-    for z in itertools.product(range(n), repeat=arity):
-        term = tables[0](*z)
-        if not term:
-            continue
-        for t, y in zip(tables[1:], args):
-            term *= t(*tuple((zi + yi) % n for zi, yi in zip(z, y)))
-        acc += term
-    return acc
+        table = rest[0][at] @ f0
+    else:
+        table = (rest[0][at] * f0) @ rest[1][at].T
+    return GridFn(group, table)
 
 
 def check_commutation(
@@ -284,12 +237,15 @@ def check_commutation(
 
     worst = 0
     for y in points:
-        lhs = _table_eval(row_tables, y, n)
-        # transpose the argument grid for the column side
+        # the column side takes the transposed argument grid
         yt = tuple(
             tuple(y[i][j] for i in range(l - 1)) for j in range(k - 1)
         )
-        rhs = _table_eval(col_tables, yt, n)
+        # C_l(T_0, ..., T_{l-1})(y) = sum_z T_0(z) T_1(z + y_1) ...
+        lhs, rhs = (
+            tables[0].dot(*(t.shift(s) for t, s in zip(tables[1:], args)))
+            for tables, args in ((row_tables, y), (col_tables, yt))
+        )
         worst = max(worst, abs(lhs - rhs))
     exact = all(f.kind == "int" for r in rows for f in r)
     return IneqCheck.from_identity(

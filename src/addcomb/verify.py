@@ -9,6 +9,7 @@ runtime is printed, never serialized.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import time
@@ -27,7 +28,7 @@ from .energy import (
     check_membership_identity,
     check_weight_inequality,
 )
-from .groups import CyclicGroup, GroupSet
+from .groups import CyclicGroup, GridFn, GroupSet
 from .spectral import (
     build_restricted_operator,
     check_cycle_sums,
@@ -57,7 +58,9 @@ from .transform import (
     check_commutation,
     convolve,
     correlate,
+    correlate_many,
     dft,
+    gen_convolution,
     idft,
 )
 
@@ -360,66 +363,29 @@ def run_identity_suite(seed: int = 1, trials: int = 200) -> CheckSuite:
 
 
 def _scalar_product_discrepancy(fs, gs) -> int:
-    from .transform import gen_convolution
-
+    """sum_x C_l(fs)(x) C_l(gs)(x) = sum_z prod_i (f_i ∘ g_i)(z)."""
     group = fs[0].group
-    n = group.modulus
-    tf = gen_convolution(fs)
-    tg = gen_convolution(gs)
-    lhs = sum(
-        tf.flat[i] * tg.flat[i] for i in range(len(tf.flat))
-    )
-    pairs = [correlate(f, g).values for f, g in zip(fs, gs)]
-    rhs = sum(
-        _prod(p[z] for p in pairs) for z in range(n)
-    )
-    return abs(lhs - rhs)
-
-
-def _prod(it):
-    out = 1
-    for v in it:
-        out *= v
-    return out
+    lhs = gen_convolution(fs).dot(gen_convolution(gs))
+    pairs = [GridFn.of(group, correlate(f, g).values) for f, g in zip(fs, gs)]
+    return abs(lhs - pairs[0].dot(*pairs[1:]))
 
 
 def _multi_scalar_discrepancy(fs, l: int) -> int:
-    from .transform import gen_convolution
-
-    group = fs[0].group
-    n = group.modulus
+    """sum_x prod_i C_l(f_i)(x) = sum_y C_k(fs)(y)^l."""
     tables = [gen_convolution([f] * l) for f in fs]
-    lhs = sum(
-        _prod(t.flat[i] for t in tables) for i in range(n ** (l - 1))
-    )
     cross = gen_convolution(fs)
-    rhs = sum(v ** l for v in cross.flat)
-    return abs(lhs - rhs)
+    return abs(tables[0].dot(*tables[1:]) - cross.dot(*[cross] * (l - 1)))
 
 
 def _conv_power_discrepancy(fs, l: int) -> int:
     """sum_x C_l(f0)(x) (C_l(f1) ∘ C_l(f2))(x) = sum_z (f0∘(f1∘f2))^l(z)."""
-    from .transform import correlate_many, gen_convolution
-
-    group = fs[0].group
-    n = group.modulus
+    n = fs[0].group.modulus
     t0, t1, t2 = (gen_convolution([f] * l) for f in fs)
-    if l == 2:
-        mid = correlate(
-            GroupFn(group, t1.flat), GroupFn(group, t2.flat)
-        ).values
-        lhs = sum(t0.flat[x] * mid[x] for x in range(n))
-    else:
-        lhs = 0
-        for x1 in range(n):
-            for x2 in range(n):
-                acc = 0
-                for y1 in range(n):
-                    for y2 in range(n):
-                        acc += t1((y1, y2)[0], (y1, y2)[1]) * t2(
-                            (y1 + x1) % n, (y2 + x2) % n
-                        )
-                lhs += t0(x1, x2) * acc
+    lhs = 0
+    for v, x in zip(t0.flat, itertools.product(range(n), repeat=l - 1)):
+        if v:
+            # (C_l(f1) ∘ C_l(f2))(x) = sum_y C_l(f1)(y) C_l(f2)(y + x)
+            lhs += v * t1.dot(t2.shift(x))
     rhs = sum(v ** l for v in correlate_many(fs).values)
     return abs(lhs - rhs)
 
@@ -485,10 +451,11 @@ def _inequality_instance(
         _record_zero_slack(suite, triple, inst)
 
     q = random_int_fn(rng, group, -3, 3)
-    for k in (1, 2):
+    q1 = GridFn.of(group, q.values)
+    for k, weight in ((1, q1), (2, q1.outer(q1))):
         for sign in "+-":
             suite.record(
-                check_weight_inequality(a, a, _flat_weight(q, group, k), k, 1, sign),
+                check_weight_inequality(a, a, weight, k, 1, sign),
                 {**inst, "q": list(q.values), "k": k},
             )
     for sign in "+-":
@@ -524,13 +491,6 @@ def _record_zero_slack(suite: CheckSuite, check: IneqCheck, inst) -> None:
         IneqCheck.from_identity(check.name + "-equality", check.slack_float()),
         inst,
     )
-
-
-def _flat_weight(q: GroupFn, group: CyclicGroup, k: int):
-    if k == 1:
-        return q
-    n = group.modulus
-    return [q.values[x1] * q.values[x2] for x1 in range(n) for x2 in range(n)]
 
 
 # ---------------------------------------------------------------------------

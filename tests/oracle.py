@@ -197,3 +197,30 @@ def subgroup_stats_naive(elements, p):
     e3 = sum(v ** 3 for v in corr)
     diff = sum(1 for v in corr if v)
     return e2, e3, len(sums), diff, corr
+
+
+# --- tuple-enumeration oracles for tables over (Z/n)^k ---------------------
+
+
+def gen_convolution_naive(fs, n):
+    """{x: C_k(f_0, ..., f_{k-1})(x)} over x in (Z/n)^(k-1), keys in
+    row-major order: sum over z of f_0(z) f_1(z + x_1) ... f_{k-1}(z + x_{k-1})."""
+    out = {}
+    for xs in itertools.product(range(n), repeat=len(fs) - 1):
+        acc = 0
+        for z in range(n):
+            term = fs[0][z]
+            for f, x in zip(fs[1:], xs):
+                term *= f[(z + x) % n]
+            acc += term
+        out[xs] = acc
+    return out
+
+
+def diag_shift_naive(sets, c, n, sign):
+    """A_1 x ... x A_l ∓ Δ_l(C) = {(a_1 ∓ y, ..., a_l ∓ y) : a_i in A_i, y in C}."""
+    out = set()
+    for y in c:
+        for xs in itertools.product(*sets):
+            out.add(tuple((x - y) % n if sign == "-" else (x + y) % n for x in xs))
+    return out

@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the pass/fail lines.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -26,6 +27,11 @@ from addcomb.subgroup import (
 )
 from addcomb.transform import GroupFn
 from addcomb.verify import run_identity_suite, run_inequality_suite, run_subgroup_suite
+
+
+# sha256 of `addcomb verify --seed 1 --json`: a report byte may change only
+# in a deliberate, versioned format change
+REPORT_SHA256 = "02e65275997f76372a9403ea9bdc7f56a80ee61afec7bbe796d5490dab58b1a4"
 
 
 def _report(criterion: str, ok: bool, extra: str = "") -> None:
@@ -228,9 +234,11 @@ def test_criterion_8_determinism(tmp_path):
     assert main(["verify", "--seed", "1", "--json", str(a)]) == 0
     assert main(["verify", "--seed", "1", "--json", str(b)]) == 0
     identical = a.read_bytes() == b.read_bytes()
+    digest = hashlib.sha256(a.read_bytes()).hexdigest()
     obj = json.loads(a.read_text())
     _report(
-        "criterion 8: verify --seed 1 twice, byte-identical JSON report",
-        identical and obj["pass"] is True,
-        f"{len(a.read_bytes())} bytes",
+        "criterion 8: verify --seed 1 twice, byte-identical JSON report "
+        "with the pinned sha256",
+        identical and obj["pass"] is True and digest == REPORT_SHA256,
+        f"{len(a.read_bytes())} bytes, sha256 {digest}",
     )

@@ -114,9 +114,13 @@ def test_empty_scan_exits_1(argv, capsys):
     ["verify", "--primes", "8"],
     ["verify", "--primes", "20000"],
     ["convex-scan", "--nmax", "65536"],
+    ["ap-scan", "--pmax", "20000"],
+    ["doubling-stats", "--file", "/nonexistent"],
+    ["verify", "--json", "/nonexistent/report.json"],
 ])
 def test_bad_input_exits_2(argv, capsys, monkeypatch):
-    # bad input is rejected before any suite runs or any count is allocated
+    # bad input is rejected before any suite runs, any scan starts or any
+    # count is allocated
     import addcomb.cli as cli_mod
     import addcomb.experiments as exp_mod
 
@@ -125,7 +129,8 @@ def test_bad_input_exits_2(argv, capsys, monkeypatch):
 
     for mod, name in ((cli_mod, "run_identity_suite"),
                       (cli_mod, "run_inequality_suite"),
-                      (exp_mod, "autocorrelation_np")):
+                      (exp_mod, "autocorrelation_np"),
+                      (exp_mod, "progression_scan")):
         monkeypatch.setattr(mod, name, must_not_run)
     assert main(argv) == 2
     captured = capsys.readouterr()

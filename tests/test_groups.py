@@ -1,10 +1,13 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
+import oracle
 from addcomb.groups import (
     CyclicGroup,
+    GridFn,
     GroupSet,
     diag_shift_size,
     indicator,
@@ -93,7 +96,8 @@ def test_tuple_sumset_reduces_to_difference_set():
     a = gset(5, [0, 1])
     b = gset(5, [2, 3])
     ts = tuple_sumset_with_diagonal([a], b, "-")
-    assert {t[0] for t in ts.members} == set(sumset(a, b, "-").members)
+    assert {x for x in range(5) if ts(x)} == set(sumset(a, b, "-").members)
+    assert set(ts.flat) == {0, 1}
 
 
 def test_tuple_sumset_membership_characterization():
@@ -108,12 +112,12 @@ def test_tuple_sumset_membership_characterization():
                 (z + x1) % n in a.member_set and (z + x2) % n in a.member_set
                 for z in mem
             )
-            assert ((x1, x2) in ts.members) == nonempty
+            assert ts(x1, x2) == int(nonempty)
 
 
 def test_tuple_sumset_empty_base():
     a = gset(5, [0, 1])
-    assert len(tuple_sumset_with_diagonal([a, a], gset(5, []), "-")) == 0
+    assert tuple_sumset_with_diagonal([a, a], gset(5, []), "-").dot() == 0
 
 
 def test_shift_duality_full_enumeration():
@@ -150,7 +154,7 @@ def test_shift_duality_tuple_case():
                     right = (
                         set(sumset(a, axs, "-").members) if len(axs) else set()
                     )
-                    in_left = left is not None and (x1, x2) in left
+                    in_left = left is not None and left(x1, x2) == 1
                     assert in_left == (s in right)
 
 
@@ -176,7 +180,54 @@ def test_diag_shift_size_matches_tuple_set():
     for sign in "+-":
         direct = diag_shift_size(a, c, 2, sign)
         ts = tuple_sumset_with_diagonal([a, a], c, sign)
-        assert direct == len(ts)
+        assert direct == ts.dot()
+
+
+def test_diag_shift_matches_enumeration():
+    rng = random.Random(21)
+    for n in (5, 8, 16):
+        g = CyclicGroup(n)
+        for _ in range(4):
+            a, b, c = (
+                GroupSet.of(g, [x for x in range(n) if rng.random() < 0.4])
+                for _ in range(3)
+            )
+            for sign in "+-":
+                for l in (1, 2):
+                    want = oracle.diag_shift_naive([a.members] * l, c.members, n, sign)
+                    assert diag_shift_size(a, c, l, sign) == len(want)
+                for sets in ([a], [a, a], [a, b]):
+                    want = oracle.diag_shift_naive(
+                        [s.members for s in sets], c.members, n, sign
+                    )
+                    ts = tuple_sumset_with_diagonal(sets, c, sign)
+                    grid = itertools.product(range(n), repeat=len(sets))
+                    assert {x for x, v in zip(grid, ts.flat) if v} == want
+
+
+def test_grid_fn_table():
+    g = CyclicGroup(3)
+    f = GridFn.of(g, range(9), 2)
+    assert f.arity == 2 and f.table.dtype == np.int64
+    assert f(1, 2) == f(4, -1) == 5 and type(f(1, 2)) is int
+    assert f.flat == tuple(range(9))
+    with pytest.raises(ValueError):
+        f.table[0, 0] = 7  # read-only
+    assert f.shift((1, 2))(0, 0) == f(1, 2)
+    assert f.dot() == 36 and f.dot(f) == sum(v * v for v in range(9))
+    h = GridFn.of(g, [1, -2, 3])
+    assert h.outer(h).flat == tuple(u * v for u in (1, -2, 3) for v in (1, -2, 3))
+    big = GridFn.of(g, [2 ** 70, 1, 0])
+    assert big.table.dtype == object and big.dot(big) == 2 ** 140 + 1
+    assert big.dot(GridFn.of(g, [0, 0, 0])) == 0
+    assert GridFn.of(g, [1j, 0, 2]).table.dtype == np.complex128
+    for bad in ([1, 2], [[1, 2, 3]] * 2):
+        with pytest.raises(ValueError):
+            GridFn.of(g, bad)
+    with pytest.raises(ValueError):
+        GridFn.of(g, [0] * 81, 4)
+    with pytest.raises(ValueError):
+        f(1)
 
 
 def test_group_set_validation():

@@ -402,12 +402,17 @@ def test_energy_max_attained_at_trivial_character():
 
 def test_subgroup_stats_match_pair_enumeration():
     # every (p, t) with p < 300: t runs over odd and even orders, so both
-    # cases of -1 in Gamma reach the |Gamma + Gamma| formula
+    # cases of -1 in Gamma reach the |Gamma + Gamma| formula; the elements
+    # built by repeated multiplication equal the powers g^(n l)
     minus_one_cases = set()
     for p in primes_up_to(299):
         fld = make_field(p)
         for t in divisors(p - 1):
             g = subgroup(fld, t)
+            n = (p - 1) // t
+            assert g.elements == tuple(
+                sorted(pow(fld.root, n * l, p) for l in range(t))
+            ), (p, t)
             e2, e3, ssum, diff, corr = subgroup_stats_naive(g.elements, p)
             st = subgroup_stats(g)
             assert (st.E2, st.E3, st.sum, st.diff) == (e2, e3, ssum, diff), (p, t)

@@ -1,7 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
+import oracle
 from addcomb.groups import CyclicGroup, GroupSet, indicator
 from addcomb.transform import (
     GroupFn,
@@ -137,6 +139,42 @@ def test_gen_convolution_c3_example():
     assert table(1, 1) == 1
     zero = GroupFn.constant(g, 0)
     assert all(v == 0 for v in gen_convolution([zero, a, a]).flat)
+
+
+@pytest.mark.parametrize("n", (5, 7, 16))
+def test_gen_convolution_matches_enumeration(n):
+    rng = random.Random(n)
+    g = CyclicGroup(n)
+    for k in (2, 3):
+        ints = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        table = gen_convolution([GroupFn(g, tuple(v)) for v in ints])
+        assert table.table.dtype == np.int64 and table.arity == k - 1
+        assert table.flat == tuple(oracle.gen_convolution_naive(ints, n).values())
+        assert all(type(v) is int for v in table.flat)
+        cplx = [
+            [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
+            for _ in range(k)
+        ]
+        table = gen_convolution([GroupFn(g, tuple(v)) for v in cplx])
+        assert table.table.dtype == np.complex128
+        want = oracle.gen_convolution_naive(cplx, n).values()
+        assert max(abs(u - v) for u, v in zip(table.flat, want)) < 1e-12 * n
+
+
+def test_gen_convolution_exact_beyond_int64():
+    # entries near 5 * 2^129 force object tables; sums and identities stay exact
+    n = 5
+    rng = random.Random(9)
+    g = CyclicGroup(n)
+    vals = [[rng.randint(-(2 ** 43), 2 ** 43) for _ in range(n)] for _ in range(3)]
+    fs = [GroupFn(g, tuple(v)) for v in vals]
+    table = gen_convolution(fs)
+    want = tuple(oracle.gen_convolution_naive(vals, n).values())
+    assert table.table.dtype == object and max(abs(v) for v in want) > 2 ** 63
+    assert table.flat == want and all(type(v) is int for v in table.flat)
+    assert table.dot(table) == sum(v * v for v in want)
+    check = check_commutation([fs, fs[::-1], fs[1:] + fs[:1]], random.Random(1), 4)
+    assert check.passed and check.lhs == 0
 
 
 def test_check_commutation_delta_and_random():
