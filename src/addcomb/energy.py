@@ -7,8 +7,9 @@ numerators vanish, so they contribute nothing to either side.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
+
+import numpy as np
 
 from .checks import IneqCheck
 from .config import TOL, TUPLE_CELL_CAP
@@ -17,11 +18,9 @@ from .groups import (
     GroupSet,
     diag_shift_size,
     indicator,
-    intersect_shifts,
     mask_shift_minus,
-    mask_sumset,
-    set_from_mask,
     sumset,
+    triple_product_sum,
 )
 from .transform import GroupFn, kfold_convolve
 
@@ -50,12 +49,10 @@ def shift_counts(a: GroupSet) -> tuple[int, ...]:
 
 def shift_spread_sizes(a: GroupSet, sign: str = "-") -> tuple[int, ...]:
     """|A ∓ A_x| for every x (0 where A_x is empty)."""
-    n = a.group.modulus
-    am = a.mask
-    return tuple(
-        _diag_spread_from_mask(a, am & mask_shift_minus(am, x, n), 1, sign)
-        for x in range(n)
-    )
+    index, cells = _shift_cells(a, a, 1)
+    out = np.zeros(a.group.modulus, dtype=np.int64)
+    out[index] = _spreads(a, a, cells, 1, sign)
+    return tuple(out.tolist())
 
 
 def energy(a: GroupSet, b: GroupSet | None = None) -> int:
@@ -106,13 +103,10 @@ def energy_k(a: GroupSet, b: GroupSet | None = None, k: float = 2):
 def energy_k_shift_sum(a: GroupSet, b: GroupSet | None = None, k: int = 2) -> int:
     """Dual route for integer k: sum over (k-1)-tuples s of |B^A_s|^2."""
     b = a if b is None else b
-    n = a.group.modulus
-    if k < 1 or n ** (k - 1) > TUPLE_CELL_CAP:
-        raise ValueError("k out of range for direct shift enumeration")
-    total = 0
-    for s in itertools.product(range(n), repeat=k - 1):
-        total += len(intersect_shifts(b, a, s)) ** 2
-    return total
+    if k == 1:
+        return len(a) ** 2
+    _, cells = _shift_cells(b, a, k - 1)
+    return sum(c * c for c in cells.sum(1).tolist())
 
 
 def t_k(a: GroupSet, k: int) -> int:
@@ -137,21 +131,14 @@ def sigma_k(a: GroupSet, k: int) -> int:
 
 def check_katz_koester(a: GroupSet, sign: str = "+") -> list[IneqCheck]:
     """|(A±A) ∩ (A±A - x)| >= |A ± A_x| for every x with A_x nonempty."""
-    n = a.group.modulus
-    s2m = sumset(a, a, sign).mask
+    s2 = sumset(a, a, sign)
+    lhs = correlation_counts(s2, s2)
     spread = shift_spread_sizes(a, sign)
-    ax_sizes = shift_counts(a)
-    out = []
-    for x in range(n):
-        if ax_sizes[x] == 0:
-            continue
-        lhs = (s2m & mask_shift_minus(s2m, x, n)).bit_count()
-        out.append(
-            IneqCheck.from_ge(
-                f"katz-koester{sign}", lhs, spread[x], 0.0, {"x": x}
-            )
-        )
-    return out
+    return [
+        IneqCheck.from_ge(f"katz-koester{sign}", lhs[x], spread[x], 0.0, {"x": x})
+        for x, c in enumerate(shift_counts(a))
+        if c
+    ]
 
 
 def check_heart(a: GroupSet, sign: str = "-") -> IneqCheck:
@@ -174,17 +161,8 @@ def check_heart_triple(a: GroupSet) -> IneqCheck:
     """sum_{x,y,z in A} |A_{x-y}||A_{x-z}||A_{y-z}| >= E(A)^3 / |A|^3."""
     if not a.members:
         raise ValueError("A must be nonempty")
-    n = a.group.modulus
     ax = shift_counts(a)
-    lhs = 0
-    mem = a.members
-    for x in mem:
-        for y in mem:
-            cxy = ax[(x - y) % n]
-            if not cxy:
-                continue
-            for z in mem:
-                lhs += cxy * ax[(x - z) % n] * ax[(y - z) % n]
+    lhs = triple_product_sum(a, ax)
     e = sum(v * v for v in ax)
     rhs = Fraction(e ** 3, len(a) ** 3)
     return IneqCheck.from_ge("triple-shift-product-bound", Fraction(lhs), rhs)
@@ -192,42 +170,98 @@ def check_heart_triple(a: GroupSet) -> IneqCheck:
 
 def weight_counts(a: GroupSet, b: GroupSet, k: int) -> GridFn:
     """|A^B_x| = |B ∩ (A-x_1) ∩ ... ∩ (A-x_k)| for every x in Gr^k."""
-    return GridFn.of(a.group, [cm.bit_count() for cm in _system_cells(a, b, k)], k)
+    index, cells = _shift_cells(a, b, k)
+    out = np.zeros(a.group.modulus ** k, dtype=np.int64)
+    out[index] = cells.sum(1)
+    return GridFn(a.group, out.reshape((a.group.modulus,) * k))
 
 
-def _system_cells(a: GroupSet, b: GroupSet, k: int) -> list[int]:
-    """Bitmask of A^B_x for every x in Gr^k, in row-major order."""
+def _indicator(x, n: int) -> np.ndarray:
+    """Boolean vector over Z/n marking the residues of the entries of x."""
+    out = np.zeros(n, dtype=bool)
+    out[np.asarray(x, dtype=np.int64) % n] = True
+    return out
+
+
+def _members(s: GroupSet) -> np.ndarray:
+    return np.asarray(s.members, dtype=np.int64)
+
+
+_HIT_BLOCK = 1 << 18  # entries of x @ y per float64 block in _hits
+
+
+def _hits(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y > 0 for 0/1 matrices x, y, in row blocks of a few MB.
+
+    Runs in float64 BLAS: every product is 0 or 1 and every sum an integer
+    at most x.shape[1], exact while that is below 2**53.
+    """
+    assert x.shape[1] < 2 ** 53
+    yf = y.astype(np.float64)
+    out = np.empty((x.shape[0], y.shape[1]), dtype=bool)
+    step = max(1, _HIT_BLOCK // max(1, y.shape[1]))
+    for i in range(0, x.shape[0], step):
+        np.greater(x[i:i + step].astype(np.float64) @ yf, 0, out=out[i:i + step])
+    return out
+
+
+def _shift_cells(a: GroupSet, b: GroupSet, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nonempty cells A^B_x, x in Gr^k, as (index, cells): ``index``
+    holds the row-major flat index of each such x, ascending, and row i of
+    the boolean matrix ``cells`` is the cell at ``index[i]`` over B's members.
+
+    Only d in A - B gives a nonempty B ∩ (A - d), so the matrices are sized
+    by |A| and |B|, not by N: row d is R[d, j] = 1_A(b_j + d), and a cell is
+    the AND of the rows x_1, ..., x_k.
+    """
     n = a.group.modulus
     if k < 1 or n ** k > TUPLE_CELL_CAP:
         raise ValueError("k out of range")
-    am, bm = a.mask, b.mask
-    rows = [bm & mask_shift_minus(am, s, n) for s in range(n)]
-    cells = rows
+    bm = _members(b)
+    shifts = np.flatnonzero(_indicator(_members(a)[:, None] - bm[None, :], n))
+    rows = _indicator(a.members, n)[(bm[None, :] + shifts[:, None]) % n]
+    index, cells = shifts, rows
     for _ in range(k - 1):
-        cells = [c & r for c in cells for r in rows]
-    return cells
+        i, j = np.nonzero(_hits(cells, rows.T))
+        index = index[i] * n + shifts[j]
+        cells = cells[i] & rows[j]
+    return index, cells
 
 
-def _diag_spread_from_mask(a: GroupSet, cmask: int, l: int, sign: str) -> int:
-    """|A^l ∓ Δ_l(C)| given C as a bitmask."""
-    if l == 1:
-        return mask_sumset(a.mask, cmask, a.group.modulus, sign).bit_count()
-    return diag_shift_size(a, set_from_mask(a.group, cmask), l, sign)
+def _spreads(a: GroupSet, b: GroupSet, cells: np.ndarray, l: int, sign: str) -> list[int]:
+    """|A^l ∓ Δ_l(C)| for every row C of ``cells`` (0/1 over B's members).
+
+    For l = 1, A - C lies inside A - B and A + C inside A + B, and a target
+    t of those is in A ∓ C iff some c in C has t ± c in A.
+    """
+    s = 1 if sign == "-" else -1
+    bm = _members(b)
+    if l > 1:
+        return [
+            diag_shift_size(a, GroupSet(a.group, tuple(bm[c].tolist())), l, sign)
+            for c in cells
+        ]
+    n = a.group.modulus
+    targets = np.flatnonzero(_indicator(_members(a)[:, None] - s * bm[None, :], n))
+    member = _indicator(a.members, n)[(targets[None, :] + s * bm[:, None]) % n]
+    return _hits(cells, member).sum(1).tolist()
 
 
 def _weight_cells(a: GroupSet, b: GroupSet, k: int, l: int, sign: str, used=None):
-    """(i, |A^B_x|, |A^l ∓ Δ_l(A^B_x)|) for the i-th x of Gr^k in row-major
-    order, for each x with A^B_x nonempty and, when ``used`` is given,
-    ``used[i]`` true.
+    """Lists of i, |A^B_x| and |A^l ∓ Δ_l(A^B_x)| for the i-th x of Gr^k
+    in row-major order, over each x with A^B_x nonempty and, when the
+    row-major array ``used`` is given, ``used[i]`` nonzero.
 
     Empty cells are skipped: every sum over x in the weight bounds has a
     factor |A^B_x| or |A^l ∓ Δ_l(A^B_x)| that vanishes there.  ``used`` lets a
     check skip the cells it would multiply by zero before their spread is
     computed.
     """
-    for i, cm in enumerate(_system_cells(a, b, k)):
-        if cm and (used is None or used[i]):
-            yield i, cm.bit_count(), _diag_spread_from_mask(a, cm, l, sign)
+    index, cells = _shift_cells(a, b, k)
+    if used is not None:
+        keep = used[index] != 0
+        index, cells = index[keep], cells[keep]
+    return index.tolist(), cells.sum(1).tolist(), _spreads(a, b, cells, l, sign)
 
 
 def check_weight_inequality(
@@ -247,31 +281,20 @@ def check_weight_inequality(
     """
     if k not in (1, 2) or l not in (1, 2):
         raise ValueError("k, l must be 1 or 2")
-    qv = _weight_table(q, a.group, k).flat
-    aa = correlation_counts(a, a)
-    bb = correlation_counts(b, b)
-    e_high = sum(u * v ** (k + l) for u, v in zip(bb, aa))
-
-    lin = 0
-    quad = 0
+    qt = _weight_table(q, a.group, k)
+    qv = qt.table.ravel()
     # cells with q(x) = 0 add q·0 and 0·|q|^2: skip them before their spread
-    for i, cnt, spread in _weight_cells(a, b, k, l, sign, used=qv):
-        qx = qv[i]
-        lin += qx * cnt
-        quad += spread * _abs_sq(qx)
-    lhs = len(a) ** (2 * l) * _abs_sq(lin)
-    rhs = e_high * quad
-    exact = all(isinstance(v, int) for v in qv)
+    index, counts, spreads = _weight_cells(a, b, k, l, sign, used=qv)
+    qx = qv[index].tolist()
+    lin = sum(v * c for v, c in zip(qx, counts))
+    quad = sum(d * abs(v) ** 2 for v, d in zip(qx, spreads))
+    lhs = len(a) ** (2 * l) * abs(lin) ** 2
+    rhs = energy_k(b, a, k + l + 1) * quad
+    exact = qt.table.dtype != np.complex128
     return IneqCheck.from_le(
         f"weighted-shift-bound-k{k}l{l}{sign}", lhs, rhs,
         0.0 if exact else TOL.complex_rel * max(1.0, abs(rhs)),
     )
-
-
-def _abs_sq(v):
-    if isinstance(v, int):
-        return v * v
-    return abs(v) ** 2
 
 
 def _weight_table(q, group, k: int) -> GridFn:
@@ -294,13 +317,11 @@ def check_energy_weight_a(
     S = sum_x |A^l ∓ Δ_l(A^B_x)| |A^B_x|^2; integer exact.
     """
     b = a if b is None else b
-    aa = correlation_counts(a, a)
-    bb = correlation_counts(b, b)
-    e_mid = sum(u * v ** k for u, v in zip(bb, aa))
-    e_high = sum(u * v ** (k + l) for u, v in zip(bb, aa))
-    s = sum(spread * cnt * cnt for _, cnt, spread in _weight_cells(a, b, k, l, sign))
-    lhs = len(a) ** (2 * l) * e_mid ** 2
-    return IneqCheck.from_le(f"shift-energy-bound-a-k{k}l{l}{sign}", lhs, e_high * s)
+    _, counts, spreads = _weight_cells(a, b, k, l, sign)
+    s = sum(spread * cnt * cnt for cnt, spread in zip(counts, spreads))
+    lhs = len(a) ** (2 * l) * energy_k(b, a, k + 1) ** 2
+    rhs = energy_k(b, a, k + l + 1) * s
+    return IneqCheck.from_le(f"shift-energy-bound-a-k{k}l{l}{sign}", lhs, rhs)
 
 
 def check_energy_weight_b(
@@ -311,11 +332,10 @@ def check_energy_weight_b(
     |A|^(2l) sum_x |A^B_x|^2 / |A^l ∓ Δ_l(A^B_x)|  <=  E_(k+l+1)(B,A).
     """
     b = a if b is None else b
-    aa = correlation_counts(a, a)
-    bb = correlation_counts(b, b)
-    e_high = sum(u * v ** (k + l) for u, v in zip(bb, aa))
+    e_high = energy_k(b, a, k + l + 1)
+    _, counts, spreads = _weight_cells(a, b, k, l, sign)
     acc = Fraction(0)
-    for _, cnt, spread in _weight_cells(a, b, k, l, sign):
+    for cnt, spread in zip(counts, spreads):
         acc += Fraction(cnt * cnt, spread)
     lhs = len(a) ** (2 * l) * acc
     return IneqCheck.from_le(f"shift-energy-bound-b-k{k}l{l}{sign}", lhs, Fraction(e_high))
@@ -348,14 +368,17 @@ def check_level_thresholds(a: GroupSet, sign: str = "-") -> list[IneqCheck]:
     )
 
     for alpha, p in ((2, 2), (3, 2), (2, 3)):
-        out.append(check_ap_bound(a, alpha, p, sign))
+        out.append(_ap_bound(a, ax, spread, alpha, p, sign))
     return out
 
 
 def check_ap_bound(a: GroupSet, alpha: float, p: float, sign: str = "-") -> IneqCheck:
     """Hölder-interpolated shift-moment bound for real alpha and p > 1."""
-    ax = shift_counts(a)
-    spread = shift_spread_sizes(a, sign)
+    return _ap_bound(a, shift_counts(a), shift_spread_sizes(a, sign), alpha, p, sign)
+
+
+def _ap_bound(a: GroupSet, ax, spread, alpha: float, p: float, sign: str) -> IneqCheck:
+    """check_ap_bound given |A_x| and |A ∓ A_x| for every x."""
     e3 = sum(v ** 3 for v in ax)
     lhs = sum(float(c) ** alpha for c in ax if c)
     inner = sum(
@@ -383,23 +406,22 @@ def check_membership_identity(
     """
     if a.group.modulus ** (k + l) > TUPLE_CELL_CAP:
         raise ValueError("k + l too large for direct enumeration")
-    cells_l = _system_cells(a, b, l)
-    worst = 0
-    for xm in _system_cells(a, b, k):
-        count = sum(1 for sm in cells_l if xm & sm)
-        size = _diag_spread_from_mask(a, xm, l, "-")
-        worst = max(worst, abs(count - size))
+    _, cells_l = _shift_cells(a, b, l)
+    _, cells_k = _shift_cells(a, b, k)
+    # empty cells have count 0 and size 0: only the nonempty ones can differ
+    counts = _hits(cells_k, cells_l.T).sum(1)
+    sizes = np.asarray(_spreads(a, b, cells_k, l, "-"), dtype=np.int64)
+    worst = int(np.abs(counts - sizes).max(initial=0))
     checks = [IneqCheck.from_identity(f"shift-duality-k{k}l{l}", worst)]
 
-    aa = correlation_counts(a, a)
-    total = 0
-    for sm in cells_l:
-        c = set_from_mask(a.group, sm)
-        cc = correlation_counts(c, c)
-        total += sum(u * v ** k for u, v in zip(cc, aa))
-    bb = correlation_counts(b, b)
-    e_high = sum(u * v ** (k + l) for u, v in zip(bb, aa))
-    checks.append(
-        IneqCheck.from_identity(f"shift-energy-total-k{k}l{l}", total - e_high)
-    )
+    # E(A^k, Δ(C)) = sum_z (C∘C)(z) (A∘A)(z)^k = c W c^T for the 0/1 row c
+    # of C and W[j, j'] = (A∘A)(b_j' - b_j)^k, exact in Python ints
+    aak = np.array([v ** k for v in correlation_counts(a, a)], dtype=object)
+    bm = _members(b)
+    w = aak[(bm[None, :] - bm[:, None]) % a.group.modulus]
+    c = cells_l.astype(object)
+    total = ((c @ w) * c).sum()
+    checks.append(IneqCheck.from_identity(
+        f"shift-energy-total-k{k}l{l}", total - energy_k(b, a, k + l + 1)
+    ))
     return checks

@@ -2,9 +2,11 @@
 and functions on (Z/N)^k as dense tables.
 
 Sets are immutable sorted residue tuples with a cached bitmask (one Python
-int, bit i = membership of residue i) at every modulus; all set algebra and
-counting runs on these masks in exact integer arithmetic.  A function on
-(Z/N)^k is a ``GridFn``: one read-only ndarray of shape (N,)*k.
+int, bit i = membership of residue i) at every modulus; sumsets, shifted
+intersections and correlation counts run on these masks in exact integer
+arithmetic.  The cells of a shift system and their spreads are 0/1 numpy
+matrices in ``energy``.  A function on (Z/N)^k is a ``GridFn``: one
+read-only ndarray of shape (N,)*k.
 """
 
 from __future__ import annotations
@@ -107,25 +109,6 @@ def iter_bits(mask: int):
         mask ^= low
 
 
-def mask_sumset(amask: int, bmask: int, n: int, sign: str = "+") -> int:
-    """Bitmask of A + B for sign '+', A - B for sign '-', from their masks."""
-    out = 0
-    for y in iter_bits(bmask):
-        t = -y % n if sign == "-" else y
-        # A + t: the right shift wraps the bits pushed past n - 1 round to
-        # the bottom; the final mask clears the unwrapped copies
-        out |= (amask << t) | (amask >> (n - t))
-    return out & full_mask(n)
-
-
-def mask_reflect(mask: int, n: int) -> int:
-    """Bitmask of -A: bit i set iff (-i) mod n in A."""
-    out = 0
-    for i in iter_bits(mask):
-        out |= 1 << (-i % n)
-    return out
-
-
 def set_from_mask(group: CyclicGroup, mask: int) -> GroupSet:
     return GroupSet(group, tuple(iter_bits(mask)))
 
@@ -168,13 +151,13 @@ def intersect_shifts(
         raise ValueError("signs and shifts must have equal length")
     m = b.mask
     amask = a.mask
-    reflected = None  # mask of -A, built on the first '+' shift
+    reflected = None  # -A, built on the first '+' shift
     for s, sg in zip(shifts, signs):
         if sg == "-":
             m &= mask_shift_minus(amask, s, n)
         elif sg == "+":
             if reflected is None:
-                reflected = mask_reflect(amask, n)
+                reflected = GroupSet.of(g, [-x for x in a.members]).mask
             m &= mask_shift_minus(reflected, -s, n)
         else:
             raise ValueError(f"sign must be '+' or '-', got {sg!r}")
@@ -194,17 +177,13 @@ def sumset(a: GroupSet, b: GroupSet, sign: str = "+") -> GroupSet:
     n = g.modulus
     if sign not in "+-":
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    return set_from_mask(g, mask_sumset(a.mask, b.mask, n, sign))
-
-
-def iterated_sumset(a: GroupSet, m: int) -> GroupSet:
-    """A + A + ... + A with m summands (m >= 1)."""
-    if m < 1:
-        raise ValueError("need at least one summand")
-    out = a
-    for _ in range(m - 1):
-        out = sumset(out, a, "+")
-    return out
+    out = 0
+    for y in iter_bits(b.mask):
+        t = -y % n if sign == "-" else y
+        # A + t: the right shift wraps the bits pushed past n - 1 round to
+        # the bottom; the final mask clears the unwrapped copies
+        out |= (a.mask << t) | (a.mask >> (n - t))
+    return set_from_mask(g, out & full_mask(n))
 
 
 INT64_MAX = 2 ** 63 - 1
@@ -349,9 +328,39 @@ def tuple_sumset_with_diagonal(
 
 
 def diag_shift_size(a: GroupSet, c: GroupSet, l: int, sign: str = "-") -> int:
-    """|A^l ∓ Δ_l(C)| (l <= 3): one masked sumset for l = 1, the 0/1
-    tuple table otherwise."""
-    _require_same_group(a, c)
+    """|A^l ∓ Δ_l(C)| (l <= 3): the sumset A ∓ C for l = 1, the 0/1 tuple
+    table otherwise."""
     if l == 1:
-        return mask_sumset(a.mask, c.mask, a.group.modulus, sign).bit_count()
+        return len(sumset(a, c, sign))
     return tuple_sumset_with_diagonal([a] * l, c, sign).dot()
+
+
+def restricted_matrix(a: GroupSet, psi: Sequence, power: int = 1) -> np.ndarray:
+    """M[i, j] = psi(a_i - a_j) over the members of A, for psi given by its
+    N values.
+
+    Integer psi gives int64 when (|A| max|psi|)^power <= INT64_MAX, which
+    bounds every entry and partial sum of a product of ``power`` copies of
+    M, and Python ints otherwise; real psi gives float64, complex psi
+    complex128.
+    """
+    mem = np.asarray(a.members, dtype=np.int64)
+    if all(isinstance(v, int) for v in psi):
+        peak = max((abs(v) for v in psi), default=0)
+        dtype = np.int64 if (len(mem) * peak) ** power <= INT64_MAX else object
+    elif any(isinstance(v, complex) for v in psi):
+        dtype = np.complex128
+    else:
+        dtype = np.float64
+    return np.array(psi, dtype=dtype)[(mem[:, None] - mem[None, :]) % a.group.modulus]
+
+
+def triple_product_sum(a: GroupSet, psi: Sequence):
+    """sum_{x,y,z in A} psi(x-y) psi(x-z) psi(y-z) = ((M @ M) * M).sum() for
+    M = restricted_matrix(a, psi), exact for integer psi.
+
+    Not trace(M^3): that is the same sum only for even psi.
+    """
+    m = restricted_matrix(a, psi, 3)
+    total = ((m @ m) * m).sum()
+    return total.item() if isinstance(total, np.generic) else total

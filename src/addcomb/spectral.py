@@ -17,7 +17,7 @@ import numpy as np
 from .checks import IneqCheck
 from .config import TOL
 from .energy import correlation_counts
-from .groups import GroupSet, indicator
+from .groups import GroupSet, indicator, restricted_matrix, triple_product_sum
 from .transform import GroupFn, correlate
 
 
@@ -54,13 +54,8 @@ def build_restricted_operator(a: GroupSet, psi: GroupFn) -> SpectralOperator:
     if a.group != psi.group:
         raise ValueError("kernel and set live on different moduli")
     n = a.group.modulus
-    mem = a.members
     vals = psi.values
-    size = len(mem)
-    mat = np.empty((size, size), dtype=complex if psi.kind == "complex" else float)
-    for i, x in enumerate(mem):
-        for j, y in enumerate(mem):
-            mat[i, j] = vals[(x - y) % n]
+    mat = restricted_matrix(a, vals).astype(complex if psi.kind == "complex" else float)
     symmetric = all(vals[x] == vals[(-x) % n] for x in range(n)) and psi.kind != "complex"
     if symmetric:
         mat = mat.real.astype(float)
@@ -168,19 +163,10 @@ def check_traces(op: SpectralOperator, spectrum: Spectrum) -> list[IneqCheck]:
 
 
 def triangle_sum(a: GroupSet, psi: GroupFn) -> int | float:
-    """sum_{x,y,z in A} psi(x-y) psi(x-z) psi(y-z), direct enumeration."""
-    n = a.group.modulus
-    vals = psi.values
-    mem = a.members
-    total = 0
-    for x in mem:
-        for y in mem:
-            pxy = vals[(x - y) % n]
-            if not pxy:
-                continue
-            for z in mem:
-                total += pxy * vals[(x - z) % n] * vals[(y - z) % n]
-    return total
+    """sum_{x,y,z in A} psi(x-y) psi(x-z) psi(y-z), exact for integer psi."""
+    if a.group != psi.group:
+        raise ValueError("kernel and set live on different moduli")
+    return triple_product_sum(a, psi.values)
 
 
 def rayleigh_indicator(a: GroupSet, psi: GroupFn):
@@ -228,29 +214,17 @@ def cycle_sums(a: GroupSet, psi: GroupFn, ks) -> dict:
     Integer kernels stay exact: int64 when the power bound fits, arbitrary
     precision objects otherwise.
     """
-    n = a.group.modulus
-    mem = a.members
     ks = sorted(set(ks))
-    if psi.kind == "int":
-        peak = max(1, max(abs(v) for v in psi.values)) * max(1, len(mem))
-        big = peak ** max(ks) >= 2 ** 62
-        m = np.array(
-            [[psi.values[(x - y) % n] for y in mem] for x in mem],
-            dtype=object if big else np.int64,
-        )
-    else:
-        m = np.array(
-            [[psi.values[(x - y) % n] for y in mem] for x in mem], dtype=float
-        )
+    m = restricted_matrix(a, psi.values, max(ks))
+    scalar = int if psi.kind == "int" else float
     out = {}
     power = m
     for k in range(2, max(ks) + 1):
         power = power @ m
         if k in ks:
-            tr = power.trace()
-            out[k] = int(tr) if psi.kind == "int" else float(tr)
+            out[k] = scalar(power.trace())
     if 1 in ks:
-        out[1] = int(m.trace()) if psi.kind == "int" else float(m.trace())
+        out[1] = scalar(m.trace())
     return out
 
 
@@ -381,12 +355,6 @@ def first_eigenfunction_bounds(a: GroupSet, h: GroupFn) -> EigBoundReport:
 def embed_full_operator(a: GroupSet, psi: GroupFn) -> np.ndarray:
     """The N x N operator psi(x-y) A(x) A(y); same nonzero spectrum."""
     n = a.group.modulus
-    ind = indicator(a).values
     mat = np.zeros((n, n))
-    for x in range(n):
-        if not ind[x]:
-            continue
-        for y in range(n):
-            if ind[y]:
-                mat[x, y] = psi.values[(x - y) % n]
+    mat[np.ix_(a.members, a.members)] = restricted_matrix(a, psi.values)
     return mat

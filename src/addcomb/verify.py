@@ -9,11 +9,12 @@ runtime is printed, never serialized.
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import __version__ as _version
 from .checks import IneqCheck, _json_number
@@ -28,7 +29,7 @@ from .energy import (
     check_membership_identity,
     check_weight_inequality,
 )
-from .groups import CyclicGroup, GridFn, GroupSet
+from .groups import CyclicGroup, GridFn, GroupSet, _exact_operands
 from .spectral import (
     build_restricted_operator,
     check_cycle_sums,
@@ -211,10 +212,6 @@ def additive_subgroups(group: CyclicGroup) -> list[GroupSet]:
     return out
 
 
-def arithmetic_progression(group: CyclicGroup, start: int, step: int, length: int) -> GroupSet:
-    return GroupSet.of(group, ((start + i * step) % group.modulus for i in range(length)))
-
-
 def _fn_payload(f: GroupFn):
     if f.kind == "int":
         return list(f.values)
@@ -379,15 +376,19 @@ def _multi_scalar_discrepancy(fs, l: int) -> int:
 
 def _conv_power_discrepancy(fs, l: int) -> int:
     """sum_x C_l(f0)(x) (C_l(f1) ∘ C_l(f2))(x) = sum_z (f0∘(f1∘f2))^l(z)."""
-    n = fs[0].group.modulus
+    group = fs[0].group
+    n = group.modulus
     t0, t1, t2 = (gen_convolution([f] * l) for f in fs)
-    lhs = 0
-    for v, x in zip(t0.flat, itertools.product(range(n), repeat=l - 1)):
-        if v:
-            # (C_l(f1) ∘ C_l(f2))(x) = sum_y C_l(f1)(y) C_l(f2)(y + x)
-            lhs += v * t1.dot(t2.shift(x))
+    # (C_l(f1) ∘ C_l(f2))(x) = sum_y C_l(f1)(y) C_l(f2)(y + x) for every x of
+    # Gr^(l-1) at once: one gather of C_l(f2) at y + x, then one matmul
+    r = np.arange(n)
+    at = (r[:, None] + r) % n  # at[x, y] = y + x
+    if l == 3:  # row-major index of y + x, rows x = (x_1, x_2), columns y
+        at = (at[:, None, :, None] * n + at[None, :, None, :]).reshape(n * n, n * n)
+    f1, f2 = _exact_operands((t1, t2), t1.table.size)
+    corr = GridFn(group, (f2.ravel()[at] @ f1.ravel()).reshape(t1.table.shape))
     rhs = sum(v ** l for v in correlate_many(fs).values)
-    return abs(lhs - rhs)
+    return abs(t0.dot(corr) - rhs)
 
 
 # ---------------------------------------------------------------------------

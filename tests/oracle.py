@@ -184,6 +184,30 @@ def weight_inequality_sides(a, b, q, n, sign):
     return len(a) ** 2 * lin * lin, sum(u * v * v for u, v in zip(rb, ra)) * quad
 
 
+def weight_cells_naive(a, b, k, n, sign):
+    """{x: (|A^B_x|, |A ∓ A^B_x|)} over x in (Z/n)^k, keys in row-major
+    order, with A^B_x = B ∩ (A - x_1) ∩ ... ∩ (A - x_k)."""
+    out = {}
+    for xs in itertools.product(range(n), repeat=k):
+        cell = shifted_intersection(a, b, xs, "-" * k, n)
+        out[xs] = (len(cell), len(sumset_naive(a, cell, n, sign)))
+    return out
+
+
+def shift_duality_counts(a, b, k, l, n):
+    """{x: #{s in (Z/n)^l : B ∩ (A - x) ∩ (A - s) nonempty}} over x in
+    (Z/n)^k, keys in row-major order, where A - x = ∩_i (A - x_i)."""
+    out = {}
+    for xs in itertools.product(range(n), repeat=k):
+        cell = shifted_intersection(a, b, xs, "-" * k, n)
+        out[xs] = sum(
+            1
+            for ss in itertools.product(range(n), repeat=l)
+            if shifted_intersection(a, cell, ss, "-" * l, n)
+        )
+    return out
+
+
 def subgroup_stats_naive(elements, p):
     """(E2, E3, |S+S|, |S-S|, S∘S) for a set S of residues mod p, by pair
     enumeration; S∘S is the list of (S∘S)(x) = #{(y, z) : z - y = x}."""

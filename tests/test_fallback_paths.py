@@ -91,3 +91,59 @@ def test_fast_and_slow_checks_match():
             assert (wb.lhs, wb.rhs) == oracle.energy_weight_b_sides(
                 a.members, b.members, n, sign
             )
+
+
+def weight_sides(a, b, q, k, n, sign):
+    """The oracle's exact sides of check_weight_inequality (weight q, flat
+    row-major over Gr^k) and of check_energy_weight_a, both at l = 1."""
+    cells = oracle.weight_cells_naive(a.members, b.members, k, n, sign).values()
+    ra = oracle.correlation(a.members, a.members, n)
+    rb = oracle.correlation(b.members, b.members, n)
+    e_mid = sum(u * v ** k for u, v in zip(rb, ra))
+    e_high = sum(u * v ** (k + 1) for u, v in zip(rb, ra))
+    lin = sum(qx * cnt for qx, (cnt, _) in zip(q, cells))
+    quad = sum(qx * qx * spread for qx, (_, spread) in zip(q, cells))
+    s = sum(spread * cnt * cnt for cnt, spread in cells)
+    na2 = len(a) ** 2
+    return (na2 * lin * lin, e_high * quad), (na2 * e_mid ** 2, e_high * s)
+
+
+def test_weight_cells_match_set_enumeration():
+    """The shift-system kernel gives the oracle's cell sizes and spreads:
+    weight_counts and the exact sides of the weighted and unweighted bounds,
+    for k = 1 and 2 at small moduli and k = 1 above 4096, with B != A, a
+    weight with zeros, and one-element sets."""
+    rng = random.Random(6)
+    cases = [(n, k) for n in SMALL for k in (1, 2)] + [(n, 1) for n in LARGE]
+    for n, k in cases:
+        g = CyclicGroup(n)
+        a, b = rand_set(rng, n), rand_set(rng, n)
+        assert a != b
+        pairs = [(a, b), (GroupSet.of(g, [rng.randrange(n)]), b),
+                 (a, GroupSet.of(g, [rng.randrange(n)]))]
+        for x, y in pairs:
+            q = [rng.randint(-2, 2) for _ in range(n ** k)]
+            assert 0 in q
+            for sign in "+-":
+                cells = oracle.weight_cells_naive(x.members, y.members, k, n, sign)
+                assert weight_counts(x, y, k).flat == tuple(c for c, _ in cells.values())
+                want_q, want_a = weight_sides(x, y, q, k, n, sign)
+                wq = energy_mod.check_weight_inequality(x, y, q, k, 1, sign)
+                assert (wq.lhs, wq.rhs) == want_q
+                wa = energy_mod.check_energy_weight_a(x, y, k, 1, sign)
+                assert (wa.lhs, wa.rhs) == want_a
+
+
+def test_shift_duality_counts_match_enumeration():
+    """Per-x counts of check_membership_identity: the k-cells met by some
+    nonempty l-cell, against tuple enumeration."""
+    rng = random.Random(7)
+    for n, k, l in ((11, 1, 1), (16, 1, 1), (7, 1, 2), (7, 2, 1), (8, 2, 1)):
+        a, b = rand_set(rng, n), rand_set(rng, n)
+        want = oracle.shift_duality_counts(a.members, b.members, k, l, n)
+        index, cells_k = energy_mod._shift_cells(a, b, k)
+        _, cells_l = energy_mod._shift_cells(a, b, l)
+        counts = energy_mod._hits(cells_k, cells_l.T).sum(1)
+        got = dict(zip(index.tolist(), counts.tolist()))
+        assert [got.get(i, 0) for i in range(n ** k)] == list(want.values())
+        assert all(c.passed for c in energy_mod.check_membership_identity(a, b, k, l))

@@ -170,6 +170,28 @@ def test_triangle_random_vs_enumeration():
         assert check_triangle_inequality(a, h).passed
 
 
+def test_triangle_sum_non_even_kernels():
+    """Integer kernels with psi(-x) != psi(x), where the triple sum is not
+    trace(M^3); the last one sums past 2**63."""
+    rng = random.Random(21)
+    traces_differ = False
+    for n in (7, 12, 19, 31):
+        g = CyclicGroup(n)
+        a = GroupSet.of(g, rng.sample(range(n), rng.randint(3, n)))
+        psi = GroupFn(g, tuple(rng.randint(-5, 5) for _ in range(n)))
+        want = triangle_enumeration(a.members, psi.values, n)
+        assert triangle_sum(a, psi) == want
+        m = np.array([[psi(x - y) for y in a] for x in a], dtype=np.int64)
+        traces_differ |= int(np.trace(m @ m @ m)) != want
+    assert traces_differ
+    g = CyclicGroup(31)
+    a = GroupSet.of(g, range(1, 31))
+    psi = GroupFn(g, tuple(rng.randint(2 ** 21, 2 ** 22) for _ in range(31)))
+    want = triangle_enumeration(a.members, psi.values, 31)
+    assert want > 2 ** 63
+    assert triangle_sum(a, psi) == want
+
+
 def test_cycle_sums_golden():
     gamma, psi = gamma_setup()
     h = GroupFn(gamma.group, tuple(indicator(gamma).values))

@@ -1,10 +1,14 @@
 import json
+import random
 
 import pytest
 
 import addcomb.transform as transform
+from addcomb.groups import CyclicGroup
+from addcomb.transform import GroupFn
 from addcomb.verify import (
     Report,
+    _conv_power_discrepancy,
     run_identity_suite,
     run_inequality_suite,
     run_subgroup_suite,
@@ -40,6 +44,19 @@ def test_identity_suite_small():
         assert expected in names
     assert any(n.startswith("shift-duality") for n in names)
     assert any(n.startswith("shift-energy-total") for n in names)
+
+
+def test_power_sum_correlation_exact():
+    """The power-sum identity holds exactly, also with entries of 10**6,
+    where the tables overflow int64 and the correlation runs on Python ints."""
+    rng = random.Random(3)
+    for n in (5, 7, 16):
+        g = CyclicGroup(n)
+        for l in (2, 3):
+            for hi in (2, 10 ** 6):
+                fs = [GroupFn(g, tuple(rng.randint(-hi, hi) for _ in range(n)))
+                      for _ in range(3)]
+                assert _conv_power_discrepancy(fs, l) == 0
 
 
 def test_inequality_suite_small():
