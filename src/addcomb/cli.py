@@ -59,8 +59,11 @@ def _cmd_verify(args) -> int:
         raise ValueError(
             f"--primes must be comma-separated integers, got {args.primes!r}"
         ) from None
-    # reject the list and the report path before the long suites run
+    # reject the list, the trial count and the report path before the long
+    # suites run
     primes = validate_suite_primes(primes)
+    if args.trials < 0:
+        raise ValueError(f"--trials must be >= 0, got {args.trials}")
     if args.json:
         open(args.json, "w", encoding="utf-8").close()
     identity_trials = args.trials if args.trials else 200

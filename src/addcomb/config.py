@@ -41,7 +41,7 @@ FIELD_PRIME_CAP = 10 ** 6  # largest p make_field builds a discrete-log table fo
 # (33.6 MB at n = 1024)
 CONVEX_N_CAP = 1024
 
-# Read by no library code: sets are Python-int bitmasks at every modulus.
+# Read by no library code: one pair-count kernel serves every modulus.
 # Kept only because perfbench/workloads.py imports it to size its
 # large-modulus counting queries.
 BITSET_LIMIT = 4096

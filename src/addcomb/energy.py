@@ -17,8 +17,9 @@ from .groups import (
     GridFn,
     GroupSet,
     diag_shift_size,
+    difference_counts,
     indicator,
-    mask_shift_minus,
+    indicator_vector,
     sumset,
     triple_product_sum,
 )
@@ -27,24 +28,12 @@ from .transform import GroupFn, kfold_convolve
 
 def correlation_counts(a: GroupSet, b: GroupSet) -> tuple[int, ...]:
     """(A ∘ B)(x) = |A ∩ (B - x)| for every x."""
-    n = a.group.modulus
-    am, bm = a.mask, b.mask
-    return tuple((am & mask_shift_minus(bm, x, n)).bit_count() for x in range(n))
-
-
-def convolution_counts(a: GroupSet, b: GroupSet) -> tuple[int, ...]:
-    """(A * B)(x) = number of pairs with a + b = x."""
-    n = a.group.modulus
-    out = [0] * n
-    for x in a.members:
-        for y in b.members:
-            out[(x + y) % n] += 1
-    return tuple(out)
+    return tuple(difference_counts(a.members, b.members, a.group.modulus).tolist())
 
 
 def shift_counts(a: GroupSet) -> tuple[int, ...]:
     """|A_x| for every x (equals the autocorrelation of A)."""
-    return correlation_counts(a, a)
+    return a.autocorrelation
 
 
 def shift_spread_sizes(a: GroupSet, sign: str = "-") -> tuple[int, ...]:
@@ -56,47 +45,23 @@ def shift_spread_sizes(a: GroupSet, sign: str = "-") -> tuple[int, ...]:
 
 
 def energy(a: GroupSet, b: GroupSet | None = None) -> int:
-    """Additive energy: quadruples with a1 + b1 = a2 + b2.
-
-    Computes all three convolution forms and insists they agree.
-    """
-    b = a if b is None else b
+    """Additive energy: quadruples with a1 + b1 = a2 + b2, as sum_x (A∘B)(x)^2."""
+    if b is None:
+        return sum(v * v for v in a.autocorrelation)
     if a.group != b.group:
         raise ValueError("sets live on different moduli")
-    conv = sum(v * v for v in convolution_counts(a, b))
-    corr = sum(v * v for v in correlation_counts(a, b))
-    mixed = sum(
-        u * v for u, v in zip(correlation_counts(a, a), correlation_counts(b, b))
-    )
-    if not (conv == corr == mixed):
-        raise AssertionError("energy forms disagree; counting bug")
-    return conv
-
-
-# self-energies double-check against the shift-tuple route up to this grid
-_SHIFT_CHECK_CAP = 4096
+    return sum(v * v for v in correlation_counts(a, b))
 
 
 def energy_k(a: GroupSet, b: GroupSet | None = None, k: float = 2):
-    """Higher energy: sum_x (A∘A)(x) (B∘B)(x)^(k-1); exact for integer k.
-
-    Small integer-order self-energies are cross-asserted against the
-    independent sum over shift tuples of |A_s|^2.
-    """
-    same = b is None
+    """Higher energy: sum_x (A∘A)(x) (B∘B)(x)^(k-1); exact for integer k."""
     b = a if b is None else b
     if k < 1:
         raise ValueError("k must be >= 1")
-    aa = correlation_counts(a, a)
-    bb = correlation_counts(b, b)
+    aa, bb = a.autocorrelation, b.autocorrelation
     if isinstance(k, int) or float(k).is_integer():
         k = int(k)
-        out = sum(u * v ** (k - 1) for u, v in zip(aa, bb))
-        n = a.group.modulus
-        if same and k >= 2 and n ** (k - 1) <= _SHIFT_CHECK_CAP:
-            if out != energy_k_shift_sum(a, a, k):
-                raise AssertionError("energy routes disagree; counting bug")
-        return out
+        return sum(u * v ** (k - 1) for u, v in zip(aa, bb))
     return float(sum(u * float(v) ** (k - 1) for u, v in zip(aa, bb) if v))
 
 
@@ -131,8 +96,7 @@ def sigma_k(a: GroupSet, k: int) -> int:
 
 def check_katz_koester(a: GroupSet, sign: str = "+") -> list[IneqCheck]:
     """|(A±A) ∩ (A±A - x)| >= |A ± A_x| for every x with A_x nonempty."""
-    s2 = sumset(a, a, sign)
-    lhs = correlation_counts(s2, s2)
+    lhs = sumset(a, a, sign).autocorrelation
     spread = shift_spread_sizes(a, sign)
     return [
         IneqCheck.from_ge(f"katz-koester{sign}", lhs[x], spread[x], 0.0, {"x": x})
@@ -176,17 +140,6 @@ def weight_counts(a: GroupSet, b: GroupSet, k: int) -> GridFn:
     return GridFn(a.group, out.reshape((a.group.modulus,) * k))
 
 
-def _indicator(x, n: int) -> np.ndarray:
-    """Boolean vector over Z/n marking the residues of the entries of x."""
-    out = np.zeros(n, dtype=bool)
-    out[np.asarray(x, dtype=np.int64) % n] = True
-    return out
-
-
-def _members(s: GroupSet) -> np.ndarray:
-    return np.asarray(s.members, dtype=np.int64)
-
-
 _HIT_BLOCK = 1 << 18  # entries of x @ y per float64 block in _hits
 
 
@@ -217,9 +170,9 @@ def _shift_cells(a: GroupSet, b: GroupSet, k: int) -> tuple[np.ndarray, np.ndarr
     n = a.group.modulus
     if k < 1 or n ** k > TUPLE_CELL_CAP:
         raise ValueError("k out of range")
-    bm = _members(b)
-    shifts = np.flatnonzero(_indicator(_members(a)[:, None] - bm[None, :], n))
-    rows = _indicator(a.members, n)[(bm[None, :] + shifts[:, None]) % n]
+    bm = np.asarray(b.members, dtype=np.int64)
+    shifts = np.flatnonzero(difference_counts(bm, a.members, n))
+    rows = indicator_vector(a.members, n)[(bm[None, :] + shifts[:, None]) % n]
     index, cells = shifts, rows
     for _ in range(k - 1):
         i, j = np.nonzero(_hits(cells, rows.T))
@@ -235,15 +188,15 @@ def _spreads(a: GroupSet, b: GroupSet, cells: np.ndarray, l: int, sign: str) -> 
     t of those is in A ∓ C iff some c in C has t ± c in A.
     """
     s = 1 if sign == "-" else -1
-    bm = _members(b)
+    bm = np.asarray(b.members, dtype=np.int64)
     if l > 1:
         return [
             diag_shift_size(a, GroupSet(a.group, tuple(bm[c].tolist())), l, sign)
             for c in cells
         ]
     n = a.group.modulus
-    targets = np.flatnonzero(_indicator(_members(a)[:, None] - s * bm[None, :], n))
-    member = _indicator(a.members, n)[(targets[None, :] + s * bm[:, None]) % n]
+    targets = np.flatnonzero(difference_counts(s * bm, a.members, n))
+    member = indicator_vector(a.members, n)[(targets[None, :] + s * bm[:, None]) % n]
     return _hits(cells, member).sum(1).tolist()
 
 
@@ -416,8 +369,8 @@ def check_membership_identity(
 
     # E(A^k, Δ(C)) = sum_z (C∘C)(z) (A∘A)(z)^k = c W c^T for the 0/1 row c
     # of C and W[j, j'] = (A∘A)(b_j' - b_j)^k, exact in Python ints
-    aak = np.array([v ** k for v in correlation_counts(a, a)], dtype=object)
-    bm = _members(b)
+    aak = np.array([v ** k for v in a.autocorrelation], dtype=object)
+    bm = np.asarray(b.members, dtype=np.int64)
     w = aak[(bm[None, :] - bm[:, None]) % a.group.modulus]
     c = cells_l.astype(object)
     total = ((c @ w) * c).sum()

@@ -2,18 +2,20 @@
 profiles, iterated-sumset coverage, expansion ratios, convex sets, and
 multiplicative-doubling statistics.
 
-Counts are exact integers (numpy bincount / hashed counting); asymptotic
-statements are reported as ratio columns and never asserted against
-invented constants.  Rows are emitted in sorted (p, t) order so CSV output
-is deterministic.
+Counts are exact integers (the pair-count kernel ``groups.difference_counts``
+or hashed counting); asymptotic statements are reported as ratio columns and
+never asserted against invented constants.  Rows are emitted in sorted (p, t)
+order so CSV output is deterministic.
 
 Subgroup statistics come from the orbit kernel ``subgroup.subgroup_stats``:
 Gamma ∘ Gamma and Gamma + Gamma are constant on the n = (p-1)/t cosets
 g^j Gamma, so with c_j = #{gamma != 1 : dlog(gamma - 1) = j mod n},
 E2 = t^2 + t sum c_j^2, E3 = t^3 + t sum c_j^3, |Gamma - Gamma| =
 1 + t #{j : c_j > 0} and |Gamma + Gamma| = [-1 in Gamma] +
-t #{dlog(1 + gamma) mod n}.  The numpy pair counts below serve the sets
-that are not Gamma-invariant (convex sets, progressions, A + Gamma).
+t #{dlog(1 + gamma) mod n}.  The pair counts below serve the sets that are
+not Gamma-invariant (convex sets, progressions, A + Gamma); iterated
+sumsets of a whole subgroup are FFT supports, where pair counting would
+cost O(p t) per step.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .config import CONVEX_N_CAP, SCAN_PRIME_CAP
+from .groups import difference_counts, indicator_vector
 from .subgroup import MultSubgroup, make_field, subgroup, subgroup_stats
 
 
@@ -60,33 +63,20 @@ def _log2(x) -> float:
 
 
 def autocorrelation_np(elements, p: int) -> np.ndarray:
-    """(S ∘ S)(x) for S inside Z/p as an int64 vector of length p.
-
-    Difference pairs are processed in row blocks so the peak footprint
-    stays a few million entries whatever the size of S.
-    """
-    g = np.asarray(sorted(elements), dtype=np.int64)
-    t = len(g)
-    counts = np.zeros(p, dtype=np.int64)
-    block = max(1, 4_000_000 // max(t, 1))
-    for lo in range(0, t, block):
-        diffs = (g[None, :] - g[lo : lo + block, None]) % p
-        counts += np.bincount(diffs.ravel(), minlength=p)
-    return counts
+    """(S ∘ S)(x) for S inside Z/p as an int64 vector of length p."""
+    g = sorted(elements)
+    return difference_counts(g, g, p)
 
 
 def sumset_size_np(a, b, p: int) -> int:
+    """|A + B| in Z/p: the support of the pair count, or of an FFT
+    convolution of the indicators past 4M pairs."""
     ga = np.asarray(sorted(a), dtype=np.int64)
     gb = np.asarray(sorted(b), dtype=np.int64)
     if len(ga) * len(gb) <= 4_000_000:
-        return int(np.unique((ga[:, None] + gb[None, :]) % p).size)
-    return int(_support_convolve(_indicator_np(ga, p), _indicator_np(gb, p)).sum())
-
-
-def _indicator_np(els, p: int) -> np.ndarray:
-    ind = np.zeros(p)
-    ind[np.asarray(els, dtype=np.int64)] = 1.0
-    return ind
+        return int(np.count_nonzero(difference_counts(-ga, gb, p)))
+    ind_a, ind_b = indicator_vector(ga, p), indicator_vector(gb, p)
+    return int(_support_convolve(ind_a.astype(float), ind_b.astype(float)).sum())
 
 
 def _support_convolve(ind_a: np.ndarray, ind_b: np.ndarray) -> np.ndarray:
@@ -165,7 +155,7 @@ def subgroup_scan(
             e2, ssum = stats.E2, stats.sum
             if e2 * ssum < t ** 4:
                 raise AssertionError(f"energy lower bound failed at p={p}, t={t}")
-            fhat = np.fft.fft(_indicator_np(els, p))
+            fhat = np.fft.fft(indicator_vector(els, p).astype(float))
             fourier_max = float(np.abs(fhat[1:]).max()) if p > 1 else 0.0
             logt = _log2(t) if t > 1 else 0.0
             rows.append(
@@ -285,6 +275,9 @@ def coverage_scan(p_max: int, cap: int = 12) -> list[CoverageRow]:
     """Smallest m <= cap with the m-fold sumset of each subgroup covering F_p."""
     if p_max > SCAN_PRIME_CAP:
         raise ValueError(f"scan capped at p <= {SCAN_PRIME_CAP}")
+    if cap < 2:
+        # 0 is not in Gamma, so no single copy of Gamma covers F_p
+        raise ValueError(f"cap must be >= 2, got {cap}")
     rows = []
     for p in primes_up_to(p_max):
         if p == 2:
@@ -292,13 +285,13 @@ def coverage_scan(p_max: int, cap: int = 12) -> list[CoverageRow]:
         fld = make_field(p)
         for t in divisors(p - 1):
             gamma = subgroup(fld, t)
-            ind = _indicator_np(gamma.elements, p)
-            cur = ind.astype(bool)
+            cur = indicator_vector(gamma.elements, p)
+            ind = cur.astype(float)
             m_found = None
             if cur.all():
                 m_found = 1
             else:
-                support = cur.astype(float)
+                support = ind
                 for m in range(2, cap + 1):
                     support = _support_convolve(support, ind).astype(float)
                     if support.all():
@@ -335,6 +328,8 @@ class ExpansionRow:
 def expansion_scan(p: int, t: int, trials: int = 100, seed: int = 1) -> list[ExpansionRow]:
     """|A + Gamma| ratios against |A| t^(5/9) / log^(2/3) t for subsets of
     the subgroup: the full subgroup, a singleton, and random subsets."""
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     fld = make_field(p)
     gamma = subgroup(fld, t)
     rng = random.Random(seed)

@@ -1,12 +1,12 @@
 """Cyclic group Z/N, finite subsets, set algebra and shifted intersections,
 and functions on (Z/N)^k as dense tables.
 
-Sets are immutable sorted residue tuples with a cached bitmask (one Python
-int, bit i = membership of residue i) at every modulus; sumsets, shifted
-intersections and correlation counts run on these masks in exact integer
-arithmetic.  The cells of a shift system and their spreads are 0/1 numpy
-matrices in ``energy``.  A function on (Z/N)^k is a ``GridFn``: one
-read-only ndarray of shape (N,)*k.
+Sets are immutable sorted residue tuples.  Every exact pair count runs
+through one kernel, ``difference_counts``: a bincount of y - x over the
+member arrays, in row blocks.  The correlation A ∘ B is that count, a sumset
+is its support, and A ∘ A is cached on the set.  The cells of a shift
+system and their spreads are 0/1 numpy matrices in ``energy``.  A function
+on (Z/N)^k is a ``GridFn``: one read-only ndarray of shape (N,)*k.
 """
 
 from __future__ import annotations
@@ -66,12 +66,10 @@ class GroupSet:
         return cls(group, tuple(sorted({x % n for x in elems})))
 
     @cached_property
-    def mask(self) -> int:
-        """Bitmask with bit i set iff i is a member."""
-        m = 0
-        for x in self.members:
-            m |= 1 << x
-        return m
+    def autocorrelation(self) -> tuple[int, ...]:
+        """(A ∘ A)(x) = |A ∩ (A - x)| for every x, counted once per set."""
+        counts = difference_counts(self.members, self.members, self.group.modulus)
+        return tuple(counts.tolist())
 
     @cached_property
     def member_set(self) -> frozenset[int]:
@@ -87,40 +85,38 @@ class GroupSet:
         return x % self.group.modulus in self.member_set
 
 
-def full_mask(n: int) -> int:
-    return (1 << n) - 1
+_PAIR_BLOCK = 1 << 21  # pairs per bincount block in difference_counts
 
 
-def mask_shift_minus(mask: int, s: int, n: int) -> int:
-    """Bitmask of A - s given the bitmask of A: bit i set iff i + s in A."""
-    s %= n
-    return ((mask >> s) | (mask << (n - s))) & full_mask(n) if s else mask
+def difference_counts(x, y, n: int) -> np.ndarray:
+    """int64 vector c over Z/n with c[z] = #{(i, j) : y_j - x_i ≡ z}.
 
-
-def iter_bits(mask: int):
-    """Indices of the set bits of mask, lowest first.
-
-    Each step strips the lowest set bit, so the number of steps is the
-    number of set bits, not the bit length.
+    The one exact pair counter.  int64 is exact: every entry is at most
+    len(x) * len(y).  Pairs are bincounted in row blocks of x, so the peak
+    footprint stays a few million entries however large the inputs.
     """
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    x = np.asarray(x, dtype=np.int64)
+    y = np.asarray(y, dtype=np.int64)
+    counts = np.zeros(n, dtype=np.int64)
+    step = max(1, _PAIR_BLOCK // max(1, len(y)))
+    for lo in range(0, len(x), step):
+        diffs = y[None, :] - x[lo:lo + step, None]
+        counts += np.bincount(np.remainder(diffs, n, out=diffs).ravel(), minlength=n)
+    return counts
 
 
-def set_from_mask(group: CyclicGroup, mask: int) -> GroupSet:
-    return GroupSet(group, tuple(iter_bits(mask)))
+def indicator_vector(x, n: int) -> np.ndarray:
+    """Boolean vector over Z/n marking the residues of the entries of x."""
+    out = np.zeros(n, dtype=bool)
+    out[np.asarray(x, dtype=np.int64) % n] = True
+    return out
 
 
 def indicator(a: GroupSet) -> "GroupFn":
     from .transform import GroupFn
 
-    n = a.group.modulus
-    vals = [0] * n
-    for x in a.members:
-        vals[x] = 1
-    return GroupFn(a.group, tuple(vals))
+    vals = indicator_vector(a.members, a.group.modulus).astype(np.int64)
+    return GroupFn(a.group, tuple(vals.tolist()))
 
 
 def _require_same_group(*sets: GroupSet) -> CyclicGroup:
@@ -149,21 +145,18 @@ def intersect_shifts(
         signs = ["-"] * len(shifts)
     if len(signs) != len(shifts):
         raise ValueError("signs and shifts must have equal length")
-    m = b.mask
-    amask = a.mask
-    reflected = None  # -A, built on the first '+' shift
+    member = indicator_vector(a.members, n)
+    bm = np.asarray(b.members, dtype=np.int64)
+    keep = np.ones(len(bm), dtype=bool)
     for s, sg in zip(shifts, signs):
-        if sg == "-":
-            m &= mask_shift_minus(amask, s, n)
-        elif sg == "+":
-            if reflected is None:
-                reflected = GroupSet.of(g, [-x for x in a.members]).mask
-            m &= mask_shift_minus(reflected, -s, n)
+        s %= n
+        if sg == "-":  # b in A - s iff b + s in A
+            keep &= member[(bm + s) % n]
+        elif sg == "+":  # b in s - A iff s - b in A
+            keep &= member[(s - bm) % n]
         else:
             raise ValueError(f"sign must be '+' or '-', got {sg!r}")
-        if not m:
-            break
-    return set_from_mask(g, m)
+    return GroupSet(g, tuple(bm[keep].tolist()))
 
 
 def shift_set(a: GroupSet, x: int) -> GroupSet:
@@ -172,18 +165,16 @@ def shift_set(a: GroupSet, x: int) -> GroupSet:
 
 
 def sumset(a: GroupSet, b: GroupSet, sign: str = "+") -> GroupSet:
-    """{a + b} for sign '+', {a - b} for sign '-'."""
+    """{a + b} for sign '+', {a - b} for sign '-': the support of the
+    pair count of b + a = b - (-a), or of a - b."""
     g = _require_same_group(a, b)
-    n = g.modulus
-    if sign not in "+-":
+    if sign == "+":
+        counts = difference_counts(np.negative(a.members), b.members, g.modulus)
+    elif sign == "-":
+        counts = difference_counts(b.members, a.members, g.modulus)
+    else:
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    out = 0
-    for y in iter_bits(b.mask):
-        t = -y % n if sign == "-" else y
-        # A + t: the right shift wraps the bits pushed past n - 1 round to
-        # the bottom; the final mask clears the unwrapped copies
-        out |= (a.mask << t) | (a.mask >> (n - t))
-    return set_from_mask(g, out & full_mask(n))
+    return GroupSet(g, tuple(np.flatnonzero(counts).tolist()))
 
 
 INT64_MAX = 2 ** 63 - 1

@@ -16,7 +16,6 @@ import numpy as np
 
 from .checks import IneqCheck
 from .config import TOL
-from .energy import correlation_counts
 from .groups import GroupSet, indicator, restricted_matrix, triple_product_sum
 from .transform import GroupFn, correlate
 
@@ -133,7 +132,7 @@ def check_traces(op: SpectralOperator, spectrum: Spectrum) -> list[IneqCheck]:
     a = op.base_set
     psi = op.kernel
     n = a.group.modulus
-    aa = correlation_counts(a, a)
+    aa = a.autocorrelation
     tr_exact = len(a) * psi.values[0]
     tr_sq_exact = sum(psi.values[z] ** 2 * aa[z] for z in range(n))
     s1 = spectrum.power_sum(1)
@@ -171,7 +170,7 @@ def triangle_sum(a: GroupSet, psi: GroupFn) -> int | float:
 
 def rayleigh_indicator(a: GroupSet, psi: GroupFn):
     """<T 1_A, 1_A> / |A| = |A|^-1 sum_x psi(x)(A∘A)(x), a lower bound for mu_0."""
-    aa = correlation_counts(a, a)
+    aa = a.autocorrelation
     s = sum(p * c for p, c in zip(psi.values, aa))
     if psi.kind == "int":
         return Fraction(s, len(a))
@@ -183,7 +182,7 @@ def check_triangle_inequality(a: GroupSet, h: GroupFn) -> IneqCheck:
     if not a.members:
         raise ValueError("A must be nonempty")
     psi = correlation_kernel(h)
-    aa = correlation_counts(a, a)
+    aa = a.autocorrelation
     na = len(a)
     lhs = triangle_sum(a, psi)
     s1 = sum(p * c for p, c in zip(psi.values, aa))

@@ -117,6 +117,9 @@ def test_empty_scan_exits_1(argv, capsys):
     ["ap-scan", "--pmax", "20000"],
     ["doubling-stats", "--file", "/nonexistent"],
     ["verify", "--json", "/nonexistent/report.json"],
+    ["coverage-6gamma", "--pmax", "13", "--cap", "0"],
+    ["expansion-scan", "--p", "13", "--t", "4", "--trials", "-3"],
+    ["verify", "--trials", "-1"],
 ])
 def test_bad_input_exits_2(argv, capsys, monkeypatch):
     # bad input is rejected before any suite runs, any scan starts or any

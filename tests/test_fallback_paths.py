@@ -1,18 +1,26 @@
-"""The bitmask counting kernels agree with plain set enumeration, at small
-moduli and at moduli above 4096.
+"""The exact counting kernels agree with plain set enumeration, at small
+moduli and at moduli above 4096: the pair-count kernel
+``groups.difference_counts`` behind correlations, sumsets and the cached
+``GroupSet.autocorrelation``, the shifted-intersection gather, and the
+shift-system matrices in ``energy``.
 
 Small moduli use dense random sets; the large ones use sparse sets of 10-20
-elements, where the oracles in tests/oracle.py stay cheap.
+elements, where the oracles in tests/oracle.py stay cheap.  Edge instances
+add empty and one-element sets and N = 1; one dense case at N = 4099 spans
+several row blocks of the pair-count kernel.
 """
 
 import importlib
 import random
 
+from addcomb import groups
 from addcomb.energy import (
     correlation_counts,
+    energy,
     shift_spread_sizes,
     weight_counts,
 )
+from addcomb.experiments import autocorrelation_np, sumset_size_np
 from addcomb.groups import CyclicGroup, GroupSet, intersect_shifts, sumset
 
 import oracle
@@ -40,7 +48,26 @@ def instances(seed, per_modulus):
             yield n, rand_set(rng, n), rand_set(rng, n), rng
 
 
+def edge_instances(seed):
+    """Empty and one-element sets against random ones, at N = 1, 2, 11 and
+    4099: the kernel then counts no pairs or a single one."""
+    rng = random.Random(seed)
+    for n in (1, 2, 11, 4099):
+        g = CyclicGroup(n)
+        empty, single = GroupSet(g, ()), GroupSet.of(g, [rng.randrange(n)])
+        other = rand_set(rng, n)
+        for a, b in ((empty, other), (other, empty), (empty, empty),
+                     (single, other), (other, single), (single, single)):
+            yield n, a, b, rng
+
+
 def test_intersect_shifts_paths_agree():
+    for n, a, b, rng in edge_instances(8):
+        for signs in (["-"], ["+"], ["+", "-", "+"]):
+            shifts = [rng.randint(-2 * n, 2 * n) for _ in signs]
+            got = intersect_shifts(a, b, shifts, signs)
+            assert set(got.members) == oracle.shifted_intersection(
+                a.members, b.members, shifts, signs, n)
     for n, a, b, rng in instances(1, 10):
         for m in (1, 2, 3):
             for signs in (["-"] * m, ["+"] * m, [rng.choice("+-") for _ in range(m)]):
@@ -57,20 +84,52 @@ def test_intersect_shifts_paths_agree():
 
 
 def test_sumset_paths_agree():
-    for n, a, b, _ in instances(2, 8):
+    for n, a, b, _ in [*instances(2, 8), *edge_instances(9)]:
         for sign in "+-":
             got = sumset(a, b, sign)
             assert set(got.members) == oracle.sumset_naive(a.members, b.members, n, sign)
+        want = len(oracle.sumset_naive(a.members, b.members, n, "+"))
+        assert sumset_size_np(a.members, b.members, n) == want
 
 
 def test_energy_tables_paths_agree():
-    for n, a, b, _ in instances(3, 4):
+    """Correlations, the cached autocorrelation, energies, cell sizes and
+    spreads against enumeration; energy() no longer checks itself, so the
+    quadruple count is its only cross-check here."""
+    for n, a, b, _ in [*instances(3, 4), *edge_instances(10)]:
         assert list(correlation_counts(a, b)) == oracle.correlation(a.members, b.members, n)
+        want_aa = oracle.correlation(a.members, a.members, n)
+        assert list(a.autocorrelation) == want_aa
+        assert autocorrelation_np(a.members, n).tolist() == want_aa
+        assert energy(a, b) == oracle.quadruple_energy(a.members, b.members, n)
         # |B ∩ (A - x)| = (B ∘ A)(x)
         want = oracle.correlation(b.members, a.members, n)
         assert weight_counts(a, b, 1).flat == tuple(want)
         for sign in "+-":
             assert list(shift_spread_sizes(a, sign)) == oracle.shift_spreads(a.members, n, sign)
+
+
+def test_pair_count_row_blocks():
+    """Dense sets at N = 4099 whose pair counts span several row blocks of
+    difference_counts, the last one ragged."""
+    rng = random.Random(11)
+    n = 4099
+    g = CyclicGroup(n)
+    a = GroupSet.of(g, rng.sample(range(n), 2100))
+    b = GroupSet.of(g, rng.sample(range(n), 1500))
+    for rows, cols in ((a, b), (b, a), (a, a)):
+        step = groups._PAIR_BLOCK // len(cols)
+        assert len(rows) > step and len(rows) % step
+    assert list(correlation_counts(a, b)) == oracle.correlation(a.members, b.members, n)
+    want_aa = oracle.correlation(a.members, a.members, n)
+    assert list(a.autocorrelation) == want_aa
+    assert autocorrelation_np(a.members, n).tolist() == want_aa
+    for sign in "+-":
+        want = oracle.sumset_naive(a.members, b.members, n, sign)
+        assert set(sumset(a, b, sign).members) == want
+    # 3.15M pairs: below the FFT switch of sumset_size_np, so the kernel runs
+    assert sumset_size_np(a.members, b.members, n) == len(
+        oracle.sumset_naive(a.members, b.members, n, "+"))
 
 
 def test_fast_and_slow_checks_match():
