@@ -1,12 +1,15 @@
 """Additive energies, higher moments, and shifted-intersection inequalities.
 
-All counts are exact integers; quotient inequalities use exact rationals.
+All counts are exact integers; quotient inequalities use exact rationals,
+each sum of quotients one Fraction over the lcm of its denominators.
 Terms indexed by an empty intersection A_x = ∅ are dropped: their
-numerators vanish, so they contribute nothing to either side.
+numerators vanish, so they contribute nothing to either side.  The l = 1
+spreads |A ∓ A_x| are computed once per set and sign and cached on the set.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +19,9 @@ from .config import TOL, TUPLE_CELL_CAP
 from .groups import (
     GridFn,
     GroupSet,
+    _exact_operands,
+    _scalar,
+    check_sign,
     diag_shift_size,
     difference_counts,
     indicator,
@@ -37,11 +43,16 @@ def shift_counts(a: GroupSet) -> tuple[int, ...]:
 
 
 def shift_spread_sizes(a: GroupSet, sign: str = "-") -> tuple[int, ...]:
-    """|A ∓ A_x| for every x (0 where A_x is empty)."""
-    index, cells = _shift_cells(a, a, 1)
-    out = np.zeros(a.group.modulus, dtype=np.int64)
-    out[index] = _spreads(a, a, cells, 1, sign)
-    return tuple(out.tolist())
+    """|A ∓ A_x| for every x (0 where A_x is empty), computed once per set
+    and sign."""
+    check_sign(sign)
+    cache = a._spread_cache
+    if sign not in cache:
+        index, cells = _shift_cells(a, a, 1)
+        out = np.zeros(a.group.modulus, dtype=np.int64)
+        out[index] = _spreads(a, a, cells, 1, sign)
+        cache[sign] = tuple(out.tolist())
+    return cache[sign]
 
 
 def energy(a: GroupSet, b: GroupSet | None = None) -> int:
@@ -107,18 +118,33 @@ def check_katz_koester(a: GroupSet, sign: str = "+") -> list[IneqCheck]:
 
 def check_heart(a: GroupSet, sign: str = "-") -> IneqCheck:
     """sum_x |A_x|^2 / |A ± A_x|  <=  |A|^-2 sum_x |A_x|^3, exact rationals."""
+    check_sign(sign)
     if not a.members:
         raise ValueError("A must be nonempty")
     ax = shift_counts(a)
     spread = shift_spread_sizes(a, sign)
-    lhs = Fraction(0)
-    cube = 0
-    for cx, dx in zip(ax, spread):
-        if cx:
-            lhs += Fraction(cx * cx, dx)
-            cube += cx ** 3
-    rhs = Fraction(cube, len(a) ** 2)
+    pairs = [(cx, dx) for cx, dx in zip(ax, spread) if cx]
+    lhs = _quotient_sum([cx * cx for cx, _ in pairs], [dx for _, dx in pairs])
+    rhs = Fraction(sum(cx ** 3 for cx, _ in pairs), len(a) ** 2)
     return IneqCheck.from_le(f"shift-quotient-bound{sign}", lhs, rhs)
+
+
+def _quotient_sum(nums, dens) -> Fraction:
+    """sum_i nums[i] / dens[i] for ints, as one Fraction over the lcm of
+    the (positive) dens."""
+    lcm = math.lcm(*dens)
+    return Fraction(sum(x * (lcm // d) for x, d in zip(nums, dens)), lcm)
+
+
+def _exact_sum(*factors) -> int:
+    """sum_i prod_j factors[j][i] for integer arrays or lists, as a Python
+    int: int64 behind the bound of ``_exact_operands``, Python ints above."""
+    arrays = [f if isinstance(f, np.ndarray) else np.array(f, dtype=np.int64)
+              for f in factors]
+    out, *rest = _exact_operands(arrays, len(arrays[0]))
+    for t in rest:
+        out = out * t
+    return _scalar(out.sum())
 
 
 def check_heart_triple(a: GroupSet) -> IneqCheck:
@@ -208,8 +234,16 @@ def _weight_cells(a: GroupSet, b: GroupSet, k: int, l: int, sign: str, used=None
     Empty cells are skipped: every sum over x in the weight bounds has a
     factor |A^B_x| or |A^l ∓ Δ_l(A^B_x)| that vanishes there.  ``used`` lets a
     check skip the cells it would multiply by zero before their spread is
-    computed.
+    computed.  For B = A and k = l = 1 the cells are the x with A_x
+    nonempty, and every size and spread comes from the set's cache.
     """
+    if k == l == 1 and b == a:
+        aa = np.asarray(a.autocorrelation)
+        index = np.flatnonzero(aa)
+        if used is not None:
+            index = index[used[index] != 0]
+        spread = np.asarray(shift_spread_sizes(a, sign))
+        return index.tolist(), aa[index].tolist(), spread[index].tolist()
     index, cells = _shift_cells(a, b, k)
     if used is not None:
         keep = used[index] != 0
@@ -232,18 +266,24 @@ def check_weight_inequality(
 
     with x ranging over Gr^k.  Exact when q is integer-valued.
     """
+    check_sign(sign)
     if k not in (1, 2) or l not in (1, 2):
         raise ValueError("k, l must be 1 or 2")
     qt = _weight_table(q, a.group, k)
     qv = qt.table.ravel()
     # cells with q(x) = 0 add q·0 and 0·|q|^2: skip them before their spread
     index, counts, spreads = _weight_cells(a, b, k, l, sign, used=qv)
-    qx = qv[index].tolist()
-    lin = sum(v * c for v, c in zip(qx, counts))
-    quad = sum(d * abs(v) ** 2 for v, d in zip(qx, spreads))
+    exact = qt.table.dtype != np.complex128
+    if exact:
+        qx = qv[index]
+        lin = _exact_sum(qx, counts)
+        quad = _exact_sum(qx, qx, spreads)
+    else:
+        qx = qv[index].tolist()
+        lin = sum(v * c for v, c in zip(qx, counts))
+        quad = sum(d * abs(v) ** 2 for v, d in zip(qx, spreads))
     lhs = len(a) ** (2 * l) * abs(lin) ** 2
     rhs = energy_k(b, a, k + l + 1) * quad
-    exact = qt.table.dtype != np.complex128
     return IneqCheck.from_le(
         f"weighted-shift-bound-k{k}l{l}{sign}", lhs, rhs,
         0.0 if exact else TOL.complex_rel * max(1.0, abs(rhs)),
@@ -269,9 +309,10 @@ def check_energy_weight_a(
 
     S = sum_x |A^l ∓ Δ_l(A^B_x)| |A^B_x|^2; integer exact.
     """
+    check_sign(sign)
     b = a if b is None else b
     _, counts, spreads = _weight_cells(a, b, k, l, sign)
-    s = sum(spread * cnt * cnt for cnt, spread in zip(counts, spreads))
+    s = _exact_sum(spreads, counts, counts)
     lhs = len(a) ** (2 * l) * energy_k(b, a, k + 1) ** 2
     rhs = energy_k(b, a, k + l + 1) * s
     return IneqCheck.from_le(f"shift-energy-bound-a-k{k}l{l}{sign}", lhs, rhs)
@@ -284,18 +325,21 @@ def check_energy_weight_b(
 
     |A|^(2l) sum_x |A^B_x|^2 / |A^l ∓ Δ_l(A^B_x)|  <=  E_(k+l+1)(B,A).
     """
+    check_sign(sign)
     b = a if b is None else b
     e_high = energy_k(b, a, k + l + 1)
     _, counts, spreads = _weight_cells(a, b, k, l, sign)
-    acc = Fraction(0)
-    for cnt, spread in zip(counts, spreads):
-        acc += Fraction(cnt * cnt, spread)
-    lhs = len(a) ** (2 * l) * acc
+    lhs = len(a) ** (2 * l) * _quotient_sum([c * c for c in counts], spreads)
     return IneqCheck.from_le(f"shift-energy-bound-b-k{k}l{l}{sign}", lhs, Fraction(e_high))
 
 
 def check_level_thresholds(a: GroupSet, sign: str = "-") -> list[IneqCheck]:
-    """Threshold consequences of the optimal-weight bound at k = l = 1."""
+    """Threshold consequences of the optimal-weight bound at k = l = 1.
+
+    The thresholds d >= |A|^2 E2 / (2 E3) and d >= c |A|^4 / (2 E3) are
+    compared in integers, multiplied through by 2 E3 > 0.
+    """
+    check_sign(sign)
     if not a.members:
         raise ValueError("A must be nonempty")
     ax = shift_counts(a)
@@ -304,16 +348,16 @@ def check_level_thresholds(a: GroupSet, sign: str = "-") -> list[IneqCheck]:
     e3 = sum(v ** 3 for v in ax)
     na = len(a)
 
-    thr1 = Fraction(na ** 2 * e2, 2 * e3)
-    big1 = sum(c * c for c, d in zip(ax, spread) if c and d >= thr1)
+    thr1 = na ** 2 * e2
+    big1 = sum(c * c for c, d in zip(ax, spread) if c and 2 * e3 * d >= thr1)
     out = [
         IneqCheck.from_ge(
             f"level-threshold-energy{sign}", Fraction(big1), Fraction(e2, 2)
         )
     ]
 
-    thr2 = Fraction(na ** 4, 2 * e3)
-    big2 = sum(c for c, d in zip(ax, spread) if c and d >= c * thr2)
+    thr2 = na ** 4
+    big2 = sum(c for c, d in zip(ax, spread) if c and 2 * e3 * d >= c * thr2)
     out.append(
         IneqCheck.from_ge(
             f"level-threshold-count{sign}", Fraction(big2), Fraction(na ** 2, 2)
@@ -327,6 +371,7 @@ def check_level_thresholds(a: GroupSet, sign: str = "-") -> list[IneqCheck]:
 
 def check_ap_bound(a: GroupSet, alpha: float, p: float, sign: str = "-") -> IneqCheck:
     """Hölder-interpolated shift-moment bound for real alpha and p > 1."""
+    check_sign(sign)
     return _ap_bound(a, shift_counts(a), shift_spread_sizes(a, sign), alpha, p, sign)
 
 

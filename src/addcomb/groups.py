@@ -72,6 +72,12 @@ class GroupSet:
         return tuple(counts.tolist())
 
     @cached_property
+    def _spread_cache(self) -> dict[str, tuple[int, ...]]:
+        """|A ∓ A_x| for every x, by sign: filled once per set and sign by
+        ``energy.shift_spread_sizes``."""
+        return {}
+
+    @cached_property
     def member_set(self) -> frozenset[int]:
         return frozenset(self.members)
 
@@ -119,6 +125,12 @@ def indicator(a: GroupSet) -> "GroupFn":
     return GroupFn(a.group, tuple(vals.tolist()))
 
 
+def check_sign(sign: str) -> None:
+    """Raise ValueError unless sign is '+' or '-'."""
+    if sign not in ("+", "-"):
+        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+
+
 def _require_same_group(*sets: GroupSet) -> CyclicGroup:
     g = sets[0].group
     for s in sets[1:]:
@@ -152,10 +164,9 @@ def intersect_shifts(
         s %= n
         if sg == "-":  # b in A - s iff b + s in A
             keep &= member[(bm + s) % n]
-        elif sg == "+":  # b in s - A iff s - b in A
+        else:  # b in s - A iff s - b in A
+            check_sign(sg)
             keep &= member[(s - bm) % n]
-        else:
-            raise ValueError(f"sign must be '+' or '-', got {sg!r}")
     return GroupSet(g, tuple(bm[keep].tolist()))
 
 
@@ -168,12 +179,11 @@ def sumset(a: GroupSet, b: GroupSet, sign: str = "+") -> GroupSet:
     """{a + b} for sign '+', {a - b} for sign '-': the support of the
     pair count of b + a = b - (-a), or of a - b."""
     g = _require_same_group(a, b)
+    check_sign(sign)
     if sign == "+":
         counts = difference_counts(np.negative(a.members), b.members, g.modulus)
-    elif sign == "-":
-        counts = difference_counts(b.members, a.members, g.modulus)
     else:
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+        counts = difference_counts(b.members, a.members, g.modulus)
     return GroupSet(g, tuple(np.flatnonzero(counts).tolist()))
 
 
@@ -187,16 +197,15 @@ def _check_grid(n: int, k: int) -> None:
         raise ValueError("N^k exceeds the dense tuple cap")
 
 
-def _exact_operands(fns: Sequence["GridFn"], terms: int) -> list[np.ndarray]:
-    """The tables of ``fns`` in one dtype for a sum of ``terms`` products
-    that take one entry from each table.
+def _exact_operands(tables: Sequence[np.ndarray], terms: int) -> list[np.ndarray]:
+    """``tables`` (int64, object or complex128 arrays) in one dtype for a
+    sum of ``terms`` products that take one entry from each table.
 
     complex128 when any table is complex.  Integer tables stay int64 only
     when all are int64 and terms * prod(max |entry|) <= INT64_MAX, which
     bounds every product and partial sum; otherwise they become object
     arrays of Python ints.
     """
-    tables = [f.table for f in fns]
     if any(t.dtype == np.complex128 for t in tables):
         dtype = np.complex128
     elif any(t.dtype == object for t in tables):
@@ -204,9 +213,14 @@ def _exact_operands(fns: Sequence["GridFn"], terms: int) -> list[np.ndarray]:
     else:
         bound = terms
         for t in tables:
-            bound *= max(int(t.max()), -int(t.min()))
+            bound *= max(int(t.max(initial=0)), -int(t.min(initial=0)))
         dtype = np.int64 if bound <= INT64_MAX else object
     return [t.astype(dtype, copy=False) for t in tables]
+
+
+def _scalar(v):
+    """A numpy scalar as the Python int, float or complex it holds."""
+    return v.item() if isinstance(v, np.generic) else v
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,28 +276,20 @@ class GridFn:
         n = self.group.modulus
         return self.table.item(tuple(x % n for x in xs))
 
-    def shift(self, xs: Sequence[int]) -> "GridFn":
-        """z -> f(z + x) for x in Gr^k."""
-        if len(xs) != self.arity:
-            raise ValueError("wrong number of shift coordinates")
-        rolled = np.roll(self.table, [-x for x in xs], axis=tuple(range(self.arity)))
-        return GridFn(self.group, rolled)
-
     def dot(self, *others: "GridFn"):
         """sum over x in Gr^k of f(x) g_1(x) ... g_m(x), exact on integers;
         with no others, the sum of the table."""
         if any(o.table.shape != self.table.shape for o in others):
             raise ValueError("tables live on different grids")
-        arrays = _exact_operands((self, *others), self.table.size)
+        arrays = _exact_operands([f.table for f in (self, *others)], self.table.size)
         out = arrays[0]
         for t in arrays[1:]:
             out = out * t
-        total = out.sum()  # a Python int already for object tables
-        return total.item() if isinstance(total, np.generic) else total
+        return _scalar(out.sum())
 
     def outer(self, other: "GridFn") -> "GridFn":
         """(x, y) -> f(x) g(y) on Gr^(k + k')."""
-        f, g = _exact_operands((self, other), 1)
+        f, g = _exact_operands((self.table, other.table), 1)
         return GridFn(self.group, np.multiply.outer(f, g))
 
 
@@ -301,8 +307,7 @@ def tuple_sumset_with_diagonal(
     n = g.modulus
     k = len(sets)
     _check_grid(n, k)
-    if sign not in "+-":
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    check_sign(sign)
     c = np.asarray(b.members, dtype=np.int64)
     if sign == "-":
         c = -c
@@ -353,5 +358,4 @@ def triple_product_sum(a: GroupSet, psi: Sequence):
     Not trace(M^3): that is the same sum only for even psi.
     """
     m = restricted_matrix(a, psi, 3)
-    total = ((m @ m) * m).sum()
-    return total.item() if isinstance(total, np.generic) else total
+    return _scalar(((m @ m) * m).sum())

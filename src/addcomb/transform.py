@@ -1,8 +1,10 @@
 """Fourier analysis on Z/N and all convolution flavors.
 
-The direct O(N^2) summation is the default everywhere so integer inputs give
-exact integer outputs; the naive complex DFT is used only for statements that
-are inherently Fourier-side.  Forward transform: F(f)(xi) = sum f(x) e(-xi x/N);
+Convolutions are direct sums, so integer inputs give exact integer outputs:
+each is one gather of a circulant matrix and one matmul, in int64 behind
+the bound of ``groups._exact_operands`` and in Python ints above it.  The
+naive complex DFT is used only for statements that are inherently
+Fourier-side.  Forward transform: F(f)(xi) = sum f(x) e(-xi x/N);
 inversion carries the 1/N.
 """
 
@@ -50,6 +52,11 @@ class GroupFn:
     @cached_property
     def kind(self) -> str:
         return "int" if all(isinstance(v, int) for v in self.values) else "complex"
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The values as a read-only int64, object or complex128 array."""
+        return GridFn.of(self.group, self.values).table
 
     def __call__(self, x: int):
         return self.values[x % self.group.modulus]
@@ -125,32 +132,26 @@ def idft(coeffs: FourierCoeffs) -> GroupFn:
 
 def convolve(f: GroupFn, g: GroupFn) -> GroupFn:
     """(f * g)(x) = sum_y f(y) g(x - y), direct summation."""
-    n = _same_group(f, g).modulus
-    fv, gv = f.values, g.values
-    out = []
-    for x in range(n):
-        acc = 0
-        for y in range(n):
-            v = fv[y]
-            if v:
-                acc += v * gv[(x - y) % n]
-        out.append(acc)
-    return GroupFn(f.group, tuple(out))
+    r = np.arange(_same_group(f, g).modulus)
+    return _circulant_product(f, g, (r[:, None] - r) % len(r))
 
 
 def correlate(f: GroupFn, g: GroupFn) -> GroupFn:
     """(f ∘ g)(x) = sum_y f(y) g(y + x), direct summation."""
-    n = _same_group(f, g).modulus
-    fv, gv = f.values, g.values
-    out = []
-    for x in range(n):
-        acc = 0
-        for y in range(n):
-            v = fv[y]
-            if v:
-                acc += v * gv[(y + x) % n]
-        out.append(acc)
-    return GroupFn(f.group, tuple(out))
+    r = np.arange(_same_group(f, g).modulus)
+    return _circulant_product(f, g, (r[:, None] + r) % len(r))
+
+
+def _circulant_product(f: GroupFn, g: GroupFn, at: np.ndarray) -> GroupFn:
+    """x -> sum_y f(y) g(at[x, y]): one gather of g and one matmul, exact
+    for integer f and g, real when neither has a complex value."""
+    fv, gv = _exact_operands((f.table, g.table), len(f))
+    out = gv[at] @ fv
+    if out.dtype == np.complex128 and not any(
+        isinstance(v, complex) for v in f.values + g.values
+    ):
+        out = out.real
+    return GroupFn(f.group, tuple(out.tolist()))
 
 
 def correlate_many(fns: Sequence[GroupFn]) -> GroupFn:
@@ -188,7 +189,7 @@ def gen_convolution(fns: Sequence[GroupFn]) -> GridFn:
         raise ValueError("k must be 2 or 3")
     group = _same_group(*fns)
     n = group.modulus
-    f0, *rest = _exact_operands([GridFn.of(group, f.values) for f in fns], n)
+    f0, *rest = _exact_operands([f.table for f in fns], n)
     r = np.arange(n)
     at = (r[:, None] + r) % n  # at[x, z] = z + x
     if k == 2:
@@ -221,33 +222,37 @@ def check_commutation(
     row_tables = [gen_convolution(list(r)) for r in rows]
     col_tables = [gen_convolution([rows[i][j] for i in range(l)]) for j in range(k)]
 
+    # y[p, i] is the shift of row table i + 1 at sample p; the column side
+    # takes the transposed argument grid
     if l == 2 and k == 2:
-        points = [((x,),) for x in range(n)]
+        y = np.arange(n).reshape(n, 1, 1)
     else:
         if rng is None:
             rng = random.Random(0)
         cells = (l - 1) * (k - 1)
-        points = []
-        for _ in range(samples):
-            flatargs = [rng.randrange(n) for _ in range(cells)]
-            it = iter(flatargs)
-            points.append(
-                tuple(tuple(next(it) for _ in range(k - 1)) for _ in range(l - 1))
-            )
-
+        y = np.array([rng.randrange(n) for _ in range(samples * cells)])
+        y = y.reshape(samples, l - 1, k - 1)
+    lhs = _shifted_dots(row_tables, y)
+    rhs = _shifted_dots(col_tables, y.transpose(0, 2, 1))
     worst = 0
-    for y in points:
-        # the column side takes the transposed argument grid
-        yt = tuple(
-            tuple(y[i][j] for i in range(l - 1)) for j in range(k - 1)
-        )
-        # C_l(T_0, ..., T_{l-1})(y) = sum_z T_0(z) T_1(z + y_1) ...
-        lhs, rhs = (
-            tables[0].dot(*(t.shift(s) for t, s in zip(tables[1:], args)))
-            for tables, args in ((row_tables, y), (col_tables, yt))
-        )
-        worst = max(worst, abs(lhs - rhs))
+    for u, v in zip(lhs, rhs):
+        worst = max(worst, abs(u - v))
     exact = all(f.kind == "int" for r in rows for f in r)
     return IneqCheck.from_identity(
         "nested-convolution-swap", worst, 0 if exact else TOL.complex_rel
     )
+
+
+def _shifted_dots(tables: Sequence[GridFn], shifts: np.ndarray) -> list:
+    """C_m(T_0, ..., T_{m-1})(s) = sum_z T_0(z) T_1(z + s_1) ... T_{m-1}(z + s_{m-1})
+    for each s = shifts[p] of shape (m - 1, d), d the tables' arity: one
+    gather per table, the products taken in table order."""
+    n = tables[0].group.modulus
+    d = tables[0].arity
+    first, *rest = _exact_operands([t.table.ravel() for t in tables], n ** d)
+    z = np.indices((n,) * d).reshape(d, 1, -1)  # every z of Gr^d, row-major
+    out = first
+    for t, s in zip(rest, shifts.transpose(1, 2, 0)):  # s[j, p]: coordinate j
+        at = np.ravel_multi_index((z + s[:, :, None]) % n, (n,) * d)
+        out = out * t[at]
+    return out.sum(axis=1).tolist()

@@ -385,7 +385,7 @@ def _conv_power_discrepancy(fs, l: int) -> int:
     at = (r[:, None] + r) % n  # at[x, y] = y + x
     if l == 3:  # row-major index of y + x, rows x = (x_1, x_2), columns y
         at = (at[:, None, :, None] * n + at[None, :, None, :]).reshape(n * n, n * n)
-    f1, f2 = _exact_operands((t1, t2), t1.table.size)
+    f1, f2 = _exact_operands((t1.table, t2.table), t1.table.size)
     corr = GridFn(group, (f2.ravel()[at] @ f1.ravel()).reshape(t1.table.shape))
     rhs = sum(v ** l for v in correlate_many(fs).values)
     return abs(t0.dot(corr) - rhs)

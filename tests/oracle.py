@@ -2,6 +2,11 @@
 with the library paths they validate."""
 
 import itertools
+import math
+
+import numpy as np
+
+from addcomb.config import TOL
 
 
 def quadruple_energy(a, b, n):
@@ -37,6 +42,34 @@ def t_k_count(a, n, k):
 
 def sigma_k_count(a, n, k):
     return sum(1 for xs in itertools.product(a, repeat=k) if sum(xs) % n == 0)
+
+
+def convolve_loop(fv, gv, n):
+    """(f * g)(x) = sum_y f(y) g(x - y): the direct double loop, zero f(y)
+    skipped, in the order of summation of the first library version."""
+    out = []
+    for x in range(n):
+        acc = 0
+        for y in range(n):
+            v = fv[y]
+            if v:
+                acc += v * gv[(x - y) % n]
+        out.append(acc)
+    return out
+
+
+def correlate_loop(fv, gv, n):
+    """(f ∘ g)(x) = sum_y f(y) g(y + x): the direct double loop, zero f(y)
+    skipped, in the order of summation of the first library version."""
+    out = []
+    for x in range(n):
+        acc = 0
+        for y in range(n):
+            v = fv[y]
+            if v:
+                acc += v * gv[(y + x) % n]
+        out.append(acc)
+    return out
 
 
 def correlate_fn(f, g, n):
@@ -148,6 +181,23 @@ def heart_sides(a, n, sign):
     return lhs, rhs
 
 
+def level_threshold_sums(a, n, sign):
+    """(sum of |A_x|^2 over x with |A ∓ A_x| >= |A|^2 E2 / (2 E3),
+    sum of |A_x| over x with |A ∓ A_x| >= |A_x| |A|^4 / (2 E3)), the
+    thresholds as Fractions."""
+    from fractions import Fraction
+
+    counts = correlation(a, a, n)
+    spreads = shift_spreads(a, n, sign)
+    e2 = sum(c * c for c in counts)
+    e3 = sum(c ** 3 for c in counts)
+    thr1 = Fraction(len(a) ** 2 * e2, 2 * e3)
+    thr2 = Fraction(len(a) ** 4, 2 * e3)
+    pairs = [(c, d) for c, d in zip(counts, spreads) if c]
+    return (sum(c * c for c, d in pairs if d >= thr1),
+            sum(c for c, d in pairs if d >= c * thr2))
+
+
 def energy_weight_b_sides(a, b, n, sign):
     """Both sides of the optimal-weight bound at k = l = 1:
 
@@ -248,3 +298,89 @@ def diag_shift_naive(sets, c, n, sign):
         for xs in itertools.product(*sets):
             out.add(tuple((x - y) % n if sign == "-" else (x + y) % n for x in xs))
     return out
+
+
+def shifted_dot(tables, shifts):
+    """sum_z T_0(z) T_1(z + s_1) ... for one shift tuple per table after the
+    first: each table rolled by np.roll, the products taken left to right
+    and summed with ndarray.sum, in Python ints unless a table is complex."""
+    dtype = complex if any(t.table.dtype == complex for t in tables) else object
+    total = tables[0].table.astype(dtype)
+    for t, s in zip(tables[1:], shifts):
+        rolled = np.roll(t.table, [-x for x in s], axis=tuple(range(t.arity)))
+        total = total * rolled.astype(dtype)
+    return total.sum()
+
+
+def commutation_worst(rows, points):
+    """max over the points y of |C_l(row tables)(y) - C_k(column tables)(y^T)|,
+    one point at a time; rows is an l x k matrix of GroupFns and each y an
+    (l-1) x (k-1) grid of shifts."""
+    from addcomb.transform import gen_convolution
+
+    l, k = len(rows), len(rows[0])
+    row_tables = [gen_convolution(list(r)) for r in rows]
+    col_tables = [gen_convolution([rows[i][j] for i in range(l)]) for j in range(k)]
+    worst = 0
+    for y in points:
+        yt = tuple(tuple(y[i][j] for i in range(l - 1)) for j in range(k - 1))
+        lhs = shifted_dot(row_tables, y)
+        rhs = shifted_dot(col_tables, yt)
+        worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+def jacobi_eigh(matrix):
+    """Cyclic Jacobi diagonalization of a real symmetric matrix, with
+    separate copies and updates of rows, columns and eigenvector columns:
+    the reference the library's one-array sweep must match bit for bit.
+
+    Returns (eigenvalues descending, eigenvector columns, off-diagonal
+    residual).
+    """
+    m = np.array(matrix, dtype=float)
+    n = m.shape[0]
+    if m.shape != (n, n) or not np.allclose(m, m.T, atol=1e-12 * (1 + np.abs(m).max())):
+        raise ValueError("jacobi_eigh needs a symmetric square matrix")
+    v = np.eye(n)
+    if n == 1:
+        return m.diagonal().copy(), v, 0.0
+    fro = math.sqrt(float((m * m).sum()))
+    if fro == 0.0:
+        return np.zeros(n), v, 0.0
+    target = TOL.jacobi_off * fro
+    for _ in range(TOL.jacobi_sweeps):
+        off = math.sqrt(max(0.0, float((m * m).sum() - (m.diagonal() ** 2).sum())))
+        if off <= target:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = m[p, q]
+                app, aqq = m[p, p], m[q, q]
+                if abs(apq) <= 1e-40 * (abs(app) + abs(aqq) + 1e-300):
+                    continue
+                theta = (aqq - app) / (2.0 * apq)
+                if abs(theta) > 1e100:
+                    t = 1.0 / (2.0 * theta)
+                else:
+                    t = math.copysign(1.0, theta) / (
+                        abs(theta) + math.sqrt(theta * theta + 1.0)
+                    )
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                rp = m[p, :].copy()
+                rq = m[q, :].copy()
+                m[p, :] = c * rp - s * rq
+                m[q, :] = s * rp + c * rq
+                cp = m[:, p].copy()
+                cq = m[:, q].copy()
+                m[:, p] = c * cp - s * cq
+                m[:, q] = s * cp + c * cq
+                vp = v[:, p].copy()
+                vq = v[:, q].copy()
+                v[:, p] = c * vp - s * vq
+                v[:, q] = s * vp + c * vq
+    off = math.sqrt(max(0.0, float((m * m).sum() - (m.diagonal() ** 2).sum())))
+    eigs = m.diagonal().copy()
+    order = np.argsort(-eigs, kind="stable")
+    return eigs[order], v[:, order], off

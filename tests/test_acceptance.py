@@ -26,12 +26,20 @@ from addcomb.subgroup import (
     subgroup_autocorrelation,
 )
 from addcomb.transform import GroupFn
-from addcomb.verify import run_identity_suite, run_inequality_suite, run_subgroup_suite
+from addcomb.verify import (
+    run_all,
+    run_identity_suite,
+    run_inequality_suite,
+    run_subgroup_suite,
+)
 
 
 # sha256 of `addcomb verify --seed 1 --json`: a report byte may change only
 # in a deliberate, versioned format change
 REPORT_SHA256 = "02e65275997f76372a9403ea9bdc7f56a80ee61afec7bbe796d5490dab58b1a4"
+# sha256 of a reduced seed-2 run (run_all below): drift on other seeds
+# shows here in seconds, without a full verify run
+REPORT_SHA256_SEED2 = "80d3edf5cc775b3341bef65f1035c5e1f684c9516872e49e4c48d7bfd29e467a"
 
 
 def _report(criterion: str, ok: bool, extra: str = "") -> None:
@@ -241,4 +249,14 @@ def test_criterion_8_determinism(tmp_path):
         "with the pinned sha256",
         identical and obj["pass"] is True and digest == REPORT_SHA256,
         f"{len(a.read_bytes())} bytes, sha256 {digest}",
+    )
+
+
+def test_criterion_8_second_seed_digest():
+    report = run_all(seed=2, identity_trials=40, inequality_trials=200, p_list=(7, 13, 31))
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    _report(
+        "criterion 8: reduced seed-2 report with the pinned sha256",
+        digest == REPORT_SHA256_SEED2,
+        f"sha256 {digest}",
     )

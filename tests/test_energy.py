@@ -22,7 +22,15 @@ from addcomb.energy import (
     sigma_k,
     t_k,
 )
-from addcomb.groups import CyclicGroup, GroupSet
+from addcomb.groups import (
+    CyclicGroup,
+    GroupSet,
+    diag_shift_size,
+    intersect_shifts,
+    sumset,
+    tuple_sumset_with_diagonal,
+)
+import oracle
 from oracle import quadruple_energy, shift_tuple_energy, sigma_k_count, t_k_count
 
 
@@ -271,3 +279,65 @@ def test_membership_energy_total_is_higher_energy():
 def test_empty_set_rejected():
     with pytest.raises(ValueError):
         check_heart(gset(5, []), "-")
+
+
+@pytest.mark.parametrize("sign", ["", "x", "+-"])
+def test_bad_signs_rejected_before_any_work(sign):
+    """Every entry point that takes a sign raises sumset's error for a sign
+    other than '+' or '-', before A ∘ A or any spread is computed."""
+    a = gset(11, [0, 1, 3, 7])
+    calls = [
+        lambda: shift_spread_sizes(a, sign),
+        lambda: check_heart(a, sign),
+        lambda: check_katz_koester(a, sign),
+        lambda: check_level_thresholds(a, sign),
+        lambda: check_ap_bound(a, 2, 2, sign),
+        lambda: check_energy_weight_a(a, None, 1, 1, sign),
+        lambda: check_energy_weight_b(a, None, 1, 1, sign),
+        lambda: check_weight_inequality(a, a, [1] * 11, 1, 1, sign),
+        lambda: check_weight_inequality(a, a, [1] * 121, 2, 1, sign),
+        lambda: sumset(a, a, sign),
+        lambda: diag_shift_size(a, a, 2, sign),
+        lambda: tuple_sumset_with_diagonal([a, a], a, sign),
+        lambda: intersect_shifts(a, a, [1], [sign]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="sign must be '\\+' or '-'"):
+            call()
+    assert "autocorrelation" not in vars(a)
+    assert a._spread_cache == {}
+
+
+def test_spread_cache_interleaved_signs_and_moduli():
+    """The per-set spread cache, called as +, -, + and across two sets with
+    equal members on different moduli, gives the oracle's spreads, and the
+    checks that read it give the oracle's exact sides, also when B is an
+    equal copy of A."""
+    for s in (gset(13, [0, 1, 2, 5, 9]), gset(13, [1, 4, 6]), gset(17, [1, 4, 6])):
+        n = s.group.modulus
+        for sign in "+-+":
+            assert list(shift_spread_sizes(s, sign)) == oracle.shift_spreads(s.members, n, sign)
+        assert sorted(s._spread_cache) == ["+", "-"]
+    rng = random.Random(12)
+    for _ in range(20):
+        n = rng.choice((8, 13, 32))
+        a = rand_set(rng, n, rng.uniform(0.1, 0.9))
+        copy = GroupSet.of(a.group, a.members)
+        q = [rng.randint(-3, 3) for _ in range(n)]
+        for sign in "+-+":
+            assert (check_heart(a, sign).lhs, check_heart(a, sign).rhs) == oracle.heart_sides(
+                a.members, n, sign
+            )
+            levels = {c.name: c for c in check_level_thresholds(a, sign)}
+            big1, big2 = oracle.level_threshold_sums(a.members, n, sign)
+            assert levels[f"level-threshold-energy{sign}"].rhs == big1
+            assert levels[f"level-threshold-count{sign}"].rhs == big2
+            for b in (a, copy):
+                wb = check_energy_weight_b(a, b, 1, 1, sign)
+                assert (wb.lhs, wb.rhs) == oracle.energy_weight_b_sides(a.members, b.members, n, sign)
+                wq = check_weight_inequality(a, b, q, 1, 1, sign)
+                assert (wq.lhs, wq.rhs) == oracle.weight_inequality_sides(
+                    a.members, b.members, q, n, sign
+                )
+                assert all(type(v) in (int, Fraction) for v in (wb.lhs, wb.rhs, wq.lhs, wq.rhs))
+        assert copy._spread_cache == {}  # an equal B reads A's cache

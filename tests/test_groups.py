@@ -213,7 +213,6 @@ def test_grid_fn_table():
     assert f.flat == tuple(range(9))
     with pytest.raises(ValueError):
         f.table[0, 0] = 7  # read-only
-    assert f.shift((1, 2))(0, 0) == f(1, 2)
     assert f.dot() == 36 and f.dot(f) == sum(v * v for v in range(9))
     h = GridFn.of(g, [1, -2, 3])
     assert h.outer(h).flat == tuple(u * v for u in (1, -2, 3) for v in (1, -2, 3))

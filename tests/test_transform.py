@@ -3,7 +3,9 @@ import random
 import numpy as np
 import pytest
 
+import addcomb.transform as transform
 import oracle
+from addcomb.config import TOL
 from addcomb.groups import CyclicGroup, GroupSet, indicator
 from addcomb.transform import (
     GroupFn,
@@ -196,3 +198,75 @@ def test_check_commutation_rejects_bad_shape():
     d = GroupFn.delta(g, 0)
     with pytest.raises(ValueError):
         check_commutation([[d], [d]])
+
+
+@pytest.mark.parametrize("n", [1, 5, 32, 512])
+def test_circulant_products_match_loops(n):
+    """convolve and correlate (one gather, one matmul) give the values of
+    the direct double loops: exact Python ints for integer input, within
+    the complex tolerance for complex input."""
+    rng = random.Random(n)
+    g = CyclicGroup(n)
+    f = GroupFn(g, tuple(rng.randint(-9, 9) for _ in range(n)))
+    h = GroupFn(g, tuple(rng.randint(-9, 9) for _ in range(n)))
+    fc = GroupFn(g, tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)))
+    for op, loop in ((convolve, oracle.convolve_loop), (correlate, oracle.correlate_loop)):
+        out = op(f, h)
+        assert out.kind == "int"
+        assert list(out.values) == loop(f.values, h.values, n)
+        for x, y in ((fc, h), (f, fc), (fc, fc)):
+            got, want = op(x, y).values, loop(x.values, y.values, n)
+            scale = max(1.0, max(abs(v) for v in want))
+            assert max(abs(u - v) for u, v in zip(got, want)) <= TOL.complex_rel * scale
+
+
+def test_circulant_products_exact_beyond_int64():
+    """Entries near 2**40 at N = 16 break the int64 bound 16 * max|f| * max|g|:
+    the products run in Python ints and stay exact."""
+    rng = random.Random(40)
+    g = CyclicGroup(16)
+    f = GroupFn(g, tuple(2 ** 40 - rng.randrange(1000) for _ in range(16)))
+    h = GroupFn(g, tuple(rng.choice((-1, 1)) * (2 ** 40 + rng.randrange(1000)) for _ in range(16)))
+    assert 16 * 2 ** 80 > 2 ** 63
+    for op, loop in ((convolve, oracle.convolve_loop), (correlate, oracle.correlate_loop)):
+        out = op(f, h)
+        assert out.kind == "int"
+        assert list(out.values) == loop(f.values, h.values, 16)
+
+
+def test_circulant_products_keep_real_input_real():
+    g = CyclicGroup(6)
+    f = GroupFn(g, (0.5, 1.0, 0.0, -2.0, 0.25, 1.5))
+    out = correlate(f, f)
+    assert all(type(v) is float for v in out.values)
+    want = oracle.correlate_loop(f.values, f.values, 6)
+    assert max(abs(u - v) for u, v in zip(out.values, want)) <= 1e-12
+
+
+@pytest.mark.parametrize("l,k", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_commutation_matches_per_point_oracle(l, k):
+    """check_commutation (one gather per table for all points) against the
+    per-point roll-and-sum oracle on the same points: per-point values of
+    each side for integer rows, and the same worst discrepancy for integer
+    and complex rows."""
+    n, samples = 5, 12
+    rng = random.Random(10 * l + k)
+    g = CyclicGroup(n)
+    int_rows = [[GroupFn(g, tuple(rng.randint(-3, 3) for _ in range(n))) for _ in range(k)]
+                for _ in range(l)]
+    cplx_rows = [[GroupFn(g, tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                                   for _ in range(n))) for _ in range(k)] for _ in range(l)]
+    for rows in (int_rows, cplx_rows):
+        if (l, k) == (2, 2):
+            points = [((x,),) for x in range(n)]
+        else:
+            prng = random.Random(3)
+            points = [tuple(tuple(prng.randrange(n) for _ in range(k - 1)) for _ in range(l - 1))
+                      for _ in range(samples)]
+        check = check_commutation(rows, random.Random(3), samples)
+        assert check.lhs == oracle.commutation_worst(rows, points)
+    row_tables = [gen_convolution(list(r)) for r in int_rows]
+    y = np.array(points).reshape(len(points), l - 1, k - 1)
+    got = transform._shifted_dots(row_tables, y)
+    assert got == [oracle.shifted_dot(row_tables, p) for p in points]
+    assert all(type(v) is int for v in got)

@@ -1,5 +1,7 @@
 import json
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +13,7 @@ from addcomb.verify import (
     _conv_power_discrepancy,
     run_identity_suite,
     run_inequality_suite,
+    run_all,
     run_subgroup_suite,
 )
 
@@ -136,3 +139,16 @@ def test_mutation_is_caught(monkeypatch):
     bad = s.stats[s.halted].worst
     assert not bad.passed
     assert "f" in bad.detail and "N" in bad.detail  # replayable instance
+
+
+def test_report_rows_carry_python_scalars():
+    """Every worst check's lhs, rhs and slack is a Python int, Fraction or
+    float: a numpy scalar would be written by _json_number as a float and
+    change the report bytes without an error."""
+    report = run_all(seed=1, identity_trials=30, inequality_trials=60, p_list=(7, 13))
+    kinds = Counter()
+    for suite in report.suites:
+        for st in suite.stats.values():
+            for v in (st.worst.lhs, st.worst.rhs, st.worst.slack):
+                kinds[type(v)] += 1
+    assert kinds == {int: 103, Fraction: 42, float: 104}, kinds
