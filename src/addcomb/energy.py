@@ -19,8 +19,6 @@ from .config import TOL, TUPLE_CELL_CAP
 from .groups import (
     GridFn,
     GroupSet,
-    _exact_operands,
-    _scalar,
     check_sign,
     diag_shift_size,
     difference_counts,
@@ -134,17 +132,6 @@ def _quotient_sum(nums, dens) -> Fraction:
     the (positive) dens."""
     lcm = math.lcm(*dens)
     return Fraction(sum(x * (lcm // d) for x, d in zip(nums, dens)), lcm)
-
-
-def _exact_sum(*factors) -> int:
-    """sum_i prod_j factors[j][i] for integer arrays or lists, as a Python
-    int: int64 behind the bound of ``_exact_operands``, Python ints above."""
-    arrays = [f if isinstance(f, np.ndarray) else np.array(f, dtype=np.int64)
-              for f in factors]
-    out, *rest = _exact_operands(arrays, len(arrays[0]))
-    for t in rest:
-        out = out * t
-    return _scalar(out.sum())
 
 
 def check_heart_triple(a: GroupSet) -> IneqCheck:
@@ -273,17 +260,12 @@ def check_weight_inequality(
     qv = qt.table.ravel()
     # cells with q(x) = 0 add q·0 and 0·|q|^2: skip them before their spread
     index, counts, spreads = _weight_cells(a, b, k, l, sign, used=qv)
-    exact = qt.table.dtype != np.complex128
-    if exact:
-        qx = qv[index]
-        lin = _exact_sum(qx, counts)
-        quad = _exact_sum(qx, qx, spreads)
-    else:
-        qx = qv[index].tolist()
-        lin = sum(v * c for v, c in zip(qx, counts))
-        quad = sum(d * abs(v) ** 2 for v, d in zip(qx, spreads))
+    qx = qv[index].tolist()
+    lin = sum(v * c for v, c in zip(qx, counts))
+    quad = sum(d * abs(v) ** 2 for v, d in zip(qx, spreads))
     lhs = len(a) ** (2 * l) * abs(lin) ** 2
     rhs = energy_k(b, a, k + l + 1) * quad
+    exact = qt.table.dtype != np.complex128
     return IneqCheck.from_le(
         f"weighted-shift-bound-k{k}l{l}{sign}", lhs, rhs,
         0.0 if exact else TOL.complex_rel * max(1.0, abs(rhs)),
@@ -312,7 +294,7 @@ def check_energy_weight_a(
     check_sign(sign)
     b = a if b is None else b
     _, counts, spreads = _weight_cells(a, b, k, l, sign)
-    s = _exact_sum(spreads, counts, counts)
+    s = sum(spread * cnt * cnt for cnt, spread in zip(counts, spreads))
     lhs = len(a) ** (2 * l) * energy_k(b, a, k + 1) ** 2
     rhs = energy_k(b, a, k + l + 1) * s
     return IneqCheck.from_le(f"shift-energy-bound-a-k{k}l{l}{sign}", lhs, rhs)

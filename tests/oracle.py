@@ -181,14 +181,15 @@ def heart_sides(a, n, sign):
     return lhs, rhs
 
 
-def level_threshold_sums(a, n, sign):
+def level_threshold_sums(a, n, sign, spreads=None):
     """(sum of |A_x|^2 over x with |A ∓ A_x| >= |A|^2 E2 / (2 E3),
     sum of |A_x| over x with |A ∓ A_x| >= |A_x| |A|^4 / (2 E3)), the
-    thresholds as Fractions."""
+    thresholds as Fractions; ``spreads`` replaces the |A ∓ A_x| if given."""
     from fractions import Fraction
 
     counts = correlation(a, a, n)
-    spreads = shift_spreads(a, n, sign)
+    if spreads is None:
+        spreads = shift_spreads(a, n, sign)
     e2 = sum(c * c for c in counts)
     e3 = sum(c ** 3 for c in counts)
     thr1 = Fraction(len(a) ** 2 * e2, 2 * e3)

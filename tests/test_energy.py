@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -32,6 +33,9 @@ from addcomb.groups import (
 )
 import oracle
 from oracle import quadruple_energy, shift_tuple_energy, sigma_k_count, t_k_count
+
+
+energy_module = importlib.import_module("addcomb.energy")
 
 
 def gset(n, elems):
@@ -222,6 +226,23 @@ def test_level_thresholds_subgroup_degeneration():
         thr = named[f"level-threshold-energy{sign}"]
         # all of E(A) survives the threshold, slack is exactly E/2
         assert thr.slack == Fraction(energy(a), 2)
+
+
+def test_level_thresholds_at_equality(monkeypatch):
+    """A spread on a threshold counts as reaching it.  Real spreads never land
+    there: E2 >= |A|^3 and E3 >= |A|^4 put both thresholds at or below
+    |A| / 2 < |A| <= |A ∓ A_x|.  So the spreads are planted; for the order-8
+    subgroup of Z/32 both thresholds are exactly 4."""
+    a = gset(32, range(0, 32, 4))
+    planted = [0] * 32
+    planted[::4] = [4, 3, 5, 4, 4, 3, 6, 4]
+    monkeypatch.setattr(energy_module, "shift_spread_sizes", lambda s, sign: tuple(planted))
+    for sign in "+-":
+        levels = {c.name: c for c in check_level_thresholds(a, sign)}
+        big = oracle.level_threshold_sums(a.members, 32, sign, planted)
+        assert big == (6 * 64, 6 * 8)
+        assert levels[f"level-threshold-energy{sign}"].rhs == big[0]
+        assert levels[f"level-threshold-count{sign}"].rhs == big[1]
 
 
 def test_ap_bound_values():
