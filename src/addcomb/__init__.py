@@ -15,7 +15,6 @@ from .groups import (
     tuple_sumset_with_diagonal,
 )
 from .transform import (
-    FourierCoeffs,
     GroupFn,
     check_commutation,
     convolve,
@@ -53,7 +52,6 @@ from .spectral import (
     first_eigenfunction_bounds,
 )
 from .subgroup import (
-    Character,
     MultSubgroup,
     MuTable,
     PrimeField,

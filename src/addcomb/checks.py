@@ -53,17 +53,6 @@ class IneqCheck:
     def slack_float(self) -> float:
         return _as_float(self.slack)
 
-    def to_row(self) -> dict:
-        return {
-            "eq": self.name,
-            "lhs": _json_number(self.lhs),
-            "rhs": _json_number(self.rhs),
-            "slack": _json_number(self.slack),
-            "tol": self.tol,
-            "pass": self.passed,
-            **({"instance": self.detail} if self.detail else {}),
-        }
-
 
 def _json_number(v):
     if isinstance(v, bool):

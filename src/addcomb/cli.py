@@ -21,6 +21,7 @@ from .experiments import (
     progression_batch,
     subgroup_scan,
     write_csv,
+    write_rows,
 )
 from .verify import (
     Report,
@@ -38,17 +39,8 @@ def _emit_rows(rows, out_path: str | None, empty: str = "no rows") -> int:
         return 1
     if out_path:
         write_csv(out_path, rows)
-        return 0
-    import csv as _csv
-    from dataclasses import fields
-
-    from .experiments import _fmt
-
-    writer = _csv.writer(sys.stdout)
-    names = [f.name for f in fields(rows[0])]
-    writer.writerow(names)
-    for row in rows:
-        writer.writerow([_fmt(getattr(row, n)) for n in names])
+    else:
+        write_rows(sys.stdout, rows)
     return 0
 
 

@@ -4,7 +4,8 @@ All counts are exact integers; quotient inequalities use exact rationals,
 each sum of quotients one Fraction over the lcm of its denominators.
 Terms indexed by an empty intersection A_x = ∅ are dropped: their
 numerators vanish, so they contribute nothing to either side.  The l = 1
-spreads |A ∓ A_x| are computed once per set and sign and cached on the set.
+spreads |A ∓ A_x| are computed once per set, both signs together, and
+cached on the set.
 """
 
 from __future__ import annotations
@@ -41,15 +42,16 @@ def shift_counts(a: GroupSet) -> tuple[int, ...]:
 
 
 def shift_spread_sizes(a: GroupSet, sign: str = "-") -> tuple[int, ...]:
-    """|A ∓ A_x| for every x (0 where A_x is empty), computed once per set
-    and sign."""
+    """|A ∓ A_x| for every x (0 where A_x is empty).  The first call for a
+    set computes both signs from one build of the cells A_x."""
     check_sign(sign)
     cache = a._spread_cache
-    if sign not in cache:
+    if not cache:
         index, cells = _shift_cells(a, a, 1)
-        out = np.zeros(a.group.modulus, dtype=np.int64)
-        out[index] = _spreads(a, a, cells, 1, sign)
-        cache[sign] = tuple(out.tolist())
+        for s in "+-":
+            out = np.zeros(a.group.modulus, dtype=np.int64)
+            out[index] = _spreads(a, a, cells, 1, s)
+            cache[s] = tuple(out.tolist())
     return cache[sign]
 
 

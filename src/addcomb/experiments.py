@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import math
 import random
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -51,10 +51,6 @@ def divisors(n: int) -> list[int]:
             if d * d != n:
                 out.append(n // d)
     return sorted(out)
-
-
-def _log2(x) -> float:
-    return math.log2(x)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +153,7 @@ def subgroup_scan(
                 raise AssertionError(f"energy lower bound failed at p={p}, t={t}")
             fhat = np.fft.fft(indicator_vector(els, p).astype(float))
             fourier_max = float(np.abs(fhat[1:]).max()) if p > 1 else 0.0
-            logt = _log2(t) if t > 1 else 0.0
+            logt = math.log2(t) if t > 1 else 0.0
             rows.append(
                 SubgroupScanRow(
                     p=p,
@@ -236,7 +232,7 @@ def level_set_profile(p: int, t: int) -> list[LevelSetRow]:
     while 2 ** (i - 1) * d < maxpsi:
         members = [x for x in above if 2 ** (i - 1) * d < psi[x] <= 2 ** i * d]
         remaining -= set(members)
-        logt = _log2(t) if t > 1 else None
+        logt = math.log2(t) if t > 1 else None
         rows.append(
             LevelSetRow(
                 p=p,
@@ -339,7 +335,7 @@ def expansion_scan(p: int, t: int, trials: int = 100, seed: int = 1) -> list[Exp
     def add(kind: str, a):
         size = len(a)
         s = sumset_size_np(a, els, p)
-        logt = _log2(t) if t > 1 else 0.0
+        logt = math.log2(t) if t > 1 else 0.0
         ratio = (s * logt ** (2 / 3) / (size * t ** (5 / 9))) if logt else None
         rows.append(ExpansionRow(p=p, t=t, kind=kind, size=size, sumset=s, ratio=ratio))
 
@@ -415,7 +411,7 @@ def convex_scan(
         nz = counts.copy()
         nz[0] = 0
         andrews = float(nz.max()) / n ** (2 / 3)
-        logn = _log2(n) if n > 1 else None
+        logn = math.log2(n) if n > 1 else None
         rows.append(
             ConvexScanRow(
                 n=n,
@@ -599,12 +595,12 @@ def progression_scan(p: int, t: int) -> ProgressionRow:
             v = (x * y) % p
             prods[v] = prods.get(v, 0) + 1
     tmult2 = sum(v * v for v in prods.values())
-    logp_len = _log2(length) if length > 1 else None
+    logp_len = math.log2(length) if length > 1 else None
     dirichlet = length ** 2 * (logp_len / 2) ** 2 if logp_len else None
     delta = 1.0 - math.log(t) / math.log(p) if t > 1 else None
     vshape = None
     if delta and 0 < delta < 1:
-        exponent = math.sqrt(_log2(p) * _log2(1 / delta) / delta)
+        exponent = math.sqrt(math.log2(p) * math.log2(1 / delta) / delta)
         if exponent < 700:  # shape is vacuous once it exceeds float range
             vshape = math.exp(exponent)
     return ProgressionRow(
@@ -653,13 +649,15 @@ def _fmt(v) -> str:
 def write_csv(path, rows) -> None:
     if not rows:
         raise ValueError("nothing to write")
-    names = [f.name for f in fields(rows[0])]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for row in rows:
-            writer.writerow([_fmt(getattr(row, n)) for n in names])
+        write_rows(fh, rows)
 
 
-def rows_to_dicts(rows) -> list[dict]:
-    return [asdict(r) for r in rows]
+def write_rows(fh, rows) -> None:
+    """Write a nonempty list of row dataclasses as CSV to a text stream:
+    a header of field names, then one line per row."""
+    names = [f.name for f in fields(rows[0])]
+    writer = csv.writer(fh)
+    writer.writerow(names)
+    for row in rows:
+        writer.writerow([_fmt(getattr(row, n)) for n in names])

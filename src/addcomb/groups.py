@@ -31,9 +31,6 @@ class CyclicGroup:
         if self.modulus < 1:
             raise ValueError(f"modulus must be >= 1, got {self.modulus}")
 
-    def reduce(self, x: int) -> int:
-        return x % self.modulus
-
     def elements(self) -> range:
         return range(self.modulus)
 
@@ -73,8 +70,8 @@ class GroupSet:
 
     @cached_property
     def _spread_cache(self) -> dict[str, tuple[int, ...]]:
-        """|A ∓ A_x| for every x, by sign: filled once per set and sign by
-        ``energy.shift_spread_sizes``."""
+        """|A ∓ A_x| for every x, by sign: both signs filled at once by the
+        first ``energy.shift_spread_sizes`` call for the set."""
         return {}
 
     @cached_property

@@ -21,7 +21,7 @@ from .checks import IneqCheck
 from .config import FIELD_PRIME_CAP, MULT_ENERGY_CAP, TOL
 from .energy import correlation_counts, energy_k
 from .groups import CyclicGroup, GroupSet
-from .spectral import build_restricted_operator, jacobi_eigh
+from .spectral import build_restricted_operator, eigendecompose
 from .transform import GroupFn
 
 
@@ -152,38 +152,27 @@ class MultSubgroup:
         """l with x = g^(n l), for x in the subgroup."""
         return self.field.log(x) // self.index
 
+    @cached_property
+    def characters(self) -> tuple[GroupFn, ...]:
+        """chi_alpha, alpha < t, on F_p: t^(-1/2) e(alpha l / t) at x = g^(n l)
+        in the subgroup, 0 elsewhere; built once per subgroup."""
+        p, t = self.field.p, self.order
+        scale = 1.0 / math.sqrt(t)
+        out = []
+        for alpha in range(t):
+            vals = [0j] * p
+            for x in self.elements:
+                l = self.char_index(x)
+                vals[x] = scale * cmath.exp(2j * math.pi * alpha * l / t)
+            out.append(GroupFn(self.field.group, tuple(vals)))
+        return tuple(out)
+
     def __len__(self) -> int:
         return self.order
 
 
 def subgroup(field: PrimeField, t: int) -> MultSubgroup:
     return MultSubgroup(field, t)
-
-
-@dataclass(frozen=True)
-class Character:
-    """chi_alpha: t^(-1/2) e(alpha l / t) on the subgroup, 0 elsewhere."""
-
-    gamma: MultSubgroup
-    alpha: int
-
-    @cached_property
-    def values(self) -> GroupFn:
-        p = self.gamma.field.p
-        t = self.gamma.order
-        vals = [0j] * p
-        scale = 1.0 / math.sqrt(t)
-        for x in self.gamma.elements:
-            l = self.gamma.char_index(x)
-            vals[x] = scale * cmath.exp(2j * math.pi * self.alpha * l / t)
-        return GroupFn(self.gamma.field.group, tuple(vals))
-
-    def __call__(self, x: int) -> complex:
-        return self.values.values[x % self.gamma.field.p]
-
-
-def characters(gamma: MultSubgroup) -> list[Character]:
-    return [Character(gamma, a) for a in range(gamma.order)]
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +324,8 @@ def mu_alpha_direct(gamma: MultSubgroup, g: GroupFn) -> MuTable:
     p, t = gamma.field.p, gamma.order
     supp = [(x, g.values[x]) for x in range(p) if g.values[x]]
     out = []
-    for alpha in range(t):
-        chi = Character(gamma, alpha).values.values
-        mu = math.sqrt(t) * sum(v * chi[(1 - x) % p] for x, v in supp)
+    for chi in gamma.characters:
+        mu = math.sqrt(t) * sum(v * chi.values[(1 - x) % p] for x, v in supp)
         out.append(mu)
     return MuTable(gamma, g, tuple(out))
 
@@ -352,7 +340,7 @@ def check_eigenbasis(
     coset are xi times differences inside the subgroup, so the matching
     eigenvalues come from the dilated kernel z -> g(xi z).
     """
-    p, t = gamma.field.p, gamma.order
+    p = gamma.field.p
     if coset is None:
         base = list(gamma.elements)
         translate = lambda x: x
@@ -367,12 +355,11 @@ def check_eigenbasis(
         )
         mus = mu_alpha_direct(gamma, dilated).values
     worst = 0.0
-    for alpha in range(t):
-        chi = Character(gamma, alpha).values.values
-        vec = [chi[translate(x)] for x in base]
+    for mu, chi in zip(mus, gamma.characters):
+        vec = [chi.values[translate(x)] for x in base]
         for i, x in enumerate(base):
             acc = sum(g.values[(x - y) % p] * vec[j] for j, y in enumerate(base))
-            worst = max(worst, abs(acc - mus[alpha] * vec[i]))
+            worst = max(worst, abs(acc - mu * vec[i]))
     return IneqCheck.from_identity(
         "subgroup-eigenbasis" + ("" if coset is None else "-coset"),
         worst,
@@ -381,11 +368,9 @@ def check_eigenbasis(
 
 
 def jacobi_spectrum(gamma: MultSubgroup, g: GroupFn) -> tuple[float, ...]:
-    op = build_restricted_operator(gamma.as_set, g)
-    if not op.symmetric:
-        raise ValueError("kernel must be real and even for Jacobi comparison")
-    eigs, _, _ = jacobi_eigh(op.matrix)
-    return tuple(float(v) for v in eigs)
+    """The restricted operator's Jacobi eigenvalues, descending; the kernel
+    must be real and even."""
+    return eigendecompose(build_restricted_operator(gamma.as_set, g)).eigenvalues
 
 
 def check_mu_vs_jacobi(gamma: MultSubgroup, g: GroupFn) -> IneqCheck:
@@ -579,10 +564,11 @@ def _check_exact_fourier_c3(
 
 
 def mult_energy_k(gamma: MultSubgroup, f: GroupFn, k: int):
-    """T^x_k(f): direct enumeration of x_1...x_k = x'_1...x'_k in F_p*.
+    """T^x_k(f) = sum f(x_1)...f(x_k) conj(f(x'_1)...f(x'_k)) over
+    x_1...x_k = x'_1...x'_k in F_p*, by direct enumeration.
 
-    Exact integer count for integer f; complex values are accumulated
-    exactly over products and conjugates.
+    One loop for every kind of value: conjugation is the identity on ints,
+    so integer f gives an exact integer count.
     """
     if k not in (2, 3):
         raise ValueError("k must be 2 or 3")
@@ -595,25 +581,9 @@ def mult_energy_k(gamma: MultSubgroup, f: GroupFn, k: int):
     fv = f.values
     inv = gamma.field.inverse_table
     total = 0
-    if f.kind == "int":
-        for xs in itertools.product(supp, repeat=k):
-            px = 1
-            val = 1
-            for x in xs:
-                px = (px * x) % p
-                val *= fv[x]
-            for ys in itertools.product(supp, repeat=k - 1):
-                py = 1
-                w = val
-                for y in ys:
-                    py = (py * y) % p
-                    w *= fv[y]
-                total += w * fv[(px * inv[py]) % p]
-        return total
-    acc = 0j
     for xs in itertools.product(supp, repeat=k):
         px = 1
-        val = 1 + 0j
+        val = 1
         for x in xs:
             px = (px * x) % p
             val *= fv[x]
@@ -622,9 +592,9 @@ def mult_energy_k(gamma: MultSubgroup, f: GroupFn, k: int):
             w = val
             for y in ys:
                 py = (py * y) % p
-                w *= complex(fv[y]).conjugate()
-            acc += w * complex(fv[(px * inv[py]) % p]).conjugate()
-    return acc
+                w *= fv[y].conjugate()
+            total += w * fv[(px * inv[py]) % p].conjugate()
+    return total
 
 
 def mult_energy_k_dlog(gamma: MultSubgroup, f: GroupFn, k: int) -> int:
@@ -650,13 +620,12 @@ def mult_energy_k_dlog(gamma: MultSubgroup, f: GroupFn, k: int) -> int:
 def check_tk_characters(gamma: MultSubgroup, f: GroupFn, k: int) -> list[IneqCheck]:
     """T^x_k(f) = t^(k-1) sum_alpha |<f, chi_alpha>|^(2k); for indicator f
     also T^x_k(A) >= |A|^(2k) / t."""
-    p, t = gamma.field.p, gamma.order
+    t = gamma.order
     direct = mult_energy_k(gamma, f, k)
     fv = f.values
     rhs = 0.0
-    for alpha in range(t):
-        chi = Character(gamma, alpha).values.values
-        c = sum(fv[x] * chi[x].conjugate() for x in gamma.elements)
+    for chi in gamma.characters:
+        c = sum(fv[x] * chi.values[x].conjugate() for x in gamma.elements)
         rhs += abs(c) ** (2 * k)
     rhs *= t ** (k - 1)
     scale = max(1.0, abs(direct), abs(rhs))
@@ -674,7 +643,7 @@ def check_tk_characters(gamma: MultSubgroup, f: GroupFn, k: int) -> list[IneqChe
         out.append(
             IneqCheck.from_ge(
                 f"product-energy-lower-bound-k{k}",
-                Fraction(int(direct.real) if isinstance(direct, complex) else direct),
+                Fraction(direct),
                 Fraction(size ** (2 * k), t),
             )
         )

@@ -38,10 +38,6 @@ class GroupFn:
             raise ValueError("value vector length must equal the modulus")
 
     @classmethod
-    def of(cls, group: CyclicGroup, values: Sequence) -> "GroupFn":
-        return cls(group, tuple(values))
-
-    @classmethod
     def delta(cls, group: CyclicGroup, at: int = 0, height=1) -> "GroupFn":
         vals = [0] * group.modulus
         vals[at % group.modulus] = height
@@ -71,31 +67,11 @@ class GroupFn:
             return self
         return GroupFn(self.group, tuple(complex(v).conjugate() for v in self.values))
 
-    def reflect(self) -> "GroupFn":
-        """f^c(x) = f(-x)."""
-        n = self.group.modulus
-        return GroupFn(self.group, tuple(self.values[(-x) % n] for x in range(n)))
-
-    def pointwise(self, other: "GroupFn") -> "GroupFn":
-        _same_group(self, other)
-        return GroupFn(
-            self.group, tuple(a * b for a, b in zip(self.values, other.values))
-        )
-
     def power(self, k: int) -> "GroupFn":
         return GroupFn(self.group, tuple(v ** k for v in self.values))
 
     def l2_norm_sq(self):
         return sum(abs(v) ** 2 for v in self.values)
-
-
-@dataclass(frozen=True)
-class FourierCoeffs:
-    group: CyclicGroup
-    values: tuple
-
-    def __len__(self) -> int:
-        return self.group.modulus
 
 
 def _same_group(*fns) -> CyclicGroup:
@@ -106,30 +82,30 @@ def _same_group(*fns) -> CyclicGroup:
     return g
 
 
-def dft(f: GroupFn) -> FourierCoeffs:
-    n = f.group.modulus
-    w = -2.0 * math.pi / n
+def dft(f: GroupFn) -> GroupFn:
+    """F(f)(xi) = sum_x f(x) e(-xi x / N)."""
+    return GroupFn(f.group, tuple(_fourier_sum(f.values, -2.0 * math.pi / len(f))))
+
+
+def idft(coeffs: GroupFn) -> GroupFn:
+    """f(x) = N^-1 sum_xi F(f)(xi) e(xi x / N)."""
+    n = len(coeffs)
+    return GroupFn(
+        coeffs.group, tuple(v / n for v in _fourier_sum(coeffs.values, 2.0 * math.pi / n))
+    )
+
+
+def _fourier_sum(values: Sequence, w: float) -> list[complex]:
+    """sum_x values[x] exp(i w (y x mod N)) for every y, by direct summation."""
+    n = len(values)
     out = []
-    for xi in range(n):
+    for y in range(n):
         acc = 0j
-        for x, v in enumerate(f.values):
+        for x, v in enumerate(values):
             if v:
-                acc += v * cmath.exp(1j * w * ((xi * x) % n))
+                acc += v * cmath.exp(1j * w * ((y * x) % n))
         out.append(acc)
-    return FourierCoeffs(f.group, tuple(out))
-
-
-def idft(coeffs: FourierCoeffs) -> GroupFn:
-    n = coeffs.group.modulus
-    w = 2.0 * math.pi / n
-    out = []
-    for x in range(n):
-        acc = 0j
-        for xi, v in enumerate(coeffs.values):
-            if v:
-                acc += v * cmath.exp(1j * w * ((xi * x) % n))
-        out.append(acc / n)
-    return GroupFn(coeffs.group, tuple(out))
+    return out
 
 
 def convolve(f: GroupFn, g: GroupFn) -> GroupFn:

@@ -99,15 +99,18 @@ def cycle_enumeration(a, psi, n, k):
     return total
 
 
-def mult_tuple_energy(a, p, k):
-    """|{x_1...x_k = y_1...y_k mod p}| for a set of units."""
+def mult_tuple_energy(a, p, k, weights=None):
+    """sum w(x_1)...w(x_k) conj(w(y_1)...w(y_k)) over x_1...x_k = y_1...y_k
+    mod p, for a set of units a and a map w (default 1, which counts the
+    tuples): the squared modulus of each product class's weight, summed."""
     prods = {}
     for xs in itertools.product(a, repeat=k):
-        v = 1
+        v, w = 1, 1
         for x in xs:
             v = (v * x) % p
-        prods[v] = prods.get(v, 0) + 1
-    return sum(v * v for v in prods.values())
+            w *= 1 if weights is None else weights[x]
+        prods[v] = prods.get(v, 0) + w
+    return sum(s * s.conjugate() for s in prods.values())
 
 
 def longest_ap_naive(members, p):

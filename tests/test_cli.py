@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -140,3 +141,45 @@ def test_bad_input_exits_2(argv, capsys, monkeypatch):
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("addcomb: error: ")
+
+
+# Each scan at a small size, and the sha256 of the CSV it writes.  The
+# --csv file and stdout must carry these same bytes.
+SCAN_CSV = {
+    "subgroup-scan": (
+        ["--pmax", "13"],
+        "58356936224d356eab5a5057d9cfda92425a80db0cd81f8c96cf0cd5787523f3"),
+    "level-profile": (
+        ["--p", "7", "--t", "3"],
+        "5c2288c52b3be710bb2158d9c1c945dc7b540da12b74d0c2dfc6e36fdecca874"),
+    "coverage-6gamma": (
+        ["--pmax", "13"],
+        "27b093de44a4d5b75fc128210e1c55707d27fc3d1fa99987f6f6939a03e82d79"),
+    "expansion-scan": (
+        ["--p", "13", "--t", "4", "--trials", "3"],
+        "97a077ae29e1be67cd930d14420d36d1114a4cac6ab18851713b799950877041"),
+    "convex-scan": (
+        ["--nmax", "32"],
+        "992e1d2bc18a70aee3d004668558d150789928f9f14ad84501446010d086c87a"),
+    "doubling-stats": (
+        [],  # --file is added by the test
+        "4cbeef45b7d0ca3f6bae284cab47ea3da67af8a05bb2f501a4c46d6cde523f1b"),
+    "ap-scan": (
+        ["--pmax", "13"],
+        "af1805b8dcb66437bd87fa8892088d6d9371d0f2f6ebce502a74ebbde19e8f12"),
+}
+
+
+def test_scan_csv_bytes_pinned(tmp_path, capsys):
+    sets = tmp_path / "sets.txt"
+    sets.write_text("1 2 4 8\n# comment\n3,5,9\n")
+    for name, (args, want) in SCAN_CSV.items():
+        argv = [name, *args] + (["--file", str(sets)] if name == "doubling-stats" else [])
+        path = tmp_path / f"{name}.csv"
+        assert main(argv + ["--csv", str(path)]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        raw = path.read_bytes()
+        assert raw.count(b"\n") >= 3, f"{name}: fewer than two rows"
+        assert capsys.readouterr().out.encode() == raw, f"{name}: stdout differs from --csv"
+        assert hashlib.sha256(raw).hexdigest() == want, name

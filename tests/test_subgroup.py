@@ -6,8 +6,6 @@ import pytest
 
 from addcomb.groups import CyclicGroup, GroupSet
 from addcomb.subgroup import (
-    Character,
-    characters,
     check_eigenbasis,
     check_exact_fourier,
     check_mu_convolution,
@@ -100,11 +98,11 @@ def test_character_orthonormality_and_multiplicativity():
     for p, t in ((7, 3), (13, 4), (31, 6)):
         fld = make_field(p)
         g = subgroup(fld, t)
-        chis = characters(g)
+        chis = g.characters
         for a in range(t):
             for b in range(t):
                 ip = sum(
-                    chis[a].values.values[x] * chis[b].values.values[x].conjugate()
+                    chis[a].values[x] * chis[b].values[x].conjugate()
                     for x in g.elements
                 )
                 assert abs(ip - (1 if a == b else 0)) < 1e-10
@@ -307,6 +305,22 @@ def test_mult_energy_complex_weights():
             assert c.passed
 
 
+def test_mult_energy_complex_matches_oracle():
+    # the one enumeration of mult_energy_k against the product-class oracle,
+    # with the second k-tuple conjugated
+    rng = random.Random(9)
+    fld = make_field(13)
+    g = subgroup(fld, 4)
+    w = {x: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for x in g.elements}
+    f = GroupFn(fld.group, tuple(w.get(x, 0j) for x in range(13)))
+    for k in (2, 3):
+        direct = mult_energy_k(g, f, k)
+        want = mult_tuple_energy(g.elements, 13, k, w)
+        assert isinstance(direct, complex)
+        assert abs(direct - want) <= 1e-12 * max(1.0, abs(want))
+        assert abs(direct.imag) <= 1e-12 * max(1.0, abs(want))
+
+
 def test_mult_energy_enumeration_cap():
     fld = make_field(101)
     g = subgroup(fld, 100)
@@ -388,7 +402,7 @@ def test_energy_max_attained_at_trivial_character():
         gg = subgroup_autocorrelation(g).values
         vals = []
         for alpha in range(t):
-            chi = Character(g, alpha).values.values
+            chi = g.characters[alpha].values
             corr = [
                 sum(chi[y] * chi[(y + x) % p].conjugate() for y in g.elements)
                 for x in range(p)
