@@ -3,9 +3,9 @@
 All counts are exact integers; quotient inequalities use exact rationals,
 each sum of quotients one Fraction over the lcm of its denominators.
 Terms indexed by an empty intersection A_x = ∅ are dropped: their
-numerators vanish, so they contribute nothing to either side.  The l = 1
-spreads |A ∓ A_x| are computed once per set, both signs together, and
-cached on the set.
+numerators vanish, so they contribute nothing to either side.  A set's
+shift profile for each k (its nonempty cells A_x, x in Gr^k, their sizes
+and both l = 1 spreads |A ∓ A_x|) is built once and cached on the set.
 """
 
 from __future__ import annotations
@@ -36,23 +36,13 @@ def correlation_counts(a: GroupSet, b: GroupSet) -> tuple[int, ...]:
     return tuple(difference_counts(a.members, b.members, a.group.modulus).tolist())
 
 
-def shift_counts(a: GroupSet) -> tuple[int, ...]:
-    """|A_x| for every x (equals the autocorrelation of A)."""
-    return a.autocorrelation
-
-
 def shift_spread_sizes(a: GroupSet, sign: str = "-") -> tuple[int, ...]:
-    """|A ∓ A_x| for every x (0 where A_x is empty).  The first call for a
-    set computes both signs from one build of the cells A_x."""
+    """|A ∓ A_x| for every x (0 where A_x is empty), from A's shift profile."""
     check_sign(sign)
-    cache = a._spread_cache
-    if not cache:
-        index, cells = _shift_cells(a, a, 1)
-        for s in "+-":
-            out = np.zeros(a.group.modulus, dtype=np.int64)
-            out[index] = _spreads(a, a, cells, 1, s)
-            cache[s] = tuple(out.tolist())
-    return cache[sign]
+    index, _, spreads = _weight_cells(a, a, 1, 1, sign)
+    out = np.zeros(a.group.modulus, dtype=np.int64)
+    out[index] = spreads
+    return tuple(out.tolist())
 
 
 def energy(a: GroupSet, b: GroupSet | None = None) -> int:
@@ -111,7 +101,7 @@ def check_katz_koester(a: GroupSet, sign: str = "+") -> list[IneqCheck]:
     spread = shift_spread_sizes(a, sign)
     return [
         IneqCheck.from_ge(f"katz-koester{sign}", lhs[x], spread[x], 0.0, {"x": x})
-        for x, c in enumerate(shift_counts(a))
+        for x, c in enumerate(a.autocorrelation)
         if c
     ]
 
@@ -121,9 +111,8 @@ def check_heart(a: GroupSet, sign: str = "-") -> IneqCheck:
     check_sign(sign)
     if not a.members:
         raise ValueError("A must be nonempty")
-    ax = shift_counts(a)
     spread = shift_spread_sizes(a, sign)
-    pairs = [(cx, dx) for cx, dx in zip(ax, spread) if cx]
+    pairs = [(cx, dx) for cx, dx in zip(a.autocorrelation, spread) if cx]
     lhs = _quotient_sum([cx * cx for cx, _ in pairs], [dx for _, dx in pairs])
     rhs = Fraction(sum(cx ** 3 for cx, _ in pairs), len(a) ** 2)
     return IneqCheck.from_le(f"shift-quotient-bound{sign}", lhs, rhs)
@@ -140,7 +129,7 @@ def check_heart_triple(a: GroupSet) -> IneqCheck:
     """sum_{x,y,z in A} |A_{x-y}||A_{x-z}||A_{y-z}| >= E(A)^3 / |A|^3."""
     if not a.members:
         raise ValueError("A must be nonempty")
-    ax = shift_counts(a)
+    ax = a.autocorrelation
     lhs = triple_product_sum(a, ax)
     e = sum(v * v for v in ax)
     rhs = Fraction(e ** 3, len(a) ** 3)
@@ -215,28 +204,23 @@ def _spreads(a: GroupSet, b: GroupSet, cells: np.ndarray, l: int, sign: str) -> 
     return _hits(cells, member).sum(1).tolist()
 
 
-def _weight_cells(a: GroupSet, b: GroupSet, k: int, l: int, sign: str, used=None):
+def _weight_cells(a: GroupSet, b: GroupSet, k: int, l: int, sign: str):
     """Lists of i, |A^B_x| and |A^l ∓ Δ_l(A^B_x)| for the i-th x of Gr^k
-    in row-major order, over each x with A^B_x nonempty and, when the
-    row-major array ``used`` is given, ``used[i]`` nonzero.
+    in row-major order, over each x with A^B_x nonempty.
 
     Empty cells are skipped: every sum over x in the weight bounds has a
-    factor |A^B_x| or |A^l ∓ Δ_l(A^B_x)| that vanishes there.  ``used`` lets a
-    check skip the cells it would multiply by zero before their spread is
-    computed.  For B = A and k = l = 1 the cells are the x with A_x
-    nonempty, and every size and spread comes from the set's cache.
+    factor |A^B_x| or |A^l ∓ Δ_l(A^B_x)| that vanishes there.  For B = A
+    and l = 1 the lists are A's shift profile over Gr^k: both signs from
+    one build of the cells, cached on A by k.
     """
-    if k == l == 1 and b == a:
-        aa = np.asarray(a.autocorrelation)
-        index = np.flatnonzero(aa)
-        if used is not None:
-            index = index[used[index] != 0]
-        spread = np.asarray(shift_spread_sizes(a, sign))
-        return index.tolist(), aa[index].tolist(), spread[index].tolist()
+    if l == 1 and b == a:
+        profiles = a._shift_profiles
+        if k not in profiles:
+            index, cells = _shift_cells(a, a, k)
+            index, counts = index.tolist(), cells.sum(1).tolist()
+            profiles[k] = {s: (index, counts, _spreads(a, a, cells, 1, s)) for s in "+-"}
+        return profiles[k][sign]
     index, cells = _shift_cells(a, b, k)
-    if used is not None:
-        keep = used[index] != 0
-        index, cells = index[keep], cells[keep]
     return index.tolist(), cells.sum(1).tolist(), _spreads(a, b, cells, l, sign)
 
 
@@ -259,10 +243,8 @@ def check_weight_inequality(
     if k not in (1, 2) or l not in (1, 2):
         raise ValueError("k, l must be 1 or 2")
     qt = _weight_table(q, a.group, k)
-    qv = qt.table.ravel()
-    # cells with q(x) = 0 add q·0 and 0·|q|^2: skip them before their spread
-    index, counts, spreads = _weight_cells(a, b, k, l, sign, used=qv)
-    qx = qv[index].tolist()
+    index, counts, spreads = _weight_cells(a, b, k, l, sign)
+    qx = qt.table.ravel()[index].tolist()
     lin = sum(v * c for v, c in zip(qx, counts))
     quad = sum(d * abs(v) ** 2 for v, d in zip(qx, spreads))
     lhs = len(a) ** (2 * l) * abs(lin) ** 2
@@ -326,7 +308,7 @@ def check_level_thresholds(a: GroupSet, sign: str = "-") -> list[IneqCheck]:
     check_sign(sign)
     if not a.members:
         raise ValueError("A must be nonempty")
-    ax = shift_counts(a)
+    ax = a.autocorrelation
     spread = shift_spread_sizes(a, sign)
     e2 = sum(v * v for v in ax)
     e3 = sum(v ** 3 for v in ax)
@@ -349,18 +331,15 @@ def check_level_thresholds(a: GroupSet, sign: str = "-") -> list[IneqCheck]:
     )
 
     for alpha, p in ((2, 2), (3, 2), (2, 3)):
-        out.append(_ap_bound(a, ax, spread, alpha, p, sign))
+        out.append(check_ap_bound(a, alpha, p, sign))
     return out
 
 
 def check_ap_bound(a: GroupSet, alpha: float, p: float, sign: str = "-") -> IneqCheck:
     """Hölder-interpolated shift-moment bound for real alpha and p > 1."""
     check_sign(sign)
-    return _ap_bound(a, shift_counts(a), shift_spread_sizes(a, sign), alpha, p, sign)
-
-
-def _ap_bound(a: GroupSet, ax, spread, alpha: float, p: float, sign: str) -> IneqCheck:
-    """check_ap_bound given |A_x| and |A ∓ A_x| for every x."""
+    ax = a.autocorrelation
+    spread = shift_spread_sizes(a, sign)
     e3 = sum(v ** 3 for v in ax)
     lhs = sum(float(c) ** alpha for c in ax if c)
     inner = sum(
@@ -386,10 +365,15 @@ def check_membership_identity(
         #{s in Gr^l : A^B_(s,x) nonempty} = |A^l - Δ_l(A^B_x)|
     (2) sum_{s in Gr^l} E(A^k, Δ(A^B_s)) = E_(k+l+1)(B,A).
     """
-    if a.group.modulus ** (k + l) > TUPLE_CELL_CAP:
-        raise ValueError("k + l too large for direct enumeration")
-    _, cells_l = _shift_cells(a, b, l)
-    _, cells_k = _shift_cells(a, b, k)
+    n = a.group.modulus
+    if min(k, l) < 1 or n ** (k + l) > TUPLE_CELL_CAP:
+        raise ValueError("k, l out of range for direct enumeration")
+    # one build of the higher level: the level-j cell at (x_1, ..., x_j) is
+    # the level-m cell at (x_1, ..., x_j, x_j, ..., x_j)
+    m = max(k, l)
+    index, cells = _shift_cells(a, b, m)
+    x = np.unravel_index(index, (n,) * m)
+    cells_k, cells_l = (cells[np.ptp(x[j - 1:], axis=0) == 0] for j in (k, l))
     # empty cells have count 0 and size 0: only the nonempty ones can differ
     counts = _hits(cells_k, cells_l.T).sum(1)
     sizes = np.asarray(_spreads(a, b, cells_k, l, "-"), dtype=np.int64)

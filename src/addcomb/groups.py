@@ -69,9 +69,9 @@ class GroupSet:
         return tuple(counts.tolist())
 
     @cached_property
-    def _spread_cache(self) -> dict[str, tuple[int, ...]]:
-        """|A ∓ A_x| for every x, by sign: both signs filled at once by the
-        first ``energy.shift_spread_sizes`` call for the set."""
+    def _shift_profiles(self) -> dict:
+        """The set's shift profile by k and sign: ``energy._weight_cells``
+        fills both signs of a k at once."""
         return {}
 
     @cached_property

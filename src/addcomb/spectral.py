@@ -22,7 +22,7 @@ import numpy as np
 from .checks import IneqCheck
 from .config import TOL
 from .groups import GroupSet, indicator, restricted_matrix, triple_product_sum
-from .transform import GroupFn, correlate
+from .transform import GroupFn
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,11 @@ class Spectrum:
 
 
 def correlation_kernel(h: GroupFn) -> GroupFn:
-    """psi = h ∘ h for real h: symmetric with nonnegative Fourier transform."""
+    """psi = h ∘ h for real h: symmetric with nonnegative Fourier transform.
+    Cached on h, so every check on one h shares one psi."""
     if any(isinstance(v, complex) for v in h.values):
         raise ValueError("kernel factor must be real-valued")
-    return correlate(h, h)
+    return h.autocorrelation
 
 
 def build_restricted_operator(a: GroupSet, psi: GroupFn) -> SpectralOperator:
@@ -210,54 +211,46 @@ def check_triangle_inequality(a: GroupSet, h: GroupFn) -> IneqCheck:
 
 
 def cycle_sums(a: GroupSet, psi: GroupFn, ks) -> dict:
-    """Closed k-cycle kernel sums over A^k via matrix power traces.
+    """Closed k-cycle kernel sums over A^k via matrix power traces: one
+    restricted matrix and one chain of powers up to max(ks).
 
     Integer kernels stay exact: int64 when the power bound fits, arbitrary
     precision objects otherwise.
     """
     ks = sorted(set(ks))
-    m = restricted_matrix(a, psi.values, max(ks))
+    if not ks or ks[0] < 1:
+        raise ValueError("cycle lengths must be >= 1")
+    m = restricted_matrix(a, psi.values, ks[-1])
     scalar = int if psi.kind == "int" else float
     out = {}
     power = m
-    for k in range(2, max(ks) + 1):
-        power = power @ m
+    for k in range(1, ks[-1] + 1):
+        if k > 1:
+            power = power @ m
         if k in ks:
             out[k] = scalar(power.trace())
-    if 1 in ks:
-        out[1] = scalar(m.trace())
     return out
 
 
-def cycle_sum(a: GroupSet, psi: GroupFn, k: int):
-    return cycle_sums(a, psi, [k])[k]
-
-
 def check_cycle_sums(
-    a: GroupSet, h: GroupFn, k: int, spectrum: Spectrum | None = None
+    a: GroupSet, h: GroupFn, spectrum: Spectrum | None = None
 ) -> list[IneqCheck]:
-    """Closed-cycle sums: equal to sum_j mu_j^k and at least Rayleigh^k."""
-    if k not in (3, 4, 5):
-        raise ValueError("cycle length k must be in 3..5")
+    """Closed-cycle sums for k = 3, 4, 5 from one ``cycle_sums`` chain: each
+    at least Rayleigh^k and, given the spectrum, equal to sum_j mu_j^k."""
     psi = correlation_kernel(h)
-    lhs = cycle_sum(a, psi, k)
     ray = rayleigh_indicator(a, psi)
-    out = [
-        IneqCheck.from_ge(
-            f"kernel-cycle-bound-k{k}",
-            lhs,
-            ray ** k,
-            TOL.cycle_rel * max(1.0, abs(ray) ** k),
-        )
-    ]
-    if spectrum is not None:
-        ps = spectrum.power_sum(k)
-        scale = max(1.0, abs(ps), abs(lhs))
-        out.append(
-            IneqCheck.from_identity(
-                f"kernel-cycle-eigen-k{k}", abs(lhs - ps) / scale, TOL.cycle_rel
+    out = []
+    for k, lhs in cycle_sums(a, psi, (3, 4, 5)).items():
+        tol = TOL.cycle_rel * max(1.0, abs(ray) ** k)
+        out.append(IneqCheck.from_ge(f"kernel-cycle-bound-k{k}", lhs, ray ** k, tol))
+        if spectrum is not None:
+            ps = spectrum.power_sum(k)
+            scale = max(1.0, abs(ps), abs(lhs))
+            out.append(
+                IneqCheck.from_identity(
+                    f"kernel-cycle-eigen-k{k}", abs(lhs - ps) / scale, TOL.cycle_rel
+                )
             )
-        )
     return out
 
 

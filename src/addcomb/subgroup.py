@@ -153,6 +153,18 @@ class MultSubgroup:
         return self.field.log(x) // self.index
 
     @cached_property
+    def autocorrelation(self) -> GroupFn:
+        """(Gamma ∘ Gamma) as an integer function on Z/p, from the orbit
+        kernel once per subgroup."""
+        counts = subgroup_stats(self).autocorrelation()
+        return GroupFn(self.field.group, tuple(counts.tolist()))
+
+    @cached_property
+    def _mu_tables(self) -> dict:
+        """``mu_alpha_direct``'s tables by kernel, each filled on first use."""
+        return {}
+
+    @cached_property
     def characters(self) -> tuple[GroupFn, ...]:
         """chi_alpha, alpha < t, on F_p: t^(-1/2) e(alpha l / t) at x = g^(n l)
         in the subgroup, 0 elsewhere; built once per subgroup."""
@@ -299,7 +311,7 @@ def subgroup_stats(gamma: MultSubgroup) -> SubgroupStats:
 
 def subgroup_autocorrelation(gamma: MultSubgroup) -> GroupFn:
     """(Gamma ∘ Gamma) as an integer function on Z/p (always invariant)."""
-    return GroupFn(gamma.field.group, tuple(subgroup_stats(gamma).autocorrelation().tolist()))
+    return gamma.autocorrelation
 
 
 # ---------------------------------------------------------------------------
@@ -309,16 +321,23 @@ def subgroup_autocorrelation(gamma: MultSubgroup) -> GroupFn:
 
 @dataclass(frozen=True)
 class MuTable:
-    gamma: MultSubgroup
+    """mu_alpha of one kernel on one subgroup.  It holds no reference to the
+    subgroup, which caches it: a cycle would keep the subgroup's character
+    table alive until the cyclic garbage collector runs."""
+
     kernel: GroupFn
     values: tuple  # mu_alpha for alpha in [t]
 
     def __len__(self) -> int:
-        return self.gamma.order
+        return len(self.values)
 
 
 def mu_alpha_direct(gamma: MultSubgroup, g: GroupFn) -> MuTable:
-    """mu_alpha(g) = sqrt(t) sum_x g(x) chi_alpha(1 - x) for invariant g."""
+    """mu_alpha(g) = sqrt(t) sum_x g(x) chi_alpha(1 - x) for invariant g,
+    computed once per subgroup and kernel values."""
+    table = gamma._mu_tables.get(g)
+    if table is not None:
+        return table
     if not gamma_invariant_fn(gamma, g, tol=0.0 if g.kind == "int" else 1e-12):
         raise ValueError("kernel must be invariant under the subgroup")
     p, t = gamma.field.p, gamma.order
@@ -327,7 +346,8 @@ def mu_alpha_direct(gamma: MultSubgroup, g: GroupFn) -> MuTable:
     for chi in gamma.characters:
         mu = math.sqrt(t) * sum(v * chi.values[(1 - x) % p] for x, v in supp)
         out.append(mu)
-    return MuTable(gamma, g, tuple(out))
+    table = gamma._mu_tables[g] = MuTable(g, tuple(out))
+    return table
 
 
 def check_eigenbasis(
@@ -367,16 +387,10 @@ def check_eigenbasis(
     )
 
 
-def jacobi_spectrum(gamma: MultSubgroup, g: GroupFn) -> tuple[float, ...]:
-    """The restricted operator's Jacobi eigenvalues, descending; the kernel
-    must be real and even."""
-    return eigendecompose(build_restricted_operator(gamma.as_set, g)).eigenvalues
-
-
 def check_mu_vs_jacobi(gamma: MultSubgroup, g: GroupFn) -> IneqCheck:
     """{mu_alpha} equals the Jacobi spectrum as a multiset."""
     mus = sorted((m.real for m in mu_alpha_direct(gamma, g).values), reverse=True)
-    eigs = jacobi_spectrum(gamma, g)
+    eigs = eigendecompose(build_restricted_operator(gamma.as_set, g)).eigenvalues
     scale = max(1.0, max((abs(v) for v in eigs), default=0.0))
     worst = max(
         (abs(m - e) for m, e in zip(mus, eigs)), default=0.0
@@ -527,7 +541,7 @@ def _check_exact_fourier_c3(
                     acc += w * uv[(z + x) % p] * complex(uv[(z + y) % p]).conjugate()
             table[(x, y)] = acc
     lhs = sum(table.values()).real
-    gg = subgroup_autocorrelation(gamma).values
+    gg = gamma.autocorrelation.values
     out = []
     for idx, h in enumerate(h_family):
         # (h ∘ conj(h))(x) = sum_y h(y) conj(h(y+x))

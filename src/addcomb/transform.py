@@ -56,6 +56,12 @@ class GroupFn:
         """The values as a read-only int64, object or complex128 array."""
         return GridFn.of(self.group, self.values).table
 
+    @cached_property
+    def autocorrelation(self) -> "GroupFn":
+        """(f ∘ f)(x) = sum_y f(y) f(y + x), without conjugation; built once
+        per function."""
+        return correlate(self, self)
+
     def __call__(self, x: int):
         return self.values[x % self.group.modulus]
 

@@ -287,11 +287,9 @@ def run_identity_suite(seed: int = 1, trials: int = 200) -> CheckSuite:
             # transform of * and ∘
             ch = dft(conv).values
             err1 = max(abs(c - a * b) for c, a, b in zip(ch, fh, gh))
+            # F(f ∘ g) = conj(F(f̄)) F(g), and f̄ = f for integer f
             oh = dft(correlate(fi, gi)).values
-            fbar_h = dft(fi.conjugate()).values
-            err2 = max(
-                abs(o - a.conjugate() * b) for o, a, b in zip(oh, fbar_h, gh)
-            )
+            err2 = max(abs(o - a.conjugate() * b) for o, a, b in zip(oh, fh, gh))
             scale = max(1.0, max(abs(v) for v in ch), max(abs(v) for v in oh))
             suite.record(
                 IneqCheck.from_identity(
@@ -474,9 +472,8 @@ def _inequality_instance(
     spectrum = None
     if spectral:
         spectrum = eigendecompose(build_restricted_operator(a, correlation_kernel(h)))
-    for k in (3, 4, 5):
-        for c in check_cycle_sums(a, h, k, spectrum):
-            suite.record(c, {**inst, "h": list(h.values)})
+    for c in check_cycle_sums(a, h, spectrum):
+        suite.record(c, {**inst, "h": list(h.values)})
     report = first_eigenfunction_bounds(a, h)
     for c in report.checks:
         suite.record(c, {**inst, "h": list(h.values)})

@@ -18,7 +18,6 @@ from addcomb.energy import (
     energy,
     energy_k,
     energy_k_shift_sum,
-    shift_counts,
     shift_spread_sizes,
     sigma_k,
     t_k,
@@ -146,7 +145,7 @@ def test_heart_triple_matches_definition():
     for _ in range(10):
         a = rand_set(rng, 9)
         n = 9
-        ax = shift_counts(a)
+        ax = a.autocorrelation
         lhs = sum(
             ax[(x - y) % n] * ax[(x - z) % n] * ax[(y - z) % n]
             for x in a for y in a for z in a
@@ -255,7 +254,7 @@ def test_ap_bound_values():
 def test_ap_bound_22_is_cauchy_schwarz_form():
     rng = random.Random(10)
     a = rand_set(rng, 16)
-    ax = shift_counts(a)
+    ax = a.autocorrelation
     spread = shift_spread_sizes(a, "-")
     lhs = sum(c * c for c in ax)
     e3 = sum(c ** 3 for c in ax)
@@ -326,7 +325,7 @@ def test_bad_signs_rejected_before_any_work(sign):
         with pytest.raises(ValueError, match="sign must be '\\+' or '-'"):
             call()
     assert "autocorrelation" not in vars(a)
-    assert a._spread_cache == {}
+    assert a._shift_profiles == {}
 
 
 def test_spread_cache_interleaved_signs_and_moduli():
@@ -338,7 +337,7 @@ def test_spread_cache_interleaved_signs_and_moduli():
         n = s.group.modulus
         for sign in "+-+":
             assert list(shift_spread_sizes(s, sign)) == oracle.shift_spreads(s.members, n, sign)
-        assert sorted(s._spread_cache) == ["+", "-"]
+        assert sorted(s._shift_profiles[1]) == ["+", "-"]
     rng = random.Random(12)
     for _ in range(20):
         n = rng.choice((8, 13, 32))
@@ -361,4 +360,34 @@ def test_spread_cache_interleaved_signs_and_moduli():
                     a.members, b.members, q, n, sign
                 )
                 assert all(type(v) in (int, Fraction) for v in (wb.lhs, wb.rhs, wq.lhs, wq.rhs))
-        assert copy._spread_cache == {}  # an equal B reads A's cache
+        assert copy._shift_profiles == {}  # an equal B reads A's cache
+
+
+def test_k2_shift_profile_signs_and_zero_weights(monkeypatch):
+    """check_weight_inequality at k = 2, l = 1 on a fresh set, called as
+    +, -, + with a weight that vanishes on some nonempty cells, gives the
+    oracle's exact sides from one build of the cells, also when B is an
+    equal copy of A."""
+    rng = random.Random(14)
+    n = 11
+    a = rand_set(rng, n)
+    copy = GroupSet.of(a.group, a.members)
+    q = [rng.randint(-2, 2) for _ in range(n * n)]
+    cells = {s: list(oracle.weight_cells_naive(a.members, a.members, 2, n, s).values())
+             for s in "+-"}
+    assert any(c and not w for w, (c, _) in zip(q, cells["-"]))
+    e4 = sum(v ** 4 for v in oracle.correlation(a.members, a.members, n))  # E_4(A, A)
+    builds = []
+    real = energy_module._shift_cells
+    monkeypatch.setattr(
+        energy_module, "_shift_cells", lambda *args: builds.append(args) or real(*args)
+    )
+    for sign in "+-+":
+        lin = sum(w * c for w, (c, _) in zip(q, cells[sign]))
+        quad = sum(w * w * d for w, (_, d) in zip(q, cells[sign]))
+        for b in (a, copy):
+            c = check_weight_inequality(a, b, q, 2, 1, sign)
+            assert (c.lhs, c.rhs) == (len(a) ** 2 * lin * lin, e4 * quad)
+    assert builds == [(a, a, 2)]
+    assert list(a._shift_profiles) == [2] and sorted(a._shift_profiles[2]) == ["+", "-"]
+    assert copy._shift_profiles == {}

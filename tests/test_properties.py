@@ -9,7 +9,6 @@ from addcomb.energy import (
     correlation_counts,
     energy,
     energy_k,
-    shift_counts,
 )
 from addcomb.groups import CyclicGroup, GroupSet, intersect_shifts, sumset
 from addcomb.transform import GroupFn, convolve, correlate, dft
@@ -112,4 +111,4 @@ def test_heart_and_katz_koester_always_hold(a):
 @given(group_set())
 def test_shift_counts_total(a):
     # sum_x |A_x| = |A|^2
-    assert sum(shift_counts(a)) == len(a) ** 2
+    assert sum(a.autocorrelation) == len(a) ** 2

@@ -12,7 +12,7 @@ from addcomb.spectral import (
     check_traces,
     check_triangle_inequality,
     correlation_kernel,
-    cycle_sum,
+    cycle_sums,
     eigendecompose,
     embed_full_operator,
     first_eigenfunction_bounds,
@@ -197,12 +197,11 @@ def test_cycle_sums_golden():
     gamma, psi = gamma_setup()
     h = GroupFn(gamma.group, tuple(indicator(gamma).values))
     spectrum = eigendecompose(build_restricted_operator(gamma, psi))
-    assert cycle_sum(gamma, psi, 4) == 657
-    assert cycle_sum(gamma, psi, 3) == triangle_sum(gamma, psi) == 141
-    for k in (3, 4, 5):
-        assert all(c.passed for c in check_cycle_sums(gamma, h, k, spectrum))
+    assert cycle_sums(gamma, psi, [4])[4] == 657
+    assert cycle_sums(gamma, psi, [3])[3] == triangle_sum(gamma, psi) == 141
+    assert all(c.passed for c in check_cycle_sums(gamma, h, spectrum))
     d = GroupFn.delta(gamma.group, 0)
-    assert cycle_sum(gamma, correlation_kernel(d), 5) == len(gamma)
+    assert cycle_sums(gamma, correlation_kernel(d), [5])[5] == len(gamma)
 
 
 def test_cycle_sums_vs_enumeration():
@@ -211,16 +210,34 @@ def test_cycle_sums_vs_enumeration():
         a, h = rand_instance(rng, 9)
         psi = correlation_kernel(h)
         for k in (3, 4):
-            assert cycle_sum(a, psi, k) == cycle_enumeration(
+            assert cycle_sums(a, psi, [k])[k] == cycle_enumeration(
                 a.members, psi.values, 9, k
             )
 
 
 def test_cycle_k_validation():
-    gamma, _ = gamma_setup()
-    h = GroupFn.delta(gamma.group, 0)
-    with pytest.raises(ValueError):
-        check_cycle_sums(gamma, h, 6)
+    gamma, psi = gamma_setup()
+    for ks in ([], [0], [0, 3]):
+        with pytest.raises(ValueError):
+            cycle_sums(gamma, psi, ks)
+
+
+def test_check_cycle_sums_one_chain_matches_enumeration():
+    """One check_cycle_sums call gives the enumerated closed-cycle sums for
+    k = 3, 4, 5, with the bound and eigenvalue rows of each k in order."""
+    rng = random.Random(8)
+    for _ in range(5):
+        a, h = rand_instance(rng, 9)
+        psi = correlation_kernel(h)
+        spectrum = eigendecompose(build_restricted_operator(a, psi))
+        checks = check_cycle_sums(a, h, spectrum)
+        assert [c.name for c in checks] == [
+            f"kernel-cycle-{kind}-k{k}" for k in (3, 4, 5) for kind in ("bound", "eigen")
+        ]
+        for k, bound in zip((3, 4, 5), checks[::2]):
+            # from_ge keeps the cycle sum on the rhs slot
+            assert bound.rhs == cycle_enumeration(a.members, psi.values, 9, k)
+        assert all(c.passed for c in checks)
 
 
 def test_first_eigenfunction_subgroup_equality():

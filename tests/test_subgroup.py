@@ -1,10 +1,12 @@
 import cmath
+import importlib
 import math
 import random
 
 import pytest
 
 from addcomb.groups import CyclicGroup, GroupSet
+from addcomb.spectral import build_restricted_operator, eigendecompose
 from addcomb.subgroup import (
     check_eigenbasis,
     check_exact_fourier,
@@ -17,7 +19,6 @@ from addcomb.subgroup import (
     gamma_invariant_fn,
     gamma_invariant_set,
     invariant_profile,
-    jacobi_spectrum,
     make_field,
     mu_alpha_direct,
     mult_energy_k,
@@ -130,7 +131,8 @@ def test_mu_alpha_delta_and_constant():
     g = subgroup(fld, 3)
     mus = mu_alpha_direct(g, GroupFn.delta(fld.group, 0)).values
     assert max(abs(m - 1) for m in mus) < 1e-12
-    assert jacobi_spectrum(g, GroupFn.delta(fld.group, 0)) == (1.0, 1.0, 1.0)
+    op = build_restricted_operator(g.as_set, GroupFn.delta(fld.group, 0))
+    assert eigendecompose(op).eigenvalues == (1.0, 1.0, 1.0)
     mus = sorted(
         (m.real for m in mu_alpha_direct(g, GroupFn.constant(fld.group, 1)).values),
         reverse=True,
@@ -436,3 +438,27 @@ def test_subgroup_stats_match_pair_enumeration():
             assert list(psi.values) == correlation(g.elements, g.elements, p), (p, t)
             minus_one_cases.add((p - 1) in g.element_set)
     assert minus_one_cases == {True, False}
+
+
+def test_mu_tables_memoized_per_kernel(monkeypatch):
+    """Equal kernels share one mu table, each distinct kernel is computed
+    once per subgroup, and the dilated coset kernel gets its own entry."""
+    sub = importlib.import_module("addcomb.subgroup")
+    made = []
+    real = sub.MuTable
+    monkeypatch.setattr(sub, "MuTable", lambda g, mus: made.append(g) or real(g, mus))
+    fld = make_field(13)
+    g = subgroup(fld, 3)
+    psi = subgroup_autocorrelation(g)
+    table = mu_alpha_direct(g, psi)
+    assert mu_alpha_direct(g, GroupFn(fld.group, tuple(psi.values))) is table
+    assert check_mu_vs_jacobi(g, psi).passed and check_eigenbasis(g, psi).passed
+    delta = GroupFn.delta(fld.group, 0)
+    assert mu_alpha_direct(g, delta) is mu_alpha_direct(g, delta)
+    assert made == [psi, delta]
+    xi = 2  # not in the subgroup {1, 3, 9}
+    assert check_eigenbasis(g, psi, coset=xi).passed
+    assert made[2:] == [GroupFn(fld.group, tuple(psi((xi * z) % 13) for z in range(13)))]
+    assert made[2] != psi and len(g._mu_tables) == 3
+    mu_alpha_direct(subgroup(fld, 3), psi)  # another subgroup object: its own table
+    assert len(made) == 4
