@@ -20,11 +20,14 @@ from .config import TOL, TUPLE_CELL_CAP
 from .groups import (
     GridFn,
     GroupSet,
+    _exact_operands,
+    check_nonempty,
     check_sign,
     diag_shift_size,
     difference_counts,
     indicator,
     indicator_vector,
+    restricted_matrix,
     sumset,
     triple_product_sum,
 )
@@ -38,7 +41,6 @@ def correlation_counts(a: GroupSet, b: GroupSet) -> tuple[int, ...]:
 
 def shift_spread_sizes(a: GroupSet, sign: str = "-") -> tuple[int, ...]:
     """|A ∓ A_x| for every x (0 where A_x is empty), from A's shift profile."""
-    check_sign(sign)
     index, _, spreads = _weight_cells(a, a, 1, 1, sign)
     out = np.zeros(a.group.modulus, dtype=np.int64)
     out[index] = spreads
@@ -97,24 +99,21 @@ def sigma_k(a: GroupSet, k: int) -> int:
 
 def check_katz_koester(a: GroupSet, sign: str = "+") -> list[IneqCheck]:
     """|(A±A) ∩ (A±A - x)| >= |A ± A_x| for every x with A_x nonempty."""
+    check_nonempty(a)
     lhs = sumset(a, a, sign).autocorrelation
-    spread = shift_spread_sizes(a, sign)
+    index, _, spreads = _weight_cells(a, a, 1, 1, sign)
     return [
-        IneqCheck.from_ge(f"katz-koester{sign}", lhs[x], spread[x], 0.0, {"x": x})
-        for x, c in enumerate(a.autocorrelation)
-        if c
+        IneqCheck.from_ge(f"katz-koester{sign}", lhs[x], d, 0.0, {"x": x})
+        for x, d in zip(index, spreads)
     ]
 
 
 def check_heart(a: GroupSet, sign: str = "-") -> IneqCheck:
     """sum_x |A_x|^2 / |A ± A_x|  <=  |A|^-2 sum_x |A_x|^3, exact rationals."""
-    check_sign(sign)
-    if not a.members:
-        raise ValueError("A must be nonempty")
-    spread = shift_spread_sizes(a, sign)
-    pairs = [(cx, dx) for cx, dx in zip(a.autocorrelation, spread) if cx]
-    lhs = _quotient_sum([cx * cx for cx, _ in pairs], [dx for _, dx in pairs])
-    rhs = Fraction(sum(cx ** 3 for cx, _ in pairs), len(a) ** 2)
+    check_nonempty(a)
+    _, counts, spreads = _weight_cells(a, a, 1, 1, sign)
+    lhs = _quotient_sum([c * c for c in counts], spreads)
+    rhs = Fraction(sum(c ** 3 for c in counts), len(a) ** 2)
     return IneqCheck.from_le(f"shift-quotient-bound{sign}", lhs, rhs)
 
 
@@ -127,12 +126,9 @@ def _quotient_sum(nums, dens) -> Fraction:
 
 def check_heart_triple(a: GroupSet) -> IneqCheck:
     """sum_{x,y,z in A} |A_{x-y}||A_{x-z}||A_{y-z}| >= E(A)^3 / |A|^3."""
-    if not a.members:
-        raise ValueError("A must be nonempty")
-    ax = a.autocorrelation
-    lhs = triple_product_sum(a, ax)
-    e = sum(v * v for v in ax)
-    rhs = Fraction(e ** 3, len(a) ** 3)
+    check_nonempty(a)
+    lhs = triple_product_sum(a, a.autocorrelation)
+    rhs = Fraction(energy(a) ** 3, len(a) ** 3)
     return IneqCheck.from_ge("triple-shift-product-bound", Fraction(lhs), rhs)
 
 
@@ -211,8 +207,9 @@ def _weight_cells(a: GroupSet, b: GroupSet, k: int, l: int, sign: str):
     Empty cells are skipped: every sum over x in the weight bounds has a
     factor |A^B_x| or |A^l ∓ Δ_l(A^B_x)| that vanishes there.  For B = A
     and l = 1 the lists are A's shift profile over Gr^k: both signs from
-    one build of the cells, cached on A by k.
+    one build of the cells, cached on A by k.  A bad sign raises first.
     """
+    check_sign(sign)
     if l == 1 and b == a:
         profiles = a._shift_profiles
         if k not in profiles:
@@ -239,7 +236,7 @@ def check_weight_inequality(
 
     with x ranging over Gr^k.  Exact when q is integer-valued.
     """
-    check_sign(sign)
+    check_nonempty(a)
     if k not in (1, 2) or l not in (1, 2):
         raise ValueError("k, l must be 1 or 2")
     qt = _weight_table(q, a.group, k)
@@ -275,7 +272,7 @@ def check_energy_weight_a(
 
     S = sum_x |A^l ∓ Δ_l(A^B_x)| |A^B_x|^2; integer exact.
     """
-    check_sign(sign)
+    check_nonempty(a)
     b = a if b is None else b
     _, counts, spreads = _weight_cells(a, b, k, l, sign)
     s = sum(spread * cnt * cnt for cnt, spread in zip(counts, spreads))
@@ -291,11 +288,11 @@ def check_energy_weight_b(
 
     |A|^(2l) sum_x |A^B_x|^2 / |A^l ∓ Δ_l(A^B_x)|  <=  E_(k+l+1)(B,A).
     """
-    check_sign(sign)
+    check_nonempty(a)
     b = a if b is None else b
-    e_high = energy_k(b, a, k + l + 1)
     _, counts, spreads = _weight_cells(a, b, k, l, sign)
     lhs = len(a) ** (2 * l) * _quotient_sum([c * c for c in counts], spreads)
+    e_high = energy_k(b, a, k + l + 1)
     return IneqCheck.from_le(f"shift-energy-bound-b-k{k}l{l}{sign}", lhs, Fraction(e_high))
 
 
@@ -305,17 +302,14 @@ def check_level_thresholds(a: GroupSet, sign: str = "-") -> list[IneqCheck]:
     The thresholds d >= |A|^2 E2 / (2 E3) and d >= c |A|^4 / (2 E3) are
     compared in integers, multiplied through by 2 E3 > 0.
     """
-    check_sign(sign)
-    if not a.members:
-        raise ValueError("A must be nonempty")
-    ax = a.autocorrelation
-    spread = shift_spread_sizes(a, sign)
-    e2 = sum(v * v for v in ax)
-    e3 = sum(v ** 3 for v in ax)
+    check_nonempty(a)
+    _, counts, spreads = _weight_cells(a, a, 1, 1, sign)
+    e2 = sum(c * c for c in counts)
+    e3 = sum(c ** 3 for c in counts)
     na = len(a)
 
     thr1 = na ** 2 * e2
-    big1 = sum(c * c for c, d in zip(ax, spread) if c and 2 * e3 * d >= thr1)
+    big1 = sum(c * c for c, d in zip(counts, spreads) if 2 * e3 * d >= thr1)
     out = [
         IneqCheck.from_ge(
             f"level-threshold-energy{sign}", Fraction(big1), Fraction(e2, 2)
@@ -323,7 +317,7 @@ def check_level_thresholds(a: GroupSet, sign: str = "-") -> list[IneqCheck]:
     ]
 
     thr2 = na ** 4
-    big2 = sum(c for c, d in zip(ax, spread) if c and 2 * e3 * d >= c * thr2)
+    big2 = sum(c for c, d in zip(counts, spreads) if 2 * e3 * d >= c * thr2)
     out.append(
         IneqCheck.from_ge(
             f"level-threshold-count{sign}", Fraction(big2), Fraction(na ** 2, 2)
@@ -337,15 +331,13 @@ def check_level_thresholds(a: GroupSet, sign: str = "-") -> list[IneqCheck]:
 
 def check_ap_bound(a: GroupSet, alpha: float, p: float, sign: str = "-") -> IneqCheck:
     """Hölder-interpolated shift-moment bound for real alpha and p > 1."""
-    check_sign(sign)
-    ax = a.autocorrelation
-    spread = shift_spread_sizes(a, sign)
-    e3 = sum(v ** 3 for v in ax)
-    lhs = sum(float(c) ** alpha for c in ax if c)
+    check_nonempty(a)
+    _, counts, spreads = _weight_cells(a, a, 1, 1, sign)
+    e3 = sum(c ** 3 for c in counts)
+    lhs = sum(float(c) ** alpha for c in counts)
     inner = sum(
         float(d) ** (1.0 / (p - 1)) * float(c) ** ((alpha * p - 2) / (p - 1))
-        for c, d in zip(ax, spread)
-        if c
+        for c, d in zip(counts, spreads)
     )
     rhs = (e3 / len(a) ** 2) ** (1.0 / p) * inner ** ((p - 1) / p)
     return IneqCheck.from_le(
@@ -365,6 +357,7 @@ def check_membership_identity(
         #{s in Gr^l : A^B_(s,x) nonempty} = |A^l - Δ_l(A^B_x)|
     (2) sum_{s in Gr^l} E(A^k, Δ(A^B_s)) = E_(k+l+1)(B,A).
     """
+    check_nonempty(a)
     n = a.group.modulus
     if min(k, l) < 1 or n ** (k + l) > TUPLE_CELL_CAP:
         raise ValueError("k, l out of range for direct enumeration")
@@ -380,13 +373,11 @@ def check_membership_identity(
     worst = int(np.abs(counts - sizes).max(initial=0))
     checks = [IneqCheck.from_identity(f"shift-duality-k{k}l{l}", worst)]
 
-    # E(A^k, Δ(C)) = sum_z (C∘C)(z) (A∘A)(z)^k = c W c^T for the 0/1 row c
-    # of C and W[j, j'] = (A∘A)(b_j' - b_j)^k, exact in Python ints
-    aak = np.array([v ** k for v in a.autocorrelation], dtype=object)
-    bm = np.asarray(b.members, dtype=np.int64)
-    w = aak[(bm[None, :] - bm[:, None]) % a.group.modulus]
-    c = cells_l.astype(object)
-    total = ((c @ w) * c).sum()
+    # E(A^k, Δ(C)) = sum_z (C∘C)(z) (A∘A)(z)^k = c W^k c^T for the 0/1 row c
+    # of C and W[j, j'] = (A∘A)(b_j - b_j'): |B|^2 products of k + 2 entries
+    w = restricted_matrix(b, a.autocorrelation)
+    c, w, *_ = _exact_operands((cells_l, *(w,) * k, cells_l), len(b) ** 2)
+    total = int(((c @ w ** k) * c).sum())
     checks.append(IneqCheck.from_identity(
         f"shift-energy-total-k{k}l{l}", total - energy_k(b, a, k + l + 1)
     ))

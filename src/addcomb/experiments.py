@@ -3,9 +3,10 @@ profiles, iterated-sumset coverage, expansion ratios, convex sets, and
 multiplicative-doubling statistics.
 
 Counts are exact integers (the pair-count kernel ``groups.difference_counts``
-or hashed counting); asymptotic statements are reported as ratio columns and
-never asserted against invented constants.  Rows are emitted in sorted (p, t)
-order so CSV output is deterministic.
+or hashed counting), and sums of their products take int64 or Python ints
+from ``groups._exact_operands``; asymptotic statements are reported as ratio
+columns and never asserted against invented constants.  Rows are emitted in
+sorted (p, t) order so CSV output is deterministic.
 
 Subgroup statistics come from the orbit kernel ``subgroup.subgroup_stats``:
 Gamma ∘ Gamma and Gamma + Gamma are constant on the n = (p-1)/t cosets
@@ -28,7 +29,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .config import CONVEX_N_CAP, SCAN_PRIME_CAP
-from .groups import difference_counts, indicator_vector
+from .groups import _exact_operands, difference_counts, indicator_vector
 from .subgroup import MultSubgroup, make_field, subgroup, subgroup_stats
 
 
@@ -54,7 +55,7 @@ def divisors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# exact counting helpers (numpy int64; _energy_sums asserts its cube sum fits)
+# exact counting helpers
 # ---------------------------------------------------------------------------
 
 
@@ -85,14 +86,10 @@ def _support_convolve(ind_a: np.ndarray, ind_b: np.ndarray) -> np.ndarray:
     return conv > 0.5
 
 
-def _energy_sums(counts: np.ndarray) -> tuple[int, int]:
-    """(sum c^2, sum c^3) in int64, refusing counts whose cube sum could wrap."""
-    c = counts.astype(np.int64)
-    if int(c.max(initial=0)) ** 3 * len(c) >= 2 ** 63:
-        raise AssertionError("int64 energy sums could overflow")
-    e2 = int(np.sum(c * c))
-    e3 = int(np.sum(c * c * c))
-    return e2, e3
+def _energy_sums(counts) -> tuple[int, int]:
+    """(sum c^2, sum c^3), exact in the dtype chosen for the cubes."""
+    c = _exact_operands((np.asarray(counts),) * 3, len(counts))[0]
+    return int(np.sum(c * c)), int(np.sum(c * c * c))
 
 
 # ---------------------------------------------------------------------------
@@ -584,9 +581,9 @@ def progression_scan(p: int, t: int) -> ProgressionRow:
     prog = [(start + i * step) % p for i in range(length)]
     if any(x not in gamma.element_set for x in prog):
         raise AssertionError("progression search produced a non-member")
-    # int64 is exact: every count is <= t < p <= SCAN_PRIME_CAP, so p t^3 < 2^63
     pc = autocorrelation_np(prog, p)
     gc = subgroup_stats(gamma).autocorrelation()
+    pc, gc, _ = _exact_operands((pc, gc, gc), p)
     e_pg = int(np.sum(pc * gc))
     e3_pg = int(np.sum(pc * gc * gc))
     prods: dict[int, int] = {}

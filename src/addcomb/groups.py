@@ -6,12 +6,14 @@ through one kernel, ``difference_counts``: a bincount of y - x over the
 member arrays, in row blocks.  The correlation A ∘ B is that count, a sumset
 is its support, and A ∘ A is cached on the set.  The cells of a shift
 system and their spreads are 0/1 numpy matrices in ``energy``.  A function
-on (Z/N)^k is a ``GridFn``: one read-only ndarray of shape (N,)*k.
+on (Z/N)^k is a ``GridFn``: one read-only ndarray of shape (N,)*k.  Each
+exact sum of products takes int64 or Python ints from ``_exact_operands``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -128,6 +130,12 @@ def check_sign(sign: str) -> None:
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
 
 
+def check_nonempty(a: GroupSet) -> None:
+    """Raise ValueError if A is empty."""
+    if not a.members:
+        raise ValueError("A must be nonempty")
+
+
 def _require_same_group(*sets: GroupSet) -> CyclicGroup:
     g = sets[0].group
     for s in sets[1:]:
@@ -195,24 +203,27 @@ def _check_grid(n: int, k: int) -> None:
 
 
 def _exact_operands(tables: Sequence[np.ndarray], terms: int) -> list[np.ndarray]:
-    """``tables`` (int64, object or complex128 arrays) in one dtype for a
-    sum of ``terms`` products that take one entry from each table.
+    """``tables`` in one dtype for a sum of ``terms`` products that take one
+    entry from each table: the package's one int64-or-Python-int decision.
 
-    complex128 when any table is complex.  Integer tables stay int64 only
-    when all are int64 and terms * prod(max |entry|) <= INT64_MAX, which
-    bounds every product and partial sum; otherwise they become object
-    arrays of Python ints.
+    complex128 when any table is complex, else float64 when any is real.
+    Integer tables become int64 when terms * prod(max |entry|) <= INT64_MAX,
+    which bounds every product and partial sum, and Python ints otherwise.
+    A repeated table counts once per occurrence but is reduced and cast
+    once; a maximum below 1 counts as 1, so every int64 entry fits.
     """
-    if any(t.dtype == np.complex128 for t in tables):
+    by_id = {id(t): t for t in tables}
+    kinds = {t.dtype.kind for t in by_id.values()}
+    if "c" in kinds:
         dtype = np.complex128
-    elif any(t.dtype == object for t in tables):
-        dtype = object
+    elif "f" in kinds:
+        dtype = np.float64
     else:
-        bound = terms
-        for t in tables:
-            bound *= max(int(t.max(initial=0)), -int(t.min(initial=0)))
+        peak = {i: max(1, int(t.max(initial=0)), -int(t.min(initial=0))) for i, t in by_id.items()}
+        bound = terms * math.prod(peak[id(t)] for t in tables)
         dtype = np.int64 if bound <= INT64_MAX else object
-    return [t.astype(dtype, copy=False) for t in tables]
+    cast = {i: t.astype(dtype, copy=False) for i, t in by_id.items()}
+    return [cast[id(t)] for t in tables]
 
 
 def _scalar(v):
@@ -253,10 +264,7 @@ class GridFn:
             arr = arr.reshape((group.modulus,) * arity)
         if not all(isinstance(v, (int, np.integer)) for v in arr.flat):
             return cls(group, arr.astype(np.complex128))
-        ints = np.frompyfunc(int, 1, 1)(arr)
-        if np.abs(ints).max() <= INT64_MAX:
-            ints = ints.astype(np.int64)
-        return cls(group, ints)
+        return cls(group, _exact_operands((np.frompyfunc(int, 1, 1)(arr),), 1)[0])
 
     @property
     def arity(self) -> int:
@@ -328,31 +336,28 @@ def diag_shift_size(a: GroupSet, c: GroupSet, l: int, sign: str = "-") -> int:
     return tuple_sumset_with_diagonal([a] * l, c, sign).dot()
 
 
-def restricted_matrix(a: GroupSet, psi: Sequence, power: int = 1) -> np.ndarray:
+def restricted_matrix(a: GroupSet, psi: Sequence) -> np.ndarray:
     """M[i, j] = psi(a_i - a_j) over the members of A, for psi given by its
     N values.
 
-    Integer psi gives int64 when (|A| max|psi|)^power <= INT64_MAX, which
-    bounds every entry and partial sum of a product of ``power`` copies of
-    M, and Python ints otherwise; real psi gives float64, complex psi
-    complex128.
+    Integer psi gives int64 when every value fits and Python ints
+    otherwise; real psi gives float64, complex psi complex128.  A caller
+    that multiplies M passes it through ``_exact_operands`` for its product.
     """
     mem = np.asarray(a.members, dtype=np.int64)
     if all(isinstance(v, int) for v in psi):
-        peak = max((abs(v) for v in psi), default=0)
-        dtype = np.int64 if (len(mem) * peak) ** power <= INT64_MAX else object
-    elif any(isinstance(v, complex) for v in psi):
-        dtype = np.complex128
+        (table,) = _exact_operands((np.array(psi, dtype=object),), 1)
     else:
-        dtype = np.float64
-    return np.array(psi, dtype=dtype)[(mem[:, None] - mem[None, :]) % a.group.modulus]
+        table = np.array(psi, dtype=complex if any(isinstance(v, complex) for v in psi) else float)
+    return table[(mem[:, None] - mem[None, :]) % a.group.modulus]
 
 
 def triple_product_sum(a: GroupSet, psi: Sequence):
     """sum_{x,y,z in A} psi(x-y) psi(x-z) psi(y-z) = ((M @ M) * M).sum() for
-    M = restricted_matrix(a, psi), exact for integer psi.
+    M = restricted_matrix(a, psi), exact for integer psi: a sum of |A|^3
+    products of three entries of M.
 
     Not trace(M^3): that is the same sum only for even psi.
     """
-    m = restricted_matrix(a, psi, 3)
+    m = _exact_operands((restricted_matrix(a, psi),) * 3, len(a) ** 3)[0]
     return _scalar(((m @ m) * m).sum())

@@ -21,7 +21,14 @@ import numpy as np
 
 from .checks import IneqCheck
 from .config import TOL
-from .groups import GroupSet, indicator, restricted_matrix, triple_product_sum
+from .groups import (
+    GroupSet,
+    _exact_operands,
+    check_nonempty,
+    indicator,
+    restricted_matrix,
+    triple_product_sum,
+)
 from .transform import GroupFn
 
 
@@ -58,12 +65,11 @@ def correlation_kernel(h: GroupFn) -> GroupFn:
 def build_restricted_operator(a: GroupSet, psi: GroupFn) -> SpectralOperator:
     if a.group != psi.group:
         raise ValueError("kernel and set live on different moduli")
+    check_nonempty(a)
     n = a.group.modulus
     vals = psi.values
     mat = restricted_matrix(a, vals).astype(complex if psi.kind == "complex" else float)
     symmetric = all(vals[x] == vals[(-x) % n] for x in range(n)) and psi.kind != "complex"
-    if symmetric:
-        mat = mat.real.astype(float)
     return SpectralOperator(a, psi, mat, symmetric)
 
 
@@ -76,10 +82,10 @@ def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """
     m = np.array(matrix, dtype=float)
     n = m.shape[0]
-    if m.shape != (n, n) or not np.allclose(m, m.T, atol=1e-12 * (1 + np.abs(m).max())):
+    if m.shape != (n, n) or not np.allclose(m, m.T, atol=1e-12 * (1 + np.abs(m).max(initial=0))):
         raise ValueError("jacobi_eigh needs a symmetric square matrix")
-    if n == 1:
-        return m.diagonal().copy(), np.eye(1), 0.0
+    if n <= 1:
+        return m.diagonal().copy(), np.eye(n), 0.0
     fro = math.sqrt(float((m * m).sum()))
     if fro == 0.0:
         return np.zeros(n), np.eye(n), 0.0
@@ -168,11 +174,13 @@ def triangle_sum(a: GroupSet, psi: GroupFn) -> int | float:
     """sum_{x,y,z in A} psi(x-y) psi(x-z) psi(y-z), exact for integer psi."""
     if a.group != psi.group:
         raise ValueError("kernel and set live on different moduli")
+    check_nonempty(a)
     return triple_product_sum(a, psi.values)
 
 
 def rayleigh_indicator(a: GroupSet, psi: GroupFn):
     """<T 1_A, 1_A> / |A| = |A|^-1 sum_x psi(x)(A∘A)(x), a lower bound for mu_0."""
+    check_nonempty(a)
     aa = a.autocorrelation
     s = sum(p * c for p, c in zip(psi.values, aa))
     if psi.kind == "int":
@@ -182,8 +190,7 @@ def rayleigh_indicator(a: GroupSet, psi: GroupFn):
 
 def check_triangle_inequality(a: GroupSet, h: GroupFn) -> IneqCheck:
     """Triple-product lower bounds for kernels psi = h ∘ h."""
-    if not a.members:
-        raise ValueError("A must be nonempty")
+    check_nonempty(a)
     psi = correlation_kernel(h)
     aa = a.autocorrelation
     na = len(a)
@@ -212,23 +219,23 @@ def check_triangle_inequality(a: GroupSet, h: GroupFn) -> IneqCheck:
 
 def cycle_sums(a: GroupSet, psi: GroupFn, ks) -> dict:
     """Closed k-cycle kernel sums over A^k via matrix power traces: one
-    restricted matrix and one chain of powers up to max(ks).
+    restricted matrix and one chain of powers up to K = max(ks).
 
-    Integer kernels stay exact: int64 when the power bound fits, arbitrary
-    precision objects otherwise.
+    Integer kernels stay exact: the chain takes one dtype, for M^K as a sum
+    of |A|^(K-1) products of K entries of M, and the traces, which add |A|
+    more terms, are summed in Python ints.
     """
     ks = sorted(set(ks))
     if not ks or ks[0] < 1:
         raise ValueError("cycle lengths must be >= 1")
-    m = restricted_matrix(a, psi.values, ks[-1])
-    scalar = int if psi.kind == "int" else float
-    out = {}
-    power = m
+    check_nonempty(a)
+    m = _exact_operands((restricted_matrix(a, psi.values),) * ks[-1], len(a) ** (ks[-1] - 1))[0]
+    out, power = {}, m
     for k in range(1, ks[-1] + 1):
         if k > 1:
             power = power @ m
         if k in ks:
-            out[k] = scalar(power.trace())
+            out[k] = sum(power.diagonal().tolist()) if psi.kind == "int" else float(power.trace())
     return out
 
 

@@ -99,6 +99,20 @@ def cycle_enumeration(a, psi, n, k):
     return total
 
 
+def cycle_chain(a, psi, n, ks):
+    """{k: trace(M^k)} for M[i][j] = psi(a_i - a_j), by a chain of
+    list-of-lists products in Python ints."""
+    m = [[psi[(x - y) % n] for y in a] for x in a]
+    cols = list(zip(*m))
+    power, out = m, {}
+    for k in range(1, max(ks) + 1):
+        if k > 1:
+            power = [[sum(u * v for u, v in zip(row, col)) for col in cols] for row in power]
+        if k in ks:
+            out[k] = sum(power[i][i] for i in range(len(a)))
+    return out
+
+
 def mult_tuple_energy(a, p, k, weights=None):
     """sum w(x_1)...w(x_k) conj(w(y_1)...w(y_k)) over x_1...x_k = y_1...y_k
     mod p, for a set of units a and a map w (default 1, which counts the

@@ -30,6 +30,16 @@ from addcomb.groups import (
     sumset,
     tuple_sumset_with_diagonal,
 )
+from addcomb.spectral import (
+    build_restricted_operator,
+    check_cycle_sums,
+    check_triangle_inequality,
+    cycle_sums,
+    first_eigenfunction_bounds,
+    rayleigh_indicator,
+    triangle_sum,
+)
+from addcomb.transform import GroupFn
 import oracle
 from oracle import quadruple_energy, shift_tuple_energy, sigma_k_count, t_k_count
 
@@ -227,15 +237,17 @@ def test_level_thresholds_subgroup_degeneration():
         assert thr.slack == Fraction(energy(a), 2)
 
 
-def test_level_thresholds_at_equality(monkeypatch):
+def test_level_thresholds_at_equality():
     """A spread on a threshold counts as reaching it.  Real spreads never land
     there: E2 >= |A|^3 and E3 >= |A|^4 put both thresholds at or below
-    |A| / 2 < |A| <= |A ∓ A_x|.  So the spreads are planted; for the order-8
-    subgroup of Z/32 both thresholds are exactly 4."""
+    |A| / 2 < |A| <= |A ∓ A_x|.  So the spreads are planted in A's k = 1
+    shift profile; for the order-8 subgroup of Z/32 both thresholds are
+    exactly 4."""
     a = gset(32, range(0, 32, 4))
     planted = [0] * 32
     planted[::4] = [4, 3, 5, 4, 4, 3, 6, 4]
-    monkeypatch.setattr(energy_module, "shift_spread_sizes", lambda s, sign: tuple(planted))
+    index = list(a.members)
+    a._shift_profiles[1] = {s: (index, [8] * 8, planted[::4]) for s in "+-"}
     for sign in "+-":
         levels = {c.name: c for c in check_level_thresholds(a, sign)}
         big = oracle.level_threshold_sums(a.members, 32, sign, planted)
@@ -326,6 +338,40 @@ def test_bad_signs_rejected_before_any_work(sign):
             call()
     assert "autocorrelation" not in vars(a)
     assert a._shift_profiles == {}
+
+
+EMPTY_A_CHECKS = {
+    "check_katz_koester": lambda e, b, h, psi: check_katz_koester(e, "+"),
+    "check_heart": lambda e, b, h, psi: check_heart(e, "-"),
+    "check_heart_triple": lambda e, b, h, psi: check_heart_triple(e),
+    "check_weight_inequality": lambda e, b, h, psi: check_weight_inequality(e, b, [1] * 8),
+    "check_energy_weight_a": lambda e, b, h, psi: check_energy_weight_a(e, b),
+    "check_energy_weight_b": lambda e, b, h, psi: check_energy_weight_b(e, b),
+    "check_level_thresholds": lambda e, b, h, psi: check_level_thresholds(e, "-"),
+    "check_ap_bound": lambda e, b, h, psi: check_ap_bound(e, 2, 2, "-"),
+    "check_membership_identity": lambda e, b, h, psi: check_membership_identity(e, b),
+    "build_restricted_operator": lambda e, b, h, psi: build_restricted_operator(e, psi),
+    "triangle_sum": lambda e, b, h, psi: triangle_sum(e, psi),
+    "rayleigh_indicator": lambda e, b, h, psi: rayleigh_indicator(e, psi),
+    "cycle_sums": lambda e, b, h, psi: cycle_sums(e, psi, (3, 4, 5)),
+    "check_triangle_inequality": lambda e, b, h, psi: check_triangle_inequality(e, h),
+    "check_cycle_sums": lambda e, b, h, psi: check_cycle_sums(e, h),
+    "first_eigenfunction_bounds": lambda e, b, h, psi: first_eigenfunction_bounds(e, h),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_A_CHECKS))
+def test_empty_set_rejected_before_any_work(name):
+    """Every check that takes a set raises the same ValueError for an empty
+    A, before A ∘ A or a shift profile is computed."""
+    g = CyclicGroup(8)
+    e = GroupSet(g, ())
+    b = gset(8, [0, 1, 3])
+    h = GroupFn(g, (1, 0, 1, 1, 0, 0, 0, 0))
+    psi = GroupFn(g, (3, 1, 0, 2, 0, 2, 0, 1))
+    with pytest.raises(ValueError, match="^A must be nonempty$"):
+        EMPTY_A_CHECKS[name](e, b, h, psi)
+    assert set(vars(e)) == {"group", "members"}
 
 
 def test_spread_cache_interleaved_signs_and_moduli():

@@ -69,10 +69,9 @@ def test_subgroup_crosscheck_catches_wrong_columns():
             _crosscheck_subgroup_row(bad, els, 13)
 
 
-def test_energy_sums_refuse_int64_overflow():
+def test_energy_sums_exact_past_int64():
     assert _energy_sums(np.array([3, 1, 0])) == (10, 28)
-    with pytest.raises(AssertionError):
-        _energy_sums(np.array([2 ** 21]))  # (2^21)^3 = 2^63
+    assert _energy_sums([2 ** 21]) == (2 ** 42, 2 ** 63)  # (2^21)^3 = 2^63
 
 
 def test_autocorrelation_np_matches_definition():

@@ -1,4 +1,5 @@
 import itertools
+import pathlib
 import random
 
 import numpy as np
@@ -7,8 +8,10 @@ import pytest
 import oracle
 from addcomb.groups import (
     CyclicGroup,
+    INT64_MAX,
     GridFn,
     GroupSet,
+    _exact_operands,
     diag_shift_size,
     indicator,
     intersect_shifts,
@@ -234,3 +237,50 @@ def test_group_set_validation():
         GroupSet(CyclicGroup(5), (1, 1))
     with pytest.raises(ValueError):
         GroupSet(CyclicGroup(5), (5,))
+
+
+def test_exact_operands_bound_at_int64_max():
+    """The bound counts a repeated table once per occurrence: 49 * terms is
+    exactly INT64_MAX, and three copies of a table of peak 2^20 over 8
+    terms are one above it, though one copy would be far below."""
+    t = np.array([7, -3, 0])
+    terms = INT64_MAX // 49
+    assert terms * 49 == INT64_MAX
+    for out in _exact_operands((t, t), terms):
+        assert out.dtype == np.int64
+    big = np.array([-(2 ** 20), 5])
+    out = _exact_operands((big, big, big), 8)
+    assert all(o.dtype == object for o in out)
+    assert out[0].tolist() == [-(2 ** 20), 5]
+    assert type(out[0][0]) is int
+    huge = np.array([2 ** 70, 1], dtype=object)
+    assert _exact_operands((huge,), 1)[0].dtype == object
+    assert _exact_operands((np.array([2 ** 62, 1], dtype=object),), 1)[0].dtype == np.int64
+
+
+def test_exact_operands_keeps_real_and_complex_tables():
+    """Non-integer tables are never truncated to int64."""
+    real = np.array([0.5, 2.25])
+    ints = np.array([3, 4])
+    for out in _exact_operands((real, ints), 2):
+        assert out.dtype == np.float64
+    assert _exact_operands((real, ints), 2)[0].tolist() == [0.5, 2.25]
+    for out in _exact_operands((real, np.array([1j, 2])), 2):
+        assert out.dtype == np.complex128
+
+
+def test_one_int64_rule_lives_in_groups():
+    """groups._exact_operands is the only int64-versus-Python-int decision:
+    no other module names the int64 limit or makes object arrays."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "addcomb"
+    modules = sorted(src.glob("*.py"))
+    assert any(p.name == "groups.py" for p in modules)
+    marks = ("INT64_MAX", "2 ** 63", "dtype=object", "astype(object)")
+    offenders = [
+        f"{p.name}: {mark}"
+        for p in modules
+        if p.name != "groups.py"
+        for mark in marks
+        if mark in p.read_text()
+    ]
+    assert offenders == []

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from addcomb.energy import correlation_counts
-from addcomb.groups import CyclicGroup, GroupSet, indicator
+from addcomb.groups import CyclicGroup, GroupSet, _exact_operands, indicator, restricted_matrix
 from addcomb.spectral import (
     build_restricted_operator,
     check_cycle_sums,
@@ -81,6 +81,11 @@ def test_jacobi_reconstruction_and_orthonormality():
         gram = vecs.T @ vecs
         assert float(np.abs(gram - np.eye(n)).max()) <= 1e-8
         assert all(a >= b - 1e-12 for a, b in zip(eigs, eigs[1:]))
+
+
+def test_jacobi_empty_matrix_has_empty_spectrum():
+    eigs, vecs, off = jacobi_eigh(np.zeros((0, 0)))
+    assert eigs.shape == (0,) and vecs.shape == (0, 0) and off == 0.0
 
 
 def test_jacobi_rejects_nonsymmetric():
@@ -213,6 +218,38 @@ def test_cycle_sums_vs_enumeration():
             assert cycle_sums(a, psi, [k])[k] == cycle_enumeration(
                 a.members, psi.values, 9, k
             )
+
+
+def test_cycle_sums_large_instance_shape_runs_int64():
+    """|A| = 64 in Z/256 with a 0/1 factor h, the spectral shape of the
+    large-instances benchmark: the whole k <= 5 chain fits int64 as
+    |A|^4 products of five entries, and the traces equal the Python-int
+    chain."""
+    rng = random.Random(64)
+    g = CyclicGroup(256)
+    a = GroupSet.of(g, rng.sample(range(256), 64))
+    h = GroupFn(g, tuple(rng.randint(0, 1) for _ in range(256)))
+    psi = correlation_kernel(h)
+    m = restricted_matrix(a, psi.values)
+    assert _exact_operands((m,) * 5, 64 ** 4)[0].dtype == np.int64
+    assert cycle_sums(a, psi, (3, 4, 5)) == oracle.cycle_chain(a.members, psi.values, 256, (3, 4, 5))
+
+
+@pytest.mark.parametrize("values, ks", [
+    # entries near 2^20: the k = 5 chain and its k = 3 trace pass 2^63
+    ([(2 ** 20 - 7 * x) for x in range(31)], (3, 4, 5)),
+    # 12^2 * 400000^3 <= INT64_MAX: an int64 chain whose trace does not fit
+    ([400_000] * 31, (3,)),
+    # every entry of M^3 is 12^2 * 500000^3 > INT64_MAX, though 12 * 500000^3 fits
+    ([500_000] * 31, (3,)),
+])
+def test_cycle_sums_past_int64(values, ks):
+    g = CyclicGroup(31)
+    a = GroupSet.of(g, range(0, 31, 2)[:12])
+    psi = GroupFn(g, tuple(values))
+    want = oracle.cycle_chain(a.members, psi.values, 31, ks)
+    assert want[3] > 2 ** 63
+    assert cycle_sums(a, psi, ks) == want
 
 
 def test_cycle_k_validation():
