@@ -79,7 +79,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_subgroup_scan(args) -> int:
-    rows = subgroup_scan(args.pmax, args.tmin, args.tmax, seed=args.seed)
+    rows = subgroup_scan(args.pmax, args.tmin, args.tmax)
     if _emit_rows(rows, args.csv, "no subgroups in range"):
         return 1
     finite = [r.ratio_52 for r in rows if r.ratio_52 is not None]
@@ -147,7 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pmax", type=int, required=True)
     p.add_argument("--tmin", type=int, default=1)
     p.add_argument("--tmax", type=int, default=None)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=int, default=1,
+                   help="accepted and unused: every row is exact and deterministic")
     p.add_argument("--csv")
     p.set_defaults(func=_cmd_subgroup_scan)
 

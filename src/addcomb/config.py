@@ -40,6 +40,9 @@ FIELD_PRIME_CAP = 10 ** 6  # largest p make_field builds a discrete-log table fo
 # largest n in convex_scan: its int64 count vector has about 4 n^2 entries
 # (33.6 MB at n = 1024)
 CONVEX_N_CAP = 1024
+# largest |A| in doubling_stats: each statistic sorts an |A| x |A| array of
+# pair values (about 4.2M at the cap, the scale of sumset_size_np's switch)
+DOUBLING_SET_CAP = 2048
 
 # Read by no library code: one pair-count kernel serves every modulus.
 # Kept only because perfbench/workloads.py imports it to size its

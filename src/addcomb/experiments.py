@@ -2,9 +2,10 @@
 profiles, iterated-sumset coverage, expansion ratios, convex sets, and
 multiplicative-doubling statistics.
 
-Counts are exact integers (the pair-count kernel ``groups.difference_counts``
-or hashed counting), and sums of their products take int64 or Python ints
-from ``groups._exact_operands``; asymptotic statements are reported as ratio
+Counts are exact integers (the pair-count kernel ``groups.difference_counts``,
+or one ``np.unique`` sort count of the pair values of an integer set), and
+sums of their products take int64 or Python ints from
+``groups._exact_operands``; asymptotic statements are reported as ratio
 columns and never asserted against invented constants.  Rows are emitted in
 sorted (p, t) order so CSV output is deterministic.
 
@@ -28,8 +29,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .config import CONVEX_N_CAP, SCAN_PRIME_CAP
-from .groups import _exact_operands, difference_counts, indicator_vector
+from .config import CONVEX_N_CAP, DOUBLING_SET_CAP, SCAN_PRIME_CAP
+from .groups import _exact_operands, _int_table, difference_counts, indicator_vector
 from .subgroup import MultSubgroup, make_field, subgroup, subgroup_stats
 
 
@@ -116,13 +117,10 @@ def subgroup_scan(
     p_max: int,
     t_min: int = 1,
     t_max: int | None = None,
-    sample_fraction: float = 0.01,
-    seed: int = 1,
 ) -> list[SubgroupScanRow]:
     """One row per (prime p <= p_max, t | p-1): exact energies, sumset and
     difference-set sizes, reported ratio columns, and the largest nontrivial
-    Fourier coefficient.  E2 * |sum| >= t^4 is asserted on every row; a
-    random sample of rows is re-counted by an independent hashed method.
+    Fourier coefficient.  E2 * |sum| >= t^4 is asserted on every row.
 
     The integer columns come from ``subgroup_stats`` in O(t + n) per row,
     n = (p-1)/t: with c_j = (Gamma ∘ Gamma)(g^j) =
@@ -133,7 +131,6 @@ def subgroup_scan(
     """
     if p_max > SCAN_PRIME_CAP:
         raise ValueError(f"scan capped at p <= {SCAN_PRIME_CAP}")
-    rng = random.Random(seed)
     rows = []
     for p in primes_up_to(p_max):
         if p == 2:
@@ -168,30 +165,8 @@ def subgroup_scan(
                     fourier_max=fourier_max,
                 )
             )
-            if rng.random() < sample_fraction:
-                _crosscheck_subgroup_row(rows[-1], els, p)
     rows.sort(key=lambda r: (r.p, r.t))
     return rows
-
-
-def _crosscheck_subgroup_row(row: SubgroupScanRow, els, p: int) -> None:
-    """Hashed recount of the integer fields from the t^2 pair sums and pair
-    differences, independent of ``subgroup_stats``."""
-    sums: dict[int, int] = {}
-    diffs: dict[int, int] = {}  # (Gamma ∘ Gamma)(x) = #{(y, z) : z - y = x}
-    for a in els:
-        for b in els:
-            s = (a + b) % p
-            sums[s] = sums.get(s, 0) + 1
-            d = (b - a) % p
-            diffs[d] = diffs.get(d, 0) + 1
-    e2 = sum(v * v for v in sums.values())
-    if e2 != row.E2 or len(sums) != row.sum:
-        raise AssertionError(f"cross-check failed at p={row.p}, t={row.t}")
-    e3 = sum(v ** 3 for v in diffs.values())
-    shifts = sum(diffs.values())
-    if e3 != row.E3 or shifts != row.t ** 2 or len(diffs) != row.diff:
-        raise AssertionError(f"E3 cross-check failed at p={row.p}, t={row.t}")
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +363,6 @@ def convex_scan(
     n_list,
     generator: str = "squares",
     seed: int = 1,
-    sample_fraction: float = 0.01,
 ) -> list[ConvexScanRow]:
     """Exact additive statistics of strictly convex integer sequences,
     embedded wraparound-free into Z/N with N > 4 max(A)."""
@@ -397,7 +371,6 @@ def convex_scan(
         raise ValueError("need n >= 2")
     if sizes and sizes[-1] > CONVEX_N_CAP:
         raise ValueError(f"convex scan capped at n <= {CONVEX_N_CAP}")
-    rng = random.Random(seed)
     rows = []
     for n in sizes:
         seq = squares_sequence(n) if generator == "squares" else perturbed_quadratic(n, seed)
@@ -419,25 +392,7 @@ def convex_scan(
                 andrews_max=andrews,
             )
         )
-        if rng.random() < sample_fraction or n == max(n_list):
-            _crosscheck_convex_row(rows[-1], seq)
     return rows
-
-
-def _crosscheck_convex_row(row: ConvexScanRow, seq) -> None:
-    sums: dict[int, int] = {}
-    for a in seq:
-        for b in seq:
-            sums[a + b] = sums.get(a + b, 0) + 1
-    e2 = sum(v * v for v in sums.values())
-    mem = set(seq)
-    e3 = 0
-    diffs = {a - b for a in seq for b in seq}
-    for d in diffs:
-        ad = sum(1 for y in seq if y + d in mem)
-        e3 += ad ** 3
-    if e2 != row.E2 or e3 != row.E3:
-        raise AssertionError(f"convex cross-check failed at n={row.n}")
 
 
 # ---------------------------------------------------------------------------
@@ -459,38 +414,37 @@ class DoublingStatsRow:
 
 
 def doubling_stats(a, shift: int = 1) -> DoublingStatsRow:
-    """Exact product/sum statistics for a finite integer set (0 excluded)."""
+    """Exact product/sum statistics for a finite integer set (0 excluded).
+
+    Each statistic is one sort count (``np.unique``) of an |A| x |A| outer
+    array of pair values, in the dtype ``_exact_operands`` picks for it:
+    int64 when every pair value fits, Python ints otherwise.
+    """
     a = sorted(set(int(x) for x in a))
     if not a or 0 in a:
         raise ValueError("need a nonempty integer set avoiding 0")
     n = len(a)
-    prods: dict[int, int] = {}
-    for x in a:
-        for y in a:
-            prods[x * y] = prods.get(x * y, 0) + 1
-    shifted = [x + shift for x in a]
-    sprods: dict[int, int] = {}
-    for x in a:
-        for y in shifted:
-            sprods[x * y] = sprods.get(x * y, 0) + 1
-    sums: dict[int, int] = {}
-    for x in a:
-        for y in a:
-            sums[x + y] = sums.get(x + y, 0) + 1
-    diffs: dict[int, int] = {}
-    for x in a:
-        for y in a:
-            diffs[x - y] = diffs.get(x - y, 0) + 1
+    if n > DOUBLING_SET_CAP:
+        raise ValueError(f"doubling statistics capped at |A| <= {DOUBLING_SET_CAP}, got {n}")
+    members = _int_table(a)
+    x, y = _exact_operands((members, members), 1)
+    _, prods = np.unique(np.multiply.outer(x, y), return_counts=True)
+    x, y = _exact_operands((members, _int_table([v + shift for v in a])), 1)
+    _, sprods = np.unique(np.multiply.outer(x, y), return_counts=True)
+    (x,) = _exact_operands((members,), 2)  # |x ± y| <= 2 max |x|
+    _, sums = np.unique(np.add.outer(x, x), return_counts=True)
+    diffs, dcounts = np.unique(np.subtract.outer(x, x), return_counts=True)
+    off_zero = dcounts[diffs != 0]
     return DoublingStatsRow(
         n=n,
         prod=len(prods),
         shifted_prod=len(sprods),
         doubling=len(prods) / n,
-        mult_energy=sum(v * v for v in prods.values()),
-        mult_energy_shifted=sum(v * v for v in sprods.values()),
-        add_energy=sum(v * v for v in sums.values()),
-        speps_third=sum(1 for d, v in diffs.items() if d and v >= n ** (2 / 3)),
-        speps_quarter=sum(1 for d, v in diffs.items() if d and v >= n ** (3 / 4)),
+        mult_energy=_energy_sums(prods)[0],
+        mult_energy_shifted=_energy_sums(sprods)[0],
+        add_energy=_energy_sums(sums)[0],
+        speps_third=int(np.count_nonzero(off_zero >= n ** (2 / 3))),
+        speps_quarter=int(np.count_nonzero(off_zero >= n ** (3 / 4))),
     )
 
 
@@ -586,12 +540,9 @@ def progression_scan(p: int, t: int) -> ProgressionRow:
     pc, gc, _ = _exact_operands((pc, gc, gc), p)
     e_pg = int(np.sum(pc * gc))
     e3_pg = int(np.sum(pc * gc * gc))
-    prods: dict[int, int] = {}
-    for x in prog:
-        for y in prog:
-            v = (x * y) % p
-            prods[v] = prods.get(v, 0) + 1
-    tmult2 = sum(v * v for v in prods.values())
+    # T^x_2(P) = #{x1 y1 = x2 y2}: the additive energy of dlog P in Z/(p-1)
+    logs = fld.dlog_array[np.asarray(prog) - 1]
+    tmult2 = _energy_sums(difference_counts(logs, logs, p - 1))[0]
     logp_len = math.log2(length) if length > 1 else None
     dirichlet = length ** 2 * (logp_len / 2) ** 2 if logp_len else None
     delta = 1.0 - math.log(t) / math.log(p) if t > 1 else None

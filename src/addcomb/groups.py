@@ -226,6 +226,12 @@ def _exact_operands(tables: Sequence[np.ndarray], terms: int) -> list[np.ndarray
     return [cast[id(t)] for t in tables]
 
 
+def _int_table(values) -> np.ndarray:
+    """Python ints as one table: int64 when every entry fits, Python ints
+    otherwise (numpy alone would read some mixes as uint64 or float64)."""
+    return _exact_operands((np.array(values, dtype=object),), 1)[0]
+
+
 def _scalar(v):
     """A numpy scalar as the Python int, float or complex it holds."""
     return v.item() if isinstance(v, np.generic) else v
@@ -346,7 +352,7 @@ def restricted_matrix(a: GroupSet, psi: Sequence) -> np.ndarray:
     """
     mem = np.asarray(a.members, dtype=np.int64)
     if all(isinstance(v, int) for v in psi):
-        (table,) = _exact_operands((np.array(psi, dtype=object),), 1)
+        table = _int_table(psi)
     else:
         table = np.array(psi, dtype=complex if any(isinstance(v, complex) for v in psi) else float)
     return table[(mem[:, None] - mem[None, :]) % a.group.modulus]

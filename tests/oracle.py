@@ -291,6 +291,76 @@ def subgroup_stats_naive(elements, p):
     return e2, e3, len(sums), diff, corr
 
 
+# --- dict recounts of the experiment scan rows ------------------------------
+# Each hashes the pair values of a row's set and returns integer columns of
+# the row by name; check_row compares a row with them.
+
+
+def _pair_counts(xs, ys, op):
+    """{v: #{(x, y) : op(x, y) = v}} over xs × ys."""
+    counts = {}
+    for x in xs:
+        for y in ys:
+            v = op(x, y)
+            counts[v] = counts.get(v, 0) + 1
+    return counts
+
+
+def subgroup_row_recount(elements, p):
+    """t, E2 and |S+S| from the pair sums, E3 and |S-S| from the pair
+    differences of a subgroup S of F_p*."""
+    sums = _pair_counts(elements, elements, lambda a, b: (a + b) % p)
+    diffs = _pair_counts(elements, elements, lambda a, b: (b - a) % p)
+    return {
+        "t": len(elements),
+        "E2": sum(v * v for v in sums.values()),
+        "sum": len(sums),
+        "E3": sum(v ** 3 for v in diffs.values()),
+        "diff": len(diffs),
+    }
+
+
+def convex_row_recount(seq):
+    """n, E2 from the pair sums and E3 = sum_d |A ∩ (A + d)|^3 from the pair
+    differences of an integer sequence, with no modulus."""
+    sums = _pair_counts(seq, seq, lambda a, b: a + b)
+    diffs = _pair_counts(seq, seq, lambda a, b: a - b)
+    return {
+        "n": len(seq),
+        "E2": sum(v * v for v in sums.values()),
+        "E3": sum(v ** 3 for v in diffs.values()),
+    }
+
+
+def doubling_row_recount(a, shift):
+    """Every column of a doubling-statistics row of the integer set A."""
+    a = sorted(set(a))
+    n = len(a)
+    prods = _pair_counts(a, a, lambda x, y: x * y)
+    sprods = _pair_counts(a, [y + shift for y in a], lambda x, y: x * y)
+    sums = _pair_counts(a, a, lambda x, y: x + y)
+    diffs = _pair_counts(a, a, lambda x, y: x - y)
+    return {
+        "n": n,
+        "prod": len(prods),
+        "shifted_prod": len(sprods),
+        "doubling": len(prods) / n,
+        "mult_energy": sum(v * v for v in prods.values()),
+        "mult_energy_shifted": sum(v * v for v in sprods.values()),
+        "add_energy": sum(v * v for v in sums.values()),
+        "speps_third": sum(1 for d, v in diffs.items() if d and v >= n ** (2 / 3)),
+        "speps_quarter": sum(1 for d, v in diffs.items() if d and v >= n ** (3 / 4)),
+    }
+
+
+def check_row(row, recount):
+    """Raise AssertionError naming each column of row that differs from the
+    recount."""
+    wrong = {k: (getattr(row, k), v) for k, v in recount.items() if getattr(row, k) != v}
+    if wrong:
+        raise AssertionError(f"row differs from its recount (row, recount): {wrong}")
+
+
 # --- tuple-enumeration oracles for tables over (Z/n)^k ---------------------
 
 

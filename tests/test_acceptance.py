@@ -11,7 +11,13 @@ import time
 import pytest
 
 from addcomb.energy import energy, energy_k
-from addcomb.experiments import convex_scan, divisors, primes_up_to, subgroup_scan
+from addcomb.experiments import (
+    convex_scan,
+    divisors,
+    primes_up_to,
+    squares_sequence,
+    subgroup_scan,
+)
 from addcomb.groups import CyclicGroup, GroupSet
 from addcomb.spectral import build_restricted_operator, eigendecompose, triangle_sum
 from addcomb.subgroup import (
@@ -32,6 +38,7 @@ from addcomb.verify import (
     run_inequality_suite,
     run_subgroup_suite,
 )
+from oracle import convex_row_recount
 
 
 # sha256 of `addcomb verify --seed 1 --json`: a report byte may change only
@@ -224,8 +231,14 @@ def test_criterion_7_scans():
         and all(math.isfinite(v) for v in finite)
     )
     sizes = [4, 8, 16, 32, 64, 128, 256, 512]
-    crows = convex_scan(sizes, "squares")  # cross-validates the largest row
-    convex_ok = crows[-1].n == 512 and all(r.E2 >= r.n ** 2 for r in crows)
+    crows = convex_scan(sizes, "squares")
+    # the dict recount of the largest row, independent of the pair-count kernel
+    largest = convex_row_recount(squares_sequence(512))
+    convex_ok = (
+        crows[-1].n == 512
+        and all(r.E2 >= r.n ** 2 for r in crows)
+        and all(getattr(crows[-1], k) == v for k, v in largest.items())
+    )
     _report(
         "criterion 7: subgroup scan p <= 2000 (< 5 min, lower bound on every row) "
         "+ convex scan to n = 512",

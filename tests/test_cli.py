@@ -121,12 +121,19 @@ def test_empty_scan_exits_1(argv, capsys):
     ["coverage-6gamma", "--pmax", "13", "--cap", "0"],
     ["expansion-scan", "--p", "13", "--t", "4", "--trials", "-3"],
     ["verify", "--trials", "-1"],
+    ["doubling-stats", "--file", "{oversize}"],
 ])
-def test_bad_input_exits_2(argv, capsys, monkeypatch):
+def test_bad_input_exits_2(argv, capsys, monkeypatch, tmp_path):
     # bad input is rejected before any suite runs, any scan starts or any
     # count is allocated
     import addcomb.cli as cli_mod
     import addcomb.experiments as exp_mod
+    from addcomb.config import DOUBLING_SET_CAP
+
+    if "{oversize}" in argv:
+        sets = tmp_path / "oversize.txt"
+        sets.write_text(" ".join(map(str, range(1, DOUBLING_SET_CAP + 2))) + "\n")
+        argv = [str(sets) if v == "{oversize}" else v for v in argv]
 
     def must_not_run(*args, **kwargs):
         raise AssertionError("work started before the input was checked")
@@ -134,7 +141,8 @@ def test_bad_input_exits_2(argv, capsys, monkeypatch):
     for mod, name in ((cli_mod, "run_identity_suite"),
                       (cli_mod, "run_inequality_suite"),
                       (exp_mod, "autocorrelation_np"),
-                      (exp_mod, "progression_scan")):
+                      (exp_mod, "progression_scan"),
+                      (exp_mod, "_int_table")):
         monkeypatch.setattr(mod, name, must_not_run)
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from addcomb.experiments import (
-    ConvexScanRow,
-    _crosscheck_subgroup_row,
     _energy_sums,
     assert_convex,
     autocorrelation_np,
@@ -28,7 +26,15 @@ from addcomb.experiments import (
     write_csv,
 )
 from addcomb.subgroup import make_field, subgroup
-from oracle import longest_ap_naive, quadruple_energy
+from oracle import (
+    check_row,
+    convex_row_recount,
+    doubling_row_recount,
+    longest_ap_naive,
+    mult_tuple_energy,
+    quadruple_energy,
+    subgroup_row_recount,
+)
 
 
 def test_primes_and_divisors():
@@ -37,7 +43,7 @@ def test_primes_and_divisors():
 
 
 def test_subgroup_scan_golden_rows():
-    rows = subgroup_scan(31, sample_fraction=1.0)
+    rows = subgroup_scan(31)
     by_key = {(r.p, r.t): r for r in rows}
     g = by_key[(7, 3)]
     assert (g.E2, g.E3, g.sum, g.diff) == (15, 33, 6, 7)
@@ -60,13 +66,42 @@ def test_subgroup_scan_energy_matches_oracle():
 
 
 def test_subgroup_crosscheck_catches_wrong_columns():
-    row = next(r for r in subgroup_scan(13, sample_fraction=0.0) if (r.p, r.t) == (13, 4))
-    els = subgroup(make_field(13), 4).elements
-    _crosscheck_subgroup_row(row, els, 13)
-    for field in ("E2", "E3", "sum", "diff"):
+    row = next(r for r in subgroup_scan(13) if (r.p, r.t) == (13, 4))
+    recount = subgroup_row_recount(subgroup(make_field(13), 4).elements, 13)
+    check_row(row, recount)
+    for field in ("t", "E2", "E3", "sum", "diff"):
         bad = dataclasses.replace(row, **{field: getattr(row, field) + 1})
-        with pytest.raises(AssertionError):
-            _crosscheck_subgroup_row(bad, els, 13)
+        with pytest.raises(AssertionError, match=field):
+            check_row(bad, recount)
+
+
+def test_subgroup_scan_rows_match_dict_recount():
+    rows = subgroup_scan(101)
+    assert len(rows) > 100
+    fields = {}
+    for r in rows:
+        if r.p not in fields:
+            fields[r.p] = make_field(r.p)
+        check_row(r, subgroup_row_recount(subgroup(fields[r.p], r.t).elements, r.p))
+
+
+@pytest.mark.parametrize("generator", ["squares", "perturbed"])
+def test_convex_scan_rows_match_dict_recount(generator):
+    sizes = list(range(2, 65))
+    rows = convex_scan(sizes, generator, seed=5)
+    assert [r.n for r in rows] == sizes
+    for r in rows:
+        seq = squares_sequence(r.n) if generator == "squares" else perturbed_quadratic(r.n, 5)
+        check_row(r, convex_row_recount(seq))
+
+
+def test_progression_batch_rows_match_dict_recount():
+    rows = progression_batch(101)
+    assert len(rows) > 100
+    for r in rows:
+        prog = [(r.start + i * r.step) % r.p for i in range(r.ap_len)]
+        assert set(prog) <= set(subgroup(make_field(r.p), r.t).elements)
+        assert r.tmult2 == mult_tuple_energy(prog, r.p, 2), (r.p, r.t)
 
 
 def test_energy_sums_exact_past_int64():
@@ -134,7 +169,7 @@ def test_convex_generators():
 
 
 def test_convex_scan_small_values():
-    rows = convex_scan([2, 4], sample_fraction=1.0)
+    rows = convex_scan([2, 4])
     assert rows[0].n == 2 and rows[0].E2 == 6
     a = squares_sequence(4)
     n_mod = 4 * max(a) + 1
@@ -159,6 +194,37 @@ def test_doubling_stats():
         doubling_stats([0, 1])
     with pytest.raises(ValueError):
         doubling_stats([])
+
+
+@pytest.mark.parametrize("a", [
+    [-5, -3, -1, 2, 7, 11],                          # negative members
+    [1, -1, 2, -2, 4, 9],
+    [2 ** 40 + k for k in (-9, -3, 1, 5, 12)],       # products past int64
+    [2 ** 62 - 7, 2 ** 62 + 3, -(2 ** 62) + 1, 5],   # sums past int64
+    [2 ** 63 - 1, -(2 ** 63 - 1), 1],                # int64 would wrap -2^64 + 2 onto 1 + 1
+    [2 ** 63 + 1, -(2 ** 63), 2 ** 64 + 5, 3],       # members past int64
+    list(range(1, 41)),
+])
+@pytest.mark.parametrize("shift", [1, -1, 0, 3, 10 ** 19, -(10 ** 19)])
+def test_doubling_stats_match_dict_recount(a, shift):
+    # shift -1 with 1 in A puts 0 in A + a; 10^19 lies past int64 alone
+    check_row(doubling_stats(a, shift), doubling_row_recount(a, shift))
+
+
+def test_doubling_stats_size_cap(monkeypatch):
+    import addcomb.experiments as exp_mod
+    from addcomb.config import DOUBLING_SET_CAP
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("an array was built before the cap was checked")
+
+    monkeypatch.setattr(exp_mod, "_int_table", must_not_run)
+    with pytest.raises(ValueError, match="capped"):
+        doubling_stats(range(1, DOUBLING_SET_CAP + 2))
+    # duplicates count once against the cap
+    monkeypatch.undo()
+    row = doubling_stats(list(range(1, 9)) * (DOUBLING_SET_CAP // 4))
+    assert row.n == 8
 
 
 def test_doubling_mult_energy_oracle():
