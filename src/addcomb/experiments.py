@@ -31,7 +31,7 @@ import numpy as np
 
 from .config import CONVEX_N_CAP, DOUBLING_SET_CAP, SCAN_PRIME_CAP
 from .groups import _exact_operands, _int_table, difference_counts, indicator_vector
-from .subgroup import MultSubgroup, make_field, subgroup, subgroup_stats
+from .subgroup import MultSubgroup, PrimeField, make_field, subgroup, subgroup_stats
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -525,11 +525,15 @@ def longest_progression(gamma: MultSubgroup) -> tuple[int, int, int]:
     return best
 
 
-def progression_scan(p: int, t: int) -> ProgressionRow:
-    """Longest progression inside the subgroup plus its energy statistics."""
+def progression_scan(p: int, t: int, fld: PrimeField | None = None) -> ProgressionRow:
+    """Longest progression inside the subgroup plus its energy statistics;
+    ``fld`` is F_p when the caller has built it already."""
     if p > SCAN_PRIME_CAP:
         raise ValueError(f"exact progression search capped at p <= {SCAN_PRIME_CAP}")
-    fld = make_field(p)
+    if fld is None:
+        fld = make_field(p)
+    elif fld.p != p:
+        raise ValueError(f"field of {fld.p} given for p = {p}")
     gamma = subgroup(fld, t)
     length, start, step = longest_progression(gamma)
     prog = [(start + i * step) % p for i in range(length)]
@@ -573,8 +577,9 @@ def progression_batch(p_max: int) -> list[ProgressionRow]:
     for p in primes_up_to(p_max):
         if p == 2:
             continue
+        fld = make_field(p)
         for t in divisors(p - 1):
-            rows.append(progression_scan(p, t))
+            rows.append(progression_scan(p, t, fld))
     rows.sort(key=lambda r: (r.p, r.t))
     return rows
 

@@ -3,12 +3,14 @@
 Diagonalization is a classical cyclic Jacobi sweep (symmetric matrices
 only), adequate for the sizes this package targets (n <= 512).  Each
 rotation updates one array [m | v^T]: two rows, which also rotates two
-eigenvector columns, then two columns of m, with every element computed
-as in the textbook update.  Eigenvalues, eigenvectors and residual are
-bit-identical to the separate row, column and vector updates that
-tests/oracle.py keeps as the reference.  Kernels with nonnegative Fourier
-transform are always *constructed* as psi = h ∘ h for real h, which forces
-the hypothesis instead of testing it.
+eigenvector columns, then two columns of m.  Each pair is one ufunc
+product with R = [[c, -s], [s, c]] into a preallocated buffer and one sum
+of its halves; c x + (-s) y equals the textbook c x - s y exactly, so
+eigenvalues, eigenvectors and residual are bit-identical to the separate
+row, column and vector updates that tests/oracle.py keeps as the
+reference.  A kernel with no complex value gives a float64 operator.
+Kernels with nonnegative Fourier transform are always *constructed* as
+psi = h ∘ h for real h, which forces the hypothesis instead of testing it.
 """
 
 from __future__ import annotations
@@ -66,11 +68,11 @@ def build_restricted_operator(a: GroupSet, psi: GroupFn) -> SpectralOperator:
     if a.group != psi.group:
         raise ValueError("kernel and set live on different moduli")
     check_nonempty(a)
-    n = a.group.modulus
-    vals = psi.values
-    mat = restricted_matrix(a, vals).astype(complex if psi.kind == "complex" else float)
-    symmetric = all(vals[x] == vals[(-x) % n] for x in range(n)) and psi.kind != "complex"
-    return SpectralOperator(a, psi, mat, symmetric)
+    mat = restricted_matrix(a, psi.values)
+    real = mat.dtype.kind != "c"  # no complex value: a real matrix
+    table = psi.table
+    symmetric = real and bool((table == table[-np.arange(len(table)) % len(table)]).all())
+    return SpectralOperator(a, psi, mat.astype(float if real else complex), symmetric)
 
 
 def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -94,14 +96,22 @@ def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     # and columns p and q of the eigenvector matrix v in the same step
     w = np.hstack((m, np.eye(n)))
     m = w[:, :n]
+    rot2 = np.empty((2, 2))  # [[c, -s], [s, c]]
+    rot = rot2[:, :, None]  # the same, broadcast along a row
+    row_buf = np.empty((2, 2, 2 * n))
+    col_buf = row_buf[:, :, :n]
     for _ in range(TOL.jacobi_sweeps):
         off = math.sqrt(max(0.0, float((m * m).sum() - (m.diagonal() ** 2).sum())))
         if off <= target:
             break
+        # row p and the diagonal as Python floats, read again after each
+        # rotation, so a pivot that is skipped costs no array access
+        diag = m.diagonal().tolist()
         for p in range(n - 1):
+            row = m[p].tolist()
             for q in range(p + 1, n):
-                apq = w.item(p, q)
-                app, aqq = w.item(p, p), w.item(q, q)
+                apq = row[q]
+                app, aqq = diag[p], diag[q]
                 if abs(apq) <= 1e-40 * (abs(app) + abs(aqq) + 1e-300):
                     continue
                 theta = (aqq - app) / (2.0 * apq)
@@ -113,12 +123,19 @@ def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
                     )
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                rp, rq = w[p:q + 1:q - p].copy()  # rows p and q
-                w[p] = c * rp - s * rq
-                w[q] = s * rp + c * rq
-                cp, cq = m[:, p:q + 1:q - p].T.copy()  # columns p and q
-                m[:, p] = c * cp - s * cq
-                m[:, q] = s * cp + c * cq
+                rot2[0, 0] = rot2[1, 1] = c
+                rot2[0, 1] = -s
+                rot2[1, 0] = s
+                # rows p and q, then columns p and q: c x + (-s) y is
+                # c x - s y exactly, so each pair is one product and one sum
+                rows = w[p:q + 1:q - p]
+                np.multiply(rot, rows, row_buf)
+                np.add(row_buf[:, 0], row_buf[:, 1], rows)
+                cols = m[:, p:q + 1:q - p].T
+                np.multiply(rot, cols, col_buf)
+                np.add(col_buf[:, 0], col_buf[:, 1], cols)
+                row = m[p].tolist()
+                diag[p], diag[q] = row[p], w.item(q, q)
     off = math.sqrt(max(0.0, float((m * m).sum() - (m.diagonal() ** 2).sum())))
     eigs = m.diagonal().copy()
     order = np.argsort(-eigs, kind="stable")

@@ -20,9 +20,9 @@ import numpy as np
 from .checks import IneqCheck
 from .config import FIELD_PRIME_CAP, MULT_ENERGY_CAP, TOL
 from .energy import correlation_counts, energy_k
-from .groups import CyclicGroup, GroupSet
+from .groups import CyclicGroup, GroupSet, _exact_operands
 from .spectral import build_restricted_operator, eigendecompose
-from .transform import GroupFn
+from .transform import _BLOCK, GroupFn, _ordered_sums
 
 
 def _is_prime(n: int) -> bool:
@@ -79,13 +79,14 @@ class PrimeField:
 
     @cached_property
     def inverse_table(self) -> tuple[int, ...]:
+        """x^-1 for every x (0 at 0), for callers that invert in bulk."""
         return (0,) + tuple(pow(x, self.p - 2, self.p) for x in range(1, self.p))
 
     def inv(self, x: int) -> int:
         x %= self.p
         if x == 0:
             raise ZeroDivisionError("0 is not invertible")
-        return self.inverse_table[x]
+        return pow(x, -1, self.p)
 
 
 def primitive_root(p: int) -> int:
@@ -165,17 +166,28 @@ class MultSubgroup:
         return {}
 
     @cached_property
-    def characters(self) -> tuple[GroupFn, ...]:
-        """chi_alpha, alpha < t, on F_p: t^(-1/2) e(alpha l / t) at x = g^(n l)
-        in the subgroup, 0 elsewhere; built once per subgroup."""
-        p, t = self.field.p, self.order
+    def character_table(self) -> np.ndarray:
+        """Read-only complex128 X[i, alpha] = chi_alpha(elements[i]) =
+        t^(-1/2) e(alpha l / t) for elements[i] = g^(n l); built once per
+        subgroup."""
+        t = self.order
         scale = 1.0 / math.sqrt(t)
+        table = np.array([
+            [scale * cmath.exp(2j * math.pi * alpha * l / t) for alpha in range(t)]
+            for l in map(self.char_index, self.elements)
+        ])
+        table.flags.writeable = False
+        return table
+
+    @cached_property
+    def characters(self) -> tuple[GroupFn, ...]:
+        """chi_alpha, alpha < t, on F_p: the columns of ``character_table``
+        on the subgroup, 0 elsewhere; built once per subgroup."""
         out = []
-        for alpha in range(t):
-            vals = [0j] * p
-            for x in self.elements:
-                l = self.char_index(x)
-                vals[x] = scale * cmath.exp(2j * math.pi * alpha * l / t)
+        for column in self.character_table.T.tolist():
+            vals = [0j] * self.field.p
+            for x, v in zip(self.elements, column):
+                vals[x] = v
             out.append(GroupFn(self.field.group, tuple(vals)))
         return tuple(out)
 
@@ -220,12 +232,21 @@ def orbit_closure(gamma: MultSubgroup, s: GroupSet) -> GroupSet:
 
 
 def gamma_invariant_fn(gamma: MultSubgroup, f: GroupFn, tol: float = 0.0) -> bool:
+    """Is |f(x g) - f(x)| <= tol for every x != 0 and g in Gamma?  Compared a
+    block of x at a time; int differences are exact (int64 behind the bound
+    of ``_exact_operands`` for a sum of two entries), complex ones are
+    measured with ``hypot``, as ``abs`` measures a Python complex."""
     p = gamma.field.p
-    for x in range(1, p):
-        base = f.values[x]
-        for g in gamma.elements:
-            if abs(f.values[(x * g) % p] - base) > tol:
-                return False
+    table = _exact_operands((f.table,), 2)[0]
+    els = np.asarray(gamma.elements, dtype=np.int64)
+    xs = np.arange(1, p, dtype=np.int64)
+    step = max(1, _BLOCK // len(els))
+    for lo in range(0, p - 1, step):
+        x = xs[lo:lo + step]
+        d = table[np.multiply.outer(x, els) % p] - table[x][:, None]
+        dist = np.hypot(d.real, d.imag) if d.dtype.kind == "c" else np.abs(d)
+        if (dist > tol).any():
+            return False
     return True
 
 
@@ -341,12 +362,19 @@ def mu_alpha_direct(gamma: MultSubgroup, g: GroupFn) -> MuTable:
     if not gamma_invariant_fn(gamma, g, tol=0.0 if g.kind == "int" else 1e-12):
         raise ValueError("kernel must be invariant under the subgroup")
     p, t = gamma.field.p, gamma.order
-    supp = [(x, g.values[x]) for x in range(p) if g.values[x]]
-    out = []
-    for chi in gamma.characters:
-        mu = math.sqrt(t) * sum(v * chi.values[(1 - x) % p] for x, v in supp)
-        out.append(mu)
-    table = gamma._mu_tables[g] = MuTable(g, tuple(out))
+    if any(g.values):
+        # the sum over x in supp(g), in increasing x, of g(x) chi(1 - x):
+        # only x in 1 - Gamma meet a nonzero character value, and a 0j term
+        # leaves a sum that starts at 0 as it is, so the rest are dropped
+        x = (1 - np.asarray(gamma.elements, dtype=np.int64)) % p
+        xs = x.tolist()
+        rows = [i for i in np.argsort(x).tolist() if g.values[xs[i]]]
+        weights = np.array([complex(g.values[xs[i]]) for i in rows], dtype=np.complex128)
+        sums = _ordered_sums(weights, gamma.character_table[rows]).tolist()
+    else:
+        sums = [0] * t  # sum() of no terms
+    out = tuple(math.sqrt(t) * s for s in sums)
+    table = gamma._mu_tables[g] = MuTable(g, out)
     return table
 
 
@@ -374,11 +402,14 @@ def check_eigenbasis(
             tuple(g.values[(coset * z) % p] for z in range(p)),
         )
         mus = mu_alpha_direct(gamma, dilated).values
+    # kt[j, i] = g(x_i - y_j) over the base: acc_i = sum_j g(x_i - y_j) vec_j,
+    # summed as the generator over j sums it
+    at = np.asarray(base, dtype=np.int64)
+    kt = g.table.astype(np.complex128)[(at[None, :] - at[:, None]) % p]
     worst = 0.0
     for mu, chi in zip(mus, gamma.characters):
         vec = [chi.values[translate(x)] for x in base]
-        for i, x in enumerate(base):
-            acc = sum(g.values[(x - y) % p] * vec[j] for j, y in enumerate(base))
+        for i, acc in enumerate(_ordered_sums(np.array(vec), kt).tolist()):
             worst = max(worst, abs(acc - mu * vec[i]))
     return IneqCheck.from_identity(
         "subgroup-eigenbasis" + ("" if coset is None else "-coset"),

@@ -4,10 +4,14 @@ Convolutions are direct sums, so integer inputs give exact integer outputs:
 each is one gather of a circulant matrix and one matmul, in int64 behind
 the bound of ``groups._exact_operands`` and in Python ints above it.  The
 gather builds two N x N arrays, so a convolution takes O(N^2) memory (about
-270 MB at N = 4099) where a loop over y would take O(N).  The
-naive complex DFT is used only for statements that are inherently
-Fourier-side.  Forward transform: F(f)(xi) = sum f(x) e(-xi x/N);
-inversion carries the 1/N.
+270 MB at N = 4099) where a loop over y would take O(N).
+
+The DFT is a direct sum over x, used only for statements that are
+inherently Fourier-side.  It runs on float64 arrays through
+``_ordered_sums``, which performs CPython's complex product and running sum
+operation by operation, so every coefficient has the bits of the plain
+Python double loop (tests/oracle.py keeps it).  Forward transform:
+F(f)(xi) = sum f(x) e(-xi x/N); inversion carries the 1/N.
 """
 
 from __future__ import annotations
@@ -101,17 +105,65 @@ def idft(coeffs: GroupFn) -> GroupFn:
     )
 
 
+_BLOCK = 8192  # entries per transient array of the in-order loops here and in subgroup
+_SIGNS = np.array([-1.0, 1.0])
+
+
 def _fourier_sum(values: Sequence, w: float) -> list[complex]:
-    """sum_x values[x] exp(i w (y x mod N)) for every y, by direct summation."""
+    """sum_x values[x] exp(i w (y x mod N)) for every y, zero values skipped,
+    in the order and the rounding of the direct double loop: each root is
+    ``cmath.exp(1j * w * k)`` for k = y x mod N, taken from a table of the N
+    roots, and the sum over x runs through ``_ordered_sums`` a block of x at
+    a time, so no transient array holds more than O(N) entries."""
     n = len(values)
-    out = []
-    for y in range(n):
-        acc = 0j
-        for x, v in enumerate(values):
-            if v:
-                acc += v * cmath.exp(1j * w * ((y * x) % n))
-        out.append(acc)
-    return out
+    support = [(x, complex(v)) for x, v in enumerate(values) if v]
+    roots = np.array([cmath.exp(1j * w * k) for k in range(n)])
+    xs = np.array([x for x, _ in support], dtype=np.int64)
+    weights = np.array([v for _, v in support], dtype=np.complex128)
+    y = np.arange(n, dtype=np.int64)
+    step = max(1, _BLOCK // (2 * n))
+    acc = np.zeros(n, dtype=np.complex128)  # acc = 0j
+    for lo in range(0, len(xs), step):
+        at = np.multiply.outer(xs[lo:lo + step], y)
+        acc = _ordered_sums(weights[lo:lo + step], roots[np.remainder(at, n, out=at)], acc)
+    return acc.tolist()
+
+
+def _ordered_sums(a: np.ndarray, b: np.ndarray, acc: np.ndarray | None = None) -> np.ndarray:
+    """sum(a[i] * b[i, j] for i) for every column j, as a complex128 row
+    with the bits CPython gives that sum of complex products.
+
+    a (m,) and b (m, J) are complex128; an int or float weight is
+    complex(v, 0.0), as CPython converts it.  Each product is CPython's
+    ``(ar br - ai bi, ar bi + ai br)`` formed by real ufuncs on the float64
+    view of b: one product by ar, one by (-ai, ai) on the swapped pairs,
+    one sum, with (-ai) bi = -(ai bi) exactly, so nothing is fused or
+    reordered.  The sum is an in-order running sum (``np.add.accumulate``,
+    that is ``np.cumsum``) down a row of +0.0, as ``sum`` starts from 0 (0j
+    turns a leading -0.0 into +0.0), a block of rows at a time with the
+    carried row leading each block; ``acc``, the row an earlier call
+    returned, continues that sum.  Numpy's complex multiply and its pairwise
+    reductions (``sum``, ``@``) round differently and are not used.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.ascontiguousarray(b, dtype=np.complex128)
+    m, cols = b.shape
+    step = max(1, _BLOCK // max(1, 2 * cols))
+    signed = np.multiply.outer(a.imag, _SIGNS)  # (-ai, ai): exact negation
+    run = np.zeros((min(m, step) + 1, cols), dtype=np.complex128)
+    pairs = run.view(np.float64).reshape(len(run), cols, 2)  # (re, im) of each entry
+    tmp = np.empty((len(run) - 1, cols, 2))
+    if acc is not None:
+        run[0] = acc
+    for lo in range(0, m, step):
+        k = min(step, m - lo)
+        bv = b[lo:lo + k].view(np.float64).reshape(k, cols, 2)
+        np.multiply(a.real[lo:lo + k, None, None], bv, pairs[1:k + 1])  # (ar br, ar bi)
+        np.multiply(signed[lo:lo + k, None], bv[..., ::-1], tmp[:k])  # (-ai bi, ai br)
+        np.add(pairs[1:k + 1], tmp[:k], pairs[1:k + 1])
+        np.add.accumulate(run[:k + 1], 0, out=run[:k + 1])  # np.cumsum
+        run[0] = run[k]
+    return run[0].copy()
 
 
 def convolve(f: GroupFn, g: GroupFn) -> GroupFn:

@@ -55,6 +55,7 @@ from .subgroup import (
 )
 from .transform import (
     GroupFn,
+    _ordered_sums,
     check_commutation,
     convolve,
     correlate,
@@ -630,14 +631,13 @@ def _mu_trace_checks(suite, gamma, g, inst) -> None:
 
 
 def _orthonormality_check(gamma: MultSubgroup) -> IneqCheck:
-    t = gamma.order
-    chis = [c.values for c in gamma.characters]
+    # <chi_a, chi_b> = sum over the subgroup of chi_a(x) conj(chi_b(x)), in
+    # the order of the elements, for every b at once
+    table = gamma.character_table
+    conj = table.conj()
     worst = 0.0
-    for a in range(t):
-        for b in range(t):
-            ip = sum(
-                chis[a][x] * chis[b][x].conjugate() for x in gamma.elements
-            )
+    for a in range(gamma.order):
+        for b, ip in enumerate(_ordered_sums(table[:, a], conj).tolist()):
             worst = max(worst, abs(ip - (1 if a == b else 0)))
     return IneqCheck.from_identity("character-orthonormality", worst, TOL.ortho)
 

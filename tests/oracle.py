@@ -1,6 +1,7 @@
 """Independent brute-force oracles: plain tuple enumeration, no shared code
 with the library paths they validate."""
 
+import cmath
 import itertools
 import math
 
@@ -472,3 +473,76 @@ def jacobi_eigh(matrix):
     eigs = m.diagonal().copy()
     order = np.argsort(-eigs, kind="stable")
     return eigs[order], v[:, order], off
+
+
+# The float loops below are the library's earlier forms.  The library now
+# performs the same IEEE operations in the same order on float64 arrays, and
+# Tier-1 compares the two by repr, so every rounding must agree.
+
+
+def fourier_sum(values, w):
+    """sum_x values[x] exp(i w (y x mod N)) for every y: the direct double
+    loop over nonzero values."""
+    n = len(values)
+    out = []
+    for y in range(n):
+        acc = 0j
+        for x, v in enumerate(values):
+            if v:
+                acc += v * cmath.exp(1j * w * ((y * x) % n))
+        out.append(acc)
+    return out
+
+
+def mu_alpha_sums(gamma, g):
+    """mu_alpha(g) = sqrt(t) sum_x g(x) chi_alpha(1 - x), one generator sum
+    over the support of g per character."""
+    p, t = gamma.field.p, gamma.order
+    supp = [(x, g.values[x]) for x in range(p) if g.values[x]]
+    return [
+        math.sqrt(t) * sum(v * chi.values[(1 - x) % p] for x, v in supp)
+        for chi in gamma.characters
+    ]
+
+
+def eigenbasis_residual(gamma, g, mus, coset=None):
+    """max over characters and points x of the base of
+    |sum_y g(x - y) vec(y) - mu vec(x)|, with vec the (translated) character
+    on the subgroup or on the coset xi * Gamma."""
+    p = gamma.field.p
+    if coset is None:
+        base = list(gamma.elements)
+        xi_inv = 1
+    else:
+        base = sorted((coset * e) % p for e in gamma.elements)
+        xi_inv = pow(coset, p - 2, p)
+    worst = 0.0
+    for mu, chi in zip(mus, gamma.characters):
+        vec = [chi.values[(xi_inv * x) % p] for x in base]
+        for i, x in enumerate(base):
+            acc = sum(g.values[(x - y) % p] * vec[j] for j, y in enumerate(base))
+            worst = max(worst, abs(acc - mu * vec[i]))
+    return worst
+
+
+def orthonormality_residual(gamma):
+    """max over character pairs of |<chi_a, chi_b> - [a = b]|, each inner
+    product a generator sum over the subgroup."""
+    t = gamma.order
+    chis = [c.values for c in gamma.characters]
+    worst = 0.0
+    for a in range(t):
+        for b in range(t):
+            ip = sum(chis[a][x] * chis[b][x].conjugate() for x in gamma.elements)
+            worst = max(worst, abs(ip - (1 if a == b else 0)))
+    return worst
+
+
+def gamma_invariant(elements, values, p, tol=0.0):
+    """|f(x g) - f(x)| <= tol for every x != 0 and g in Gamma, pointwise."""
+    for x in range(1, p):
+        base = values[x]
+        for g in elements:
+            if abs(values[(x * g) % p] - base) > tol:
+                return False
+    return True

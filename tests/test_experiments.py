@@ -104,6 +104,25 @@ def test_progression_batch_rows_match_dict_recount():
         assert r.tmult2 == mult_tuple_energy(prog, r.p, 2), (r.p, r.t)
 
 
+def test_progression_batch_builds_one_field_per_prime(monkeypatch):
+    import addcomb.experiments as exp_mod
+
+    built = []
+
+    def counting_make_field(p, root=None):
+        built.append(p)
+        return make_field(p, root)
+
+    monkeypatch.setattr(exp_mod, "make_field", counting_make_field)
+    rows = progression_batch(101)
+    assert sorted(built) == sorted(set(built)) == sorted({r.p for r in rows})
+    fld = make_field(101)
+    assert fld.inv(7) * 7 % 101 == 1
+    assert "inverse_table" not in vars(fld)  # one pow per inverse, no table
+    with pytest.raises(ValueError):
+        progression_scan(103, 3, fld)
+
+
 def test_energy_sums_exact_past_int64():
     assert _energy_sums(np.array([3, 1, 0])) == (10, 28)
     assert _energy_sums([2 ** 21]) == (2 ** 42, 2 ** 63)  # (2^21)^3 = 2^63

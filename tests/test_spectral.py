@@ -1,9 +1,11 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
+from addcomb.config import TOL
 from addcomb.energy import correlation_counts
 from addcomb.groups import CyclicGroup, GroupSet, _exact_operands, indicator, restricted_matrix
 from addcomb.spectral import (
@@ -101,6 +103,28 @@ def test_nonsymmetric_operator_rejected():
     assert not op.symmetric
     with pytest.raises(ValueError):
         eigendecompose(op)
+
+
+def test_real_kernel_gives_a_real_symmetric_operator():
+    """psi = h ∘ h of a real, non-integer h is real and even: a float64
+    matrix that diagonalizes, with no ComplexWarning on the way."""
+    g = CyclicGroup(8)
+    a = GroupSet.of(g, [0, 1, 3])
+    h = GroupFn(g, (0.5, 1, 0, 0, 0, 0, 0, 0.25))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        op = build_restricted_operator(a, correlation_kernel(h))
+        assert op.matrix.dtype == np.float64 and op.symmetric
+        eigs = eigendecompose(op).eigenvalues
+        report = first_eigenfunction_bounds(a, h)
+    ref = np.linalg.eigvalsh(op.matrix)[::-1]
+    assert np.allclose(eigs, ref, rtol=0, atol=TOL.spectrum_rel * max(1.0, abs(ref).max()))
+    assert abs(report.mu0 - ref[0]) <= TOL.spectrum_rel * max(1.0, ref[0])
+    odd = GroupFn(g, (0, 0.5, 0, 0, 0, 0, 0, 0.25))  # real but not even
+    assert not build_restricted_operator(a, odd).symmetric
+    cplx = GroupFn(g, (1, 0.5j, 0, 0, 0, 0, 0, -0.5j))  # even, but complex
+    op = build_restricted_operator(a, cplx)
+    assert op.matrix.dtype == np.complex128 and not op.symmetric
 
 
 def test_traces_golden_and_random():
