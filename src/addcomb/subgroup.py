@@ -389,14 +389,15 @@ def check_eigenbasis(
     eigenvalues come from the dilated kernel z -> g(xi z).
     """
     p = gamma.field.p
+    els = np.asarray(gamma.elements, dtype=np.int64)
     if coset is None:
-        base = list(gamma.elements)
-        translate = lambda x: x
+        base = els
+        vecs = gamma.character_table
         mus = mu_alpha_direct(gamma, g).values
     else:
-        xi_inv = gamma.field.inv(coset)
-        base = sorted((coset * e) % p for e in gamma.elements)
-        translate = lambda x: (xi_inv * x) % p
+        base = np.sort(coset * els % p)
+        # vecs[i] holds the characters at xi^-1 base[i], an element of Gamma
+        vecs = gamma.character_table[np.searchsorted(els, gamma.field.inv(coset) * base % p)]
         dilated = GroupFn(
             gamma.field.group,
             tuple(g.values[(coset * z) % p] for z in range(p)),
@@ -404,12 +405,11 @@ def check_eigenbasis(
         mus = mu_alpha_direct(gamma, dilated).values
     # kt[j, i] = g(x_i - y_j) over the base: acc_i = sum_j g(x_i - y_j) vec_j,
     # summed as the generator over j sums it
-    at = np.asarray(base, dtype=np.int64)
-    kt = g.table.astype(np.complex128)[(at[None, :] - at[:, None]) % p]
+    kt = g.table.astype(np.complex128)[(base[None, :] - base[:, None]) % p]
     worst = 0.0
-    for mu, chi in zip(mus, gamma.characters):
-        vec = [chi.values[translate(x)] for x in base]
-        for i, acc in enumerate(_ordered_sums(np.array(vec), kt).tolist()):
+    for alpha, mu in enumerate(mus):
+        vec = vecs[:, alpha].tolist()
+        for i, acc in enumerate(_ordered_sums(vecs[:, alpha], kt).tolist()):
             worst = max(worst, abs(acc - mu * vec[i]))
     return IneqCheck.from_identity(
         "subgroup-eigenbasis" + ("" if coset is None else "-coset"),
@@ -669,8 +669,10 @@ def check_tk_characters(gamma: MultSubgroup, f: GroupFn, k: int) -> list[IneqChe
     direct = mult_energy_k(gamma, f, k)
     fv = f.values
     rhs = 0.0
-    for chi in gamma.characters:
-        c = sum(fv[x] * chi.values[x].conjugate() for x in gamma.elements)
+    table = gamma.character_table
+    for alpha in range(t):
+        chi = table[:, alpha].tolist()
+        c = sum(fv[x] * v.conjugate() for x, v in zip(gamma.elements, chi))
         rhs += abs(c) ** (2 * k)
     rhs *= t ** (k - 1)
     scale = max(1.0, abs(direct), abs(rhs))
