@@ -525,15 +525,15 @@ def longest_progression(gamma: MultSubgroup) -> tuple[int, int, int]:
     return best
 
 
-def progression_scan(p: int, t: int, fld: PrimeField | None = None) -> ProgressionRow:
-    """Longest progression inside the subgroup plus its energy statistics;
-    ``fld`` is F_p when the caller has built it already."""
+def progression_scan(p: int, t: int) -> ProgressionRow:
+    """Longest progression inside the subgroup plus its energy statistics."""
     if p > SCAN_PRIME_CAP:
         raise ValueError(f"exact progression search capped at p <= {SCAN_PRIME_CAP}")
-    if fld is None:
-        fld = make_field(p)
-    elif fld.p != p:
-        raise ValueError(f"field of {fld.p} given for p = {p}")
+    return _progression_row(make_field(p), t)
+
+
+def _progression_row(fld: PrimeField, t: int) -> ProgressionRow:
+    p = fld.p
     gamma = subgroup(fld, t)
     length, start, step = longest_progression(gamma)
     prog = [(start + i * step) % p for i in range(length)]
@@ -579,7 +579,7 @@ def progression_batch(p_max: int) -> list[ProgressionRow]:
             continue
         fld = make_field(p)
         for t in divisors(p - 1):
-            rows.append(progression_scan(p, t, fld))
+            rows.append(_progression_row(fld, t))
     rows.sort(key=lambda r: (r.p, r.t))
     return rows
 

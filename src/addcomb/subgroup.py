@@ -366,9 +366,10 @@ def mu_alpha_direct(gamma: MultSubgroup, g: GroupFn) -> MuTable:
         # the sum over x in supp(g), in increasing x, of g(x) chi(1 - x):
         # only x in 1 - Gamma meet a nonzero character value, and a 0j term
         # leaves a sum that starts at 0 as it is, so the rest are dropped
-        x = (1 - np.asarray(gamma.elements, dtype=np.int64)) % p
-        xs = x.tolist()
-        rows = [i for i in np.argsort(x).tolist() if g.values[xs[i]]]
+        # (sorted in Python: numpy's int64 sort kernels page in about
+        # 0.25 MB of code each on first use, for t values)
+        xs = [(1 - e) % p for e in gamma.elements]
+        rows = sorted((i for i in range(t) if g.values[xs[i]]), key=xs.__getitem__)
         weights = np.array([complex(g.values[xs[i]]) for i in rows], dtype=np.complex128)
         sums = _ordered_sums(weights, gamma.character_table[rows]).tolist()
     else:
@@ -389,15 +390,16 @@ def check_eigenbasis(
     eigenvalues come from the dilated kernel z -> g(xi z).
     """
     p = gamma.field.p
-    els = np.asarray(gamma.elements, dtype=np.int64)
     if coset is None:
-        base = els
+        base = gamma.elements
         vecs = gamma.character_table
         mus = mu_alpha_direct(gamma, g).values
     else:
-        base = np.sort(coset * els % p)
+        base = sorted(coset * e % p for e in gamma.elements)
         # vecs[i] holds the characters at xi^-1 base[i], an element of Gamma
-        vecs = gamma.character_table[np.searchsorted(els, gamma.field.inv(coset) * base % p)]
+        row = {e: i for i, e in enumerate(gamma.elements)}
+        xi_inv = gamma.field.inv(coset)
+        vecs = gamma.character_table[[row[xi_inv * x % p] for x in base]]
         dilated = GroupFn(
             gamma.field.group,
             tuple(g.values[(coset * z) % p] for z in range(p)),
@@ -405,7 +407,8 @@ def check_eigenbasis(
         mus = mu_alpha_direct(gamma, dilated).values
     # kt[j, i] = g(x_i - y_j) over the base: acc_i = sum_j g(x_i - y_j) vec_j,
     # summed as the generator over j sums it
-    kt = g.table.astype(np.complex128)[(base[None, :] - base[:, None]) % p]
+    b = np.asarray(base, dtype=np.int64)
+    kt = g.table.astype(np.complex128)[(b[None, :] - b[:, None]) % p]
     worst = 0.0
     for alpha, mu in enumerate(mus):
         vec = vecs[:, alpha].tolist()

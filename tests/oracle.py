@@ -494,14 +494,32 @@ def fourier_sum(values, w):
     return out
 
 
+def characters(gamma):
+    """chi_alpha on F_p for alpha < t, each a list of p values: t^(-1/2)
+    e(alpha l / t) at x = (root^index)^l, found by walking the powers, and 0j
+    off the subgroup."""
+    p, t = gamma.field.p, gamma.order
+    gen = pow(gamma.field.root, (p - 1) // t, p)
+    scale = 1.0 / math.sqrt(t)
+    out = []
+    for alpha in range(t):
+        vals = [0j] * p
+        x = 1
+        for l in range(t):
+            vals[x] = scale * cmath.exp(2j * math.pi * alpha * l / t)
+            x = x * gen % p
+        out.append(vals)
+    return out
+
+
 def mu_alpha_sums(gamma, g):
     """mu_alpha(g) = sqrt(t) sum_x g(x) chi_alpha(1 - x), one generator sum
     over the support of g per character."""
     p, t = gamma.field.p, gamma.order
     supp = [(x, g.values[x]) for x in range(p) if g.values[x]]
     return [
-        math.sqrt(t) * sum(v * chi.values[(1 - x) % p] for x, v in supp)
-        for chi in gamma.characters
+        math.sqrt(t) * sum(v * chi[(1 - x) % p] for x, v in supp)
+        for chi in characters(gamma)
     ]
 
 
@@ -517,8 +535,8 @@ def eigenbasis_residual(gamma, g, mus, coset=None):
         base = sorted((coset * e) % p for e in gamma.elements)
         xi_inv = pow(coset, p - 2, p)
     worst = 0.0
-    for mu, chi in zip(mus, gamma.characters):
-        vec = [chi.values[(xi_inv * x) % p] for x in base]
+    for mu, chi in zip(mus, characters(gamma)):
+        vec = [chi[(xi_inv * x) % p] for x in base]
         for i, x in enumerate(base):
             acc = sum(g.values[(x - y) % p] * vec[j] for j, y in enumerate(base))
             worst = max(worst, abs(acc - mu * vec[i]))
@@ -529,7 +547,7 @@ def orthonormality_residual(gamma):
     """max over character pairs of |<chi_a, chi_b> - [a = b]|, each inner
     product a generator sum over the subgroup."""
     t = gamma.order
-    chis = [c.values for c in gamma.characters]
+    chis = characters(gamma)
     worst = 0.0
     for a in range(t):
         for b in range(t):

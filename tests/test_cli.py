@@ -141,7 +141,7 @@ def test_bad_input_exits_2(argv, capsys, monkeypatch, tmp_path):
     for mod, name in ((cli_mod, "run_identity_suite"),
                       (cli_mod, "run_inequality_suite"),
                       (exp_mod, "autocorrelation_np"),
-                      (exp_mod, "progression_scan"),
+                      (exp_mod, "_progression_row"),
                       (exp_mod, "_int_table")):
         monkeypatch.setattr(mod, name, must_not_run)
     assert main(argv) == 2

@@ -101,6 +101,13 @@ def test_mu_alpha_and_eigenbasis_match_the_loops_by_repr(p, t):
 
 
 @pytest.mark.parametrize("p,t", CASES)
+def test_character_table_matches_the_walked_characters_by_repr(p, t):
+    gamma = subgroup(make_field(p), t)
+    want = [[chi[x] for chi in oracle.characters(gamma)] for x in gamma.elements]
+    assert repr(gamma.character_table.tolist()) == repr(want)
+
+
+@pytest.mark.parametrize("p,t", CASES)
 def test_orthonormality_matches_the_loop_by_repr(p, t):
     gamma = subgroup(make_field(p), t)
     assert repr(_orthonormality_check(gamma).lhs) == repr(oracle.orthonormality_residual(gamma))
