@@ -365,9 +365,9 @@ def mu_alpha_direct(gamma: MultSubgroup, g: GroupFn) -> MuTable:
     if any(g.values):
         # the sum over x in supp(g), in increasing x, of g(x) chi(1 - x):
         # only x in 1 - Gamma meet a nonzero character value, and a 0j term
-        # leaves a sum that starts at 0 as it is, so the rest are dropped
-        # (sorted in Python: numpy's int64 sort kernels page in about
-        # 0.25 MB of code each on first use, for t values)
+        # leaves a sum that starts at 0 as it is, so the rest are dropped.
+        # The t indices are sorted in Python: the first call of numpy's
+        # int64 sort kernels maps about 0.25 MB of their code into memory.
         xs = [(1 - e) % p for e in gamma.elements]
         rows = sorted((i for i in range(t) if g.values[xs[i]]), key=xs.__getitem__)
         weights = np.array([complex(g.values[xs[i]]) for i in rows], dtype=np.complex128)
