@@ -127,7 +127,7 @@ def _quotient_sum(nums, dens) -> Fraction:
 def check_heart_triple(a: GroupSet) -> IneqCheck:
     """sum_{x,y,z in A} |A_{x-y}||A_{x-z}||A_{y-z}| >= E(A)^3 / |A|^3."""
     check_nonempty(a)
-    lhs = triple_product_sum(a, a.autocorrelation)
+    lhs = triple_product_sum(a, np.array(a.autocorrelation, dtype=np.int64))
     rhs = Fraction(energy(a) ** 3, len(a) ** 3)
     return IneqCheck.from_ge("triple-shift-product-bound", Fraction(lhs), rhs)
 
@@ -246,7 +246,7 @@ def check_weight_inequality(
     quad = sum(d * abs(v) ** 2 for v, d in zip(qx, spreads))
     lhs = len(a) ** (2 * l) * abs(lin) ** 2
     rhs = energy_k(b, a, k + l + 1) * quad
-    exact = qt.table.dtype != np.complex128
+    exact = qt.kind == "int"
     return IneqCheck.from_le(
         f"weighted-shift-bound-k{k}l{l}{sign}", lhs, rhs,
         0.0 if exact else TOL.complex_rel * max(1.0, abs(rhs)),
@@ -256,10 +256,8 @@ def check_weight_inequality(
 def _weight_table(q, group, k: int) -> GridFn:
     """The weight as a table over Gr^k: a GridFn, a GroupFn (k = 1) or
     row-major values."""
-    if isinstance(q, GroupFn):
-        q = q.values
     if not isinstance(q, GridFn):
-        q = GridFn.of(group, q, k)
+        q = GridFn(q.group, q.table) if isinstance(q, GroupFn) else GridFn.of(group, q, k)
     if q.group != group or q.arity != k:
         raise ValueError("weight must be a table over Gr^k")
     return q
@@ -375,7 +373,7 @@ def check_membership_identity(
 
     # E(A^k, Δ(C)) = sum_z (C∘C)(z) (A∘A)(z)^k = c W^k c^T for the 0/1 row c
     # of C and W[j, j'] = (A∘A)(b_j - b_j'): |B|^2 products of k + 2 entries
-    w = restricted_matrix(b, a.autocorrelation)
+    w = restricted_matrix(b, np.array(a.autocorrelation, dtype=np.int64))
     c, w, *_ = _exact_operands((cells_l, *(w,) * k, cells_l), len(b) ** 2)
     total = int(((c @ w ** k) * c).sum())
     checks.append(IneqCheck.from_identity(

@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .config import CONVEX_N_CAP, DOUBLING_SET_CAP, SCAN_PRIME_CAP
-from .groups import _exact_operands, _int_table, difference_counts, indicator_vector
+from .groups import _exact_operands, _value_table, difference_counts, indicator_vector
 from .subgroup import MultSubgroup, PrimeField, make_field, subgroup, subgroup_stats
 
 
@@ -426,10 +426,10 @@ def doubling_stats(a, shift: int = 1) -> DoublingStatsRow:
     n = len(a)
     if n > DOUBLING_SET_CAP:
         raise ValueError(f"doubling statistics capped at |A| <= {DOUBLING_SET_CAP}, got {n}")
-    members = _int_table(a)
+    members = _value_table(a)
     x, y = _exact_operands((members, members), 1)
     _, prods = np.unique(np.multiply.outer(x, y), return_counts=True)
-    x, y = _exact_operands((members, _int_table([v + shift for v in a])), 1)
+    x, y = _exact_operands((members, _value_table([v + shift for v in a])), 1)
     _, sprods = np.unique(np.multiply.outer(x, y), return_counts=True)
     (x,) = _exact_operands((members,), 2)  # |x ± y| <= 2 max |x|
     _, sums = np.unique(np.add.outer(x, x), return_counts=True)

@@ -6,8 +6,9 @@ through one kernel, ``difference_counts``: a bincount of y - x over the
 member arrays, in row blocks.  The correlation A ∘ B is that count, a sumset
 is its support, and A ∘ A is cached on the set.  The cells of a shift
 system and their spreads are 0/1 numpy matrices in ``energy``.  A function
-on (Z/N)^k is a ``GridFn``: one read-only ndarray of shape (N,)*k.  Each
-exact sum of products takes int64 or Python ints from ``_exact_operands``.
+on (Z/N)^k is a ``GridFn``: one read-only ndarray of shape (N,)*k, its
+kind decided once by ``_value_table``; an exact sum of products takes int64
+or Python ints from ``_exact_operands``.
 """
 
 from __future__ import annotations
@@ -226,10 +227,21 @@ def _exact_operands(tables: Sequence[np.ndarray], terms: int) -> list[np.ndarray
     return [cast[id(t)] for t in tables]
 
 
-def _int_table(values) -> np.ndarray:
-    """Python ints as one table: int64 when every entry fits, Python ints
-    otherwise (numpy alone would read some mixes as uint64 or float64)."""
-    return _exact_operands((np.array(values, dtype=object),), 1)[0]
+def _value_table(values) -> np.ndarray:
+    """A function's values as one table: the package's one decision of
+    their kind.  Ints give int64 when every entry fits and Python ints
+    otherwise (numpy alone would read some mixes as uint64 or float64),
+    other reals float64, anything else complex128."""
+    arr = np.array(values, dtype=object)
+    if all(isinstance(v, (int, np.integer)) for v in arr.flat):
+        return _exact_operands((np.frompyfunc(int, 1, 1)(arr),), 1)[0]
+    cplx = any(isinstance(v, (complex, np.complexfloating)) for v in arr.flat)
+    return arr.astype(np.complex128 if cplx else np.float64)
+
+
+def _value_kind(table: np.ndarray) -> str:
+    """The value kind, "int", "real" or "complex", of a ``_value_table``."""
+    return {"i": "int", "O": "int", "f": "real", "c": "complex"}[table.dtype.kind]
 
 
 def _scalar(v):
@@ -242,9 +254,9 @@ class GridFn:
     """Function (Z/N)^k -> C for k in 1..3, stored as a read-only ndarray of
     shape (N,)*k indexed by residues (row-major, last coordinate fastest).
 
-    Integer tables are int64 when every entry fits, object arrays of Python
-    ints otherwise; any other values are complex128.  Everything handed out
-    (``__call__``, ``flat``, ``dot``) is a Python scalar.
+    The table is int64, object (Python ints), float64 or complex128, as
+    ``_value_table`` decides.  Everything handed out (``__call__``,
+    ``flat``, ``dot``) is a Python scalar.
     """
 
     group: CyclicGroup
@@ -255,7 +267,7 @@ class GridFn:
         _check_grid(self.group.modulus, t.ndim)
         if t.shape != (self.group.modulus,) * t.ndim:
             raise ValueError("table shape must be (N,)*k")
-        if t.dtype not in (np.int64, np.complex128, object):
+        if t.dtype not in (np.int64, np.float64, np.complex128, object):
             raise ValueError(f"unsupported table dtype {t.dtype}")
         view = t.view()
         view.flags.writeable = False
@@ -265,16 +277,18 @@ class GridFn:
     def of(cls, group: CyclicGroup, values, arity: int | None = None) -> "GridFn":
         """Table from nested values, or from row-major flat values of the
         given arity."""
-        arr = np.array(values, dtype=object)
+        table = _value_table(values)
         if arity is not None:
-            arr = arr.reshape((group.modulus,) * arity)
-        if not all(isinstance(v, (int, np.integer)) for v in arr.flat):
-            return cls(group, arr.astype(np.complex128))
-        return cls(group, _exact_operands((np.frompyfunc(int, 1, 1)(arr),), 1)[0])
+            table = table.reshape((group.modulus,) * arity)
+        return cls(group, table)
 
     @property
     def arity(self) -> int:
         return self.table.ndim
+
+    @property
+    def kind(self) -> str:
+        return _value_kind(self.table)
 
     @cached_property
     def flat(self) -> tuple:
@@ -342,28 +356,20 @@ def diag_shift_size(a: GroupSet, c: GroupSet, l: int, sign: str = "-") -> int:
     return tuple_sumset_with_diagonal([a] * l, c, sign).dot()
 
 
-def restricted_matrix(a: GroupSet, psi: Sequence) -> np.ndarray:
-    """M[i, j] = psi(a_i - a_j) over the members of A, for psi given by its
-    N values.
-
-    Integer psi gives int64 when every value fits and Python ints
-    otherwise; real psi gives float64, complex psi complex128.  A caller
-    that multiplies M passes it through ``_exact_operands`` for its product.
-    """
+def restricted_matrix(a: GroupSet, table: np.ndarray) -> np.ndarray:
+    """M[i, j] = table[a_i - a_j] over the members of A, for the N-entry
+    table of a kernel, in the table's dtype.  A caller that multiplies M
+    passes it through ``_exact_operands`` for its product."""
     mem = np.asarray(a.members, dtype=np.int64)
-    if all(isinstance(v, int) for v in psi):
-        table = _int_table(psi)
-    else:
-        table = np.array(psi, dtype=complex if any(isinstance(v, complex) for v in psi) else float)
     return table[(mem[:, None] - mem[None, :]) % a.group.modulus]
 
 
-def triple_product_sum(a: GroupSet, psi: Sequence):
+def triple_product_sum(a: GroupSet, table: np.ndarray):
     """sum_{x,y,z in A} psi(x-y) psi(x-z) psi(y-z) = ((M @ M) * M).sum() for
-    M = restricted_matrix(a, psi), exact for integer psi: a sum of |A|^3
-    products of three entries of M.
+    M = restricted_matrix(a, table), exact for an integer table: a sum of
+    |A|^3 products of three entries of M.
 
     Not trace(M^3): that is the same sum only for even psi.
     """
-    m = _exact_operands((restricted_matrix(a, psi),) * 3, len(a) ** 3)[0]
+    m = _exact_operands((restricted_matrix(a, table),) * 3, len(a) ** 3)[0]
     return _scalar(((m @ m) * m).sum())

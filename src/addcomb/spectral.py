@@ -59,7 +59,7 @@ class Spectrum:
 def correlation_kernel(h: GroupFn) -> GroupFn:
     """psi = h ∘ h for real h: symmetric with nonnegative Fourier transform.
     Cached on h, so every check on one h shares one psi."""
-    if any(isinstance(v, complex) for v in h.values):
+    if h.kind == "complex":
         raise ValueError("kernel factor must be real-valued")
     return h.autocorrelation
 
@@ -68,11 +68,11 @@ def build_restricted_operator(a: GroupSet, psi: GroupFn) -> SpectralOperator:
     if a.group != psi.group:
         raise ValueError("kernel and set live on different moduli")
     check_nonempty(a)
-    mat = restricted_matrix(a, psi.values)
-    real = mat.dtype.kind != "c"  # no complex value: a real matrix
     table = psi.table
+    real = psi.kind != "complex"
+    mat = restricted_matrix(a, table).astype(float if real else complex)
     symmetric = real and bool((table == table[-np.arange(len(table)) % len(table)]).all())
-    return SpectralOperator(a, psi, mat.astype(float if real else complex), symmetric)
+    return SpectralOperator(a, psi, mat, symmetric)
 
 
 def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -92,6 +92,9 @@ def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     if fro == 0.0:
         return np.zeros(n), np.eye(n), 0.0
     target = TOL.jacobi_off * fro
+    # the off-diagonal norm sums the off-diagonal squares directly:
+    # sum(m^2) - sum(diag^2) cancels down to about sqrt(eps) ||m||
+    off_diag = ~np.eye(n, dtype=bool)
     # w = [m | v^T]: rotating rows p and q of w rotates rows p and q of m
     # and columns p and q of the eigenvector matrix v in the same step
     w = np.hstack((m, np.eye(n)))
@@ -101,8 +104,7 @@ def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     row_buf = np.empty((2, 2, 2 * n))
     col_buf = row_buf[:, :, :n]
     for _ in range(TOL.jacobi_sweeps):
-        off = math.sqrt(max(0.0, float((m * m).sum() - (m.diagonal() ** 2).sum())))
-        if off <= target:
+        if math.sqrt(float(np.square(m[off_diag]).sum())) <= target:
             break
         # row p and the diagonal as Python floats, read again after each
         # rotation, so a pivot that is skipped costs no array access
@@ -136,7 +138,7 @@ def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
                 np.add(col_buf[:, 0], col_buf[:, 1], cols)
                 row = m[p].tolist()
                 diag[p], diag[q] = row[p], w.item(q, q)
-    off = math.sqrt(max(0.0, float((m * m).sum() - (m.diagonal() ** 2).sum())))
+    off = math.sqrt(float(np.square(m[off_diag]).sum()))
     eigs = m.diagonal().copy()
     order = np.argsort(-eigs, kind="stable")
     return eigs[order], w[order, n:].T, off
@@ -192,7 +194,7 @@ def triangle_sum(a: GroupSet, psi: GroupFn) -> int | float:
     if a.group != psi.group:
         raise ValueError("kernel and set live on different moduli")
     check_nonempty(a)
-    return triple_product_sum(a, psi.values)
+    return triple_product_sum(a, psi.table)
 
 
 def rayleigh_indicator(a: GroupSet, psi: GroupFn):
@@ -246,7 +248,7 @@ def cycle_sums(a: GroupSet, psi: GroupFn, ks) -> dict:
     if not ks or ks[0] < 1:
         raise ValueError("cycle lengths must be >= 1")
     check_nonempty(a)
-    m = _exact_operands((restricted_matrix(a, psi.values),) * ks[-1], len(a) ** (ks[-1] - 1))[0]
+    m = _exact_operands((restricted_matrix(a, psi.table),) * ks[-1], len(a) ** (ks[-1] - 1))[0]
     out, power = {}, m
     for k in range(1, ks[-1] + 1):
         if k > 1:
@@ -278,7 +280,10 @@ def check_cycle_sums(
     return out
 
 
-def top_eigenpair(matrix: np.ndarray, iters: int = 4000) -> tuple[float, np.ndarray]:
+_POWER_ITERS = 4000  # power-iteration steps before the Jacobi fallback
+
+
+def top_eigenpair(matrix: np.ndarray) -> tuple[float, np.ndarray]:
     """Largest eigenvalue and a nonnegative unit eigenvector.
 
     Power iteration from the all-ones vector (the iterates stay entrywise
@@ -291,7 +296,7 @@ def top_eigenpair(matrix: np.ndarray, iters: int = 4000) -> tuple[float, np.ndar
     norm = float(np.abs(matrix).max())
     if norm == 0.0:
         return 0.0, v
-    for _ in range(iters):
+    for _ in range(_POWER_ITERS):
         w = matrix @ v
         nw = float(np.linalg.norm(w))
         if nw == 0.0:
@@ -325,9 +330,9 @@ def first_eigenfunction_bounds(a: GroupSet, h: GroupFn) -> EigBoundReport:
     can be taken nonnegative.  A zero top eigenvalue skips the bounds that
     divide by it and flags the report as degenerate.
     """
+    psi = correlation_kernel(h)  # rejects a complex h first
     if any(v < 0 for v in h.values):
         raise ValueError("kernel factor must be nonnegative")
-    psi = correlation_kernel(h)
     op = build_restricted_operator(a, psi)
     mu0, f0 = top_eigenpair(op.matrix)
     g = float(f0.sum())
@@ -374,5 +379,5 @@ def embed_full_operator(a: GroupSet, psi: GroupFn) -> np.ndarray:
     """The N x N operator psi(x-y) A(x) A(y); same nonzero spectrum."""
     n = a.group.modulus
     mat = np.zeros((n, n))
-    mat[np.ix_(a.members, a.members)] = restricted_matrix(a, psi.values)
+    mat[np.ix_(a.members, a.members)] = restricted_matrix(a, psi.table)
     return mat

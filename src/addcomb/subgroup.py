@@ -20,7 +20,7 @@ import numpy as np
 from .checks import IneqCheck
 from .config import FIELD_PRIME_CAP, MULT_ENERGY_CAP, TOL
 from .energy import correlation_counts, energy_k
-from .groups import CyclicGroup, GroupSet, _exact_operands
+from .groups import CyclicGroup, GroupSet, _exact_operands, restricted_matrix
 from .spectral import build_restricted_operator, eigendecompose
 from .transform import _BLOCK, GroupFn, _ordered_sums
 
@@ -244,7 +244,7 @@ def gamma_invariant_fn(gamma: MultSubgroup, f: GroupFn, tol: float = 0.0) -> boo
     for lo in range(0, p - 1, step):
         x = xs[lo:lo + step]
         d = table[np.multiply.outer(x, els) % p] - table[x][:, None]
-        dist = np.hypot(d.real, d.imag) if d.dtype.kind == "c" else np.abs(d)
+        dist = np.hypot(d.real, d.imag) if f.kind == "complex" else np.abs(d)
         if (dist > tol).any():
             return False
     return True
@@ -391,11 +391,11 @@ def check_eigenbasis(
     """
     p = gamma.field.p
     if coset is None:
-        base = gamma.elements
+        base = gamma.as_set
         vecs = gamma.character_table
         mus = mu_alpha_direct(gamma, g).values
     else:
-        base = sorted(coset * e % p for e in gamma.elements)
+        base = GroupSet.of(gamma.field.group, (coset * e for e in gamma.elements))
         # vecs[i] holds the characters at xi^-1 base[i], an element of Gamma
         row = {e: i for i, e in enumerate(gamma.elements)}
         xi_inv = gamma.field.inv(coset)
@@ -407,8 +407,7 @@ def check_eigenbasis(
         mus = mu_alpha_direct(gamma, dilated).values
     # kt[j, i] = g(x_i - y_j) over the base: acc_i = sum_j g(x_i - y_j) vec_j,
     # summed as the generator over j sums it
-    b = np.asarray(base, dtype=np.int64)
-    kt = g.table.astype(np.complex128)[(b[None, :] - b[:, None]) % p]
+    kt = restricted_matrix(base, g.table).T
     worst = 0.0
     for alpha, mu in enumerate(mus):
         vec = vecs[:, alpha].tolist()
@@ -443,13 +442,7 @@ def check_mu_convolution(gamma: MultSubgroup, g: GroupFn, h: GroupFn) -> list[In
     t = gamma.order
     mug = mu_alpha_direct(gamma, g).values
     muh = mu_alpha_direct(gamma, h).values
-    gh = GroupFn(
-        gamma.field.group,
-        tuple(
-            (gv.conjugate() if isinstance(gv, complex) else gv) * hv
-            for gv, hv in zip(g.values, h.values)
-        ),
-    )
+    gh = GroupFn(g.group, tuple(gv * hv for gv, hv in zip(g.conjugate().values, h.values)))
     mugh = mu_alpha_direct(gamma, gh).values
     worst = 0.0
     scale = max(1.0, max(abs(v) for v in mugh))
@@ -463,7 +456,7 @@ def check_mu_convolution(gamma: MultSubgroup, g: GroupFn, h: GroupFn) -> list[In
             "eigenvalue-product-rule", worst / scale, TOL.spectrum_rel
         )
     ]
-    if g.kind == "int" or all(not isinstance(v, complex) for v in g.values):
+    if g.kind != "complex":
         mu = [complex(v) for v in mug]
         cur = list(mu)
         for l in (2, 3):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .checks import IneqCheck
 from .config import TOL
-from .groups import CyclicGroup, GridFn, _exact_operands
+from .groups import CyclicGroup, GridFn, _exact_operands, _value_kind
 
 
 @dataclass(frozen=True)
@@ -52,13 +52,14 @@ class GroupFn:
         return cls(group, (c,) * group.modulus)
 
     @cached_property
-    def kind(self) -> str:
-        return "int" if all(isinstance(v, int) for v in self.values) else "complex"
+    def table(self) -> np.ndarray:
+        """The values as a read-only table of the kind ``_value_table`` decides."""
+        return GridFn.of(self.group, self.values).table
 
     @cached_property
-    def table(self) -> np.ndarray:
-        """The values as a read-only int64, object or complex128 array."""
-        return GridFn.of(self.group, self.values).table
+    def kind(self) -> str:
+        """The value kind, "int", "real" or "complex", read from ``table``."""
+        return _value_kind(self.table)
 
     @cached_property
     def autocorrelation(self) -> "GroupFn":
@@ -73,7 +74,7 @@ class GroupFn:
         return self.group.modulus
 
     def conjugate(self) -> "GroupFn":
-        if self.kind == "int":
+        if self.kind != "complex":
             return self
         return GroupFn(self.group, tuple(complex(v).conjugate() for v in self.values))
 
@@ -180,15 +181,10 @@ def correlate(f: GroupFn, g: GroupFn) -> GroupFn:
 
 def _circulant_product(f: GroupFn, g: GroupFn, at: np.ndarray) -> GroupFn:
     """x -> sum_y f(y) g(at[x, y]): one gather of g into an N x N array and
-    one matmul, exact for integer f and g, real when neither has a complex
-    value."""
+    one matmul in the dtype of ``_exact_operands``, so exact for integer f
+    and g and real unless one is complex."""
     fv, gv = _exact_operands((f.table, g.table), len(f))
-    out = gv[at] @ fv
-    if out.dtype == np.complex128 and not any(
-        isinstance(v, complex) for v in f.values + g.values
-    ):
-        out = out.real
-    return GroupFn(f.group, tuple(out.tolist()))
+    return GroupFn(f.group, tuple((gv[at] @ fv).tolist()))
 
 
 def correlate_many(fns: Sequence[GroupFn]) -> GroupFn:

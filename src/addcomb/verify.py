@@ -358,7 +358,7 @@ def _scalar_product_discrepancy(fs, gs) -> int:
     """sum_x C_l(fs)(x) C_l(gs)(x) = sum_z prod_i (f_i ∘ g_i)(z)."""
     group = fs[0].group
     lhs = gen_convolution(fs).dot(gen_convolution(gs))
-    pairs = [GridFn.of(group, correlate(f, g).values) for f, g in zip(fs, gs)]
+    pairs = [GridFn(group, correlate(f, g).table) for f, g in zip(fs, gs)]
     return abs(lhs - pairs[0].dot(*pairs[1:]))
 
 
@@ -447,7 +447,7 @@ def _inequality_instance(
         _record_zero_slack(suite, triple, inst)
 
     q = random_int_fn(rng, group, -3, 3)
-    q1 = GridFn.of(group, q.values)
+    q1 = GridFn(group, q.table)
     for k, weight in ((1, q1), (2, q1.outer(q1))):
         for sign in "+-":
             suite.record(

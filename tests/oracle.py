@@ -438,8 +438,9 @@ def jacobi_eigh(matrix):
     if fro == 0.0:
         return np.zeros(n), v, 0.0
     target = TOL.jacobi_off * fro
+    off_diag = ~np.eye(n, dtype=bool)  # the off-diagonal squares are summed directly
     for _ in range(TOL.jacobi_sweeps):
-        off = math.sqrt(max(0.0, float((m * m).sum() - (m.diagonal() ** 2).sum())))
+        off = math.sqrt(float(np.square(m[off_diag]).sum()))
         if off <= target:
             break
         for p in range(n - 1):
@@ -469,7 +470,7 @@ def jacobi_eigh(matrix):
                 vq = v[:, q].copy()
                 v[:, p] = c * vp - s * vq
                 v[:, q] = s * vp + c * vq
-    off = math.sqrt(max(0.0, float((m * m).sum() - (m.diagonal() ** 2).sum())))
+    off = math.sqrt(float(np.square(m[off_diag]).sum()))
     eigs = m.diagonal().copy()
     order = np.argsort(-eigs, kind="stable")
     return eigs[order], v[:, order], off

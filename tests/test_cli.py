@@ -142,7 +142,7 @@ def test_bad_input_exits_2(argv, capsys, monkeypatch, tmp_path):
                       (cli_mod, "run_inequality_suite"),
                       (exp_mod, "autocorrelation_np"),
                       (exp_mod, "_progression_row"),
-                      (exp_mod, "_int_table")):
+                      (exp_mod, "_value_table")):
         monkeypatch.setattr(mod, name, must_not_run)
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -197,6 +197,21 @@ def test_weight_inequality_complex_weight():
     assert check_weight_inequality(a, a, q, 1, 1, "-").passed
 
 
+def test_weight_inequality_real_weight_keeps_a_tolerance():
+    """A real, non-integer weight is a float64 table, not an exact one: the
+    check keeps a nonzero tolerance, as for a complex weight.  An integer
+    weight, given as values or as a GroupFn, stays exact with tol 0."""
+    rng = random.Random(8)
+    a = rand_set(rng, 12)
+    q = [rng.choice((0.5, 0.25, -0.75)) for _ in range(12)]
+    c = check_weight_inequality(a, a, q, 1, 1, "-")
+    assert c.passed and c.tol > 0 and isinstance(c.lhs, float)
+    qi = GroupFn(a.group, tuple(rng.randint(-3, 3) for _ in range(12)))
+    for weight in (qi, list(qi.values)):
+        c = check_weight_inequality(a, a, weight, 1, 1, "+")
+        assert c.passed and c.tol == 0 and isinstance(c.lhs, int)
+
+
 def test_energy_weight_specializations():
     rng = random.Random(8)
     for _ in range(40):

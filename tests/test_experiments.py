@@ -235,7 +235,7 @@ def test_doubling_stats_size_cap(monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("an array was built before the cap was checked")
 
-    monkeypatch.setattr(exp_mod, "_int_table", must_not_run)
+    monkeypatch.setattr(exp_mod, "_value_table", must_not_run)
     with pytest.raises(ValueError, match="capped"):
         doubling_stats(range(1, DOUBLING_SET_CAP + 2))
     # duplicates count once against the cap

@@ -223,6 +223,10 @@ def test_grid_fn_table():
     assert big.table.dtype == object and big.dot(big) == 2 ** 140 + 1
     assert big.dot(GridFn.of(g, [0, 0, 0])) == 0
     assert GridFn.of(g, [1j, 0, 2]).table.dtype == np.complex128
+    real = GridFn.of(g, [0.5, 1, -2])
+    assert real.table.dtype == np.float64 and real.flat == (0.5, 1.0, -2.0)
+    assert f.kind == big.kind == "int" and real.kind == "real"
+    assert GridFn.of(g, [1j, 0, 2]).kind == "complex"
     for bad in ([1, 2], [[1, 2, 3]] * 2):
         with pytest.raises(ValueError):
             GridFn.of(g, bad)
@@ -279,6 +283,22 @@ def test_one_int64_rule_lives_in_groups():
     offenders = [
         f"{p.name}: {mark}"
         for p in modules
+        if p.name != "groups.py"
+        for mark in marks
+        if mark in p.read_text()
+    ]
+    assert offenders == []
+
+
+def test_value_kind_is_decided_only_in_groups():
+    """groups._value_table is the only place that decides whether values
+    are int, real or complex: every other module reads ``.kind`` or
+    ``.table`` and scans no values for their type."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "addcomb"
+    marks = ("any(isinstance(", "all(isinstance(", "dtype.kind")
+    offenders = [
+        f"{p.name}: {mark}"
+        for p in sorted(src.glob("*.py"))
         if p.name != "groups.py"
         for mark in marks
         if mark in p.read_text()

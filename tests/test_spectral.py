@@ -111,15 +111,27 @@ def test_real_kernel_gives_a_real_symmetric_operator():
     g = CyclicGroup(8)
     a = GroupSet.of(g, [0, 1, 3])
     h = GroupFn(g, (0.5, 1, 0, 0, 0, 0, 0, 0.25))
+    psi = correlation_kernel(h)
+    assert h.kind == psi.kind == "real" and psi.table.dtype == np.float64
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        op = build_restricted_operator(a, correlation_kernel(h))
+        op = build_restricted_operator(a, psi)
         assert op.matrix.dtype == np.float64 and op.symmetric
-        eigs = eigendecompose(op).eigenvalues
+        spectrum = eigendecompose(op)
         report = first_eigenfunction_bounds(a, h)
+        tri = check_triangle_inequality(a, h)
+        cycles = check_cycle_sums(a, h, spectrum)
+        sums = cycle_sums(a, psi, (3, 4, 5))
     ref = np.linalg.eigvalsh(op.matrix)[::-1]
-    assert np.allclose(eigs, ref, rtol=0, atol=TOL.spectrum_rel * max(1.0, abs(ref).max()))
+    scale = max(1.0, abs(ref).max())
+    assert np.allclose(spectrum.eigenvalues, ref, rtol=0, atol=TOL.spectrum_rel * scale)
     assert abs(report.mu0 - ref[0]) <= TOL.spectrum_rel * max(1.0, ref[0])
+    assert report.passed and tri.passed and tri.tol > 0
+    assert abs(tri.rhs - triangle_enumeration(a.members, psi.values, 8)) <= 1e-12 * tri.rhs
+    assert len(cycles) == 6 and all(c.passed for c in cycles)
+    for k, v in sums.items():
+        assert type(v) is float
+        assert abs(v - float((ref ** k).sum())) <= TOL.cycle_rel * max(1.0, abs(v))
     odd = GroupFn(g, (0, 0.5, 0, 0, 0, 0, 0, 0.25))  # real but not even
     assert not build_restricted_operator(a, odd).symmetric
     cplx = GroupFn(g, (1, 0.5j, 0, 0, 0, 0, 0, -0.5j))  # even, but complex
@@ -254,7 +266,7 @@ def test_cycle_sums_large_instance_shape_runs_int64():
     a = GroupSet.of(g, rng.sample(range(256), 64))
     h = GroupFn(g, tuple(rng.randint(0, 1) for _ in range(256)))
     psi = correlation_kernel(h)
-    m = restricted_matrix(a, psi.values)
+    m = restricted_matrix(a, psi.table)
     assert _exact_operands((m,) * 5, 64 ** 4)[0].dtype == np.int64
     assert cycle_sums(a, psi, (3, 4, 5)) == oracle.cycle_chain(a.members, psi.values, 256, (3, 4, 5))
 
@@ -341,6 +353,35 @@ def test_first_eigenfunction_rejects_signed_factor():
     a = GroupSet.of(g, [0, 3])
     with pytest.raises(ValueError):
         first_eigenfunction_bounds(a, GroupFn(g, (-1,) + (0,) * 7))
+
+
+@pytest.mark.parametrize("check", [
+    first_eigenfunction_bounds, check_triangle_inequality, check_cycle_sums,
+])
+def test_complex_kernel_factor_rejected(check):
+    """Each check on psi = h ∘ h rejects a complex h with one ValueError,
+    before any comparison of its values with 0."""
+    g = CyclicGroup(8)
+    a = GroupSet.of(g, [0, 1, 3])
+    h = GroupFn(g, (1, 0.5j, 0, 0, 0, 0, 0, -0.5j))
+    with pytest.raises(ValueError, match="kernel factor must be real-valued"):
+        check(a, h)
+
+
+def test_jacobi_residual_meets_its_target():
+    """The residual sums the off-diagonal squares directly.  On this
+    operator, the spectral shape of the large-instances benchmark,
+    sum(m^2) - sum(diag^2) had stalled at 2^-15, far above the target, and
+    every sweep of the budget ran."""
+    rng = random.Random(1)
+    g = CyclicGroup(160)
+    a = GroupSet.of(g, rng.sample(range(160), 40))
+    h = GroupFn(g, tuple(rng.randint(0, 1) for _ in range(160)))
+    m = build_restricted_operator(a, correlation_kernel(h)).matrix
+    eigs, _, off = jacobi_eigh(m)
+    assert off <= TOL.jacobi_off * np.linalg.norm(m)
+    ref = np.linalg.eigvalsh(m)[::-1]
+    assert np.allclose(eigs, ref, rtol=0, atol=TOL.spectrum_rel * abs(ref).max())
 
 
 def test_top_eigenpair_matches_jacobi():
