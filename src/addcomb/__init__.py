@@ -5,7 +5,7 @@ and multiplicative-subgroup experiments over prime fields."""
 from .checks import IneqCheck
 from .groups import (
     CyclicGroup,
-    GridFn,
+    GroupFn,
     GroupSet,
     indicator,
     intersect_shifts,
@@ -15,7 +15,6 @@ from .groups import (
     tuple_sumset_with_diagonal,
 )
 from .transform import (
-    GroupFn,
     check_commutation,
     convolve,
     correlate,

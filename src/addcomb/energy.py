@@ -18,7 +18,7 @@ import numpy as np
 from .checks import IneqCheck
 from .config import TOL, TUPLE_CELL_CAP
 from .groups import (
-    GridFn,
+    GroupFn,
     GroupSet,
     _exact_operands,
     check_nonempty,
@@ -31,7 +31,7 @@ from .groups import (
     sumset,
     triple_product_sum,
 )
-from .transform import GroupFn, kfold_convolve
+from .transform import kfold_convolve
 
 
 def correlation_counts(a: GroupSet, b: GroupSet) -> tuple[int, ...]:
@@ -50,7 +50,7 @@ def shift_spread_sizes(a: GroupSet, sign: str = "-") -> tuple[int, ...]:
 def energy(a: GroupSet, b: GroupSet | None = None) -> int:
     """Additive energy: quadruples with a1 + b1 = a2 + b2, as sum_x (A∘B)(x)^2."""
     if b is None:
-        return sum(v * v for v in a.autocorrelation)
+        return sum(v * v for v in a.autocorrelation.values)
     if a.group != b.group:
         raise ValueError("sets live on different moduli")
     return sum(v * v for v in correlation_counts(a, b))
@@ -61,7 +61,7 @@ def energy_k(a: GroupSet, b: GroupSet | None = None, k: float = 2):
     b = a if b is None else b
     if k < 1:
         raise ValueError("k must be >= 1")
-    aa, bb = a.autocorrelation, b.autocorrelation
+    aa, bb = a.autocorrelation.values, b.autocorrelation.values
     if isinstance(k, int) or float(k).is_integer():
         k = int(k)
         return sum(u * v ** (k - 1) for u, v in zip(aa, bb))
@@ -100,7 +100,7 @@ def sigma_k(a: GroupSet, k: int) -> int:
 def check_katz_koester(a: GroupSet, sign: str = "+") -> list[IneqCheck]:
     """|(A±A) ∩ (A±A - x)| >= |A ± A_x| for every x with A_x nonempty."""
     check_nonempty(a)
-    lhs = sumset(a, a, sign).autocorrelation
+    lhs = sumset(a, a, sign).autocorrelation.values
     index, _, spreads = _weight_cells(a, a, 1, 1, sign)
     return [
         IneqCheck.from_ge(f"katz-koester{sign}", lhs[x], d, 0.0, {"x": x})
@@ -127,17 +127,17 @@ def _quotient_sum(nums, dens) -> Fraction:
 def check_heart_triple(a: GroupSet) -> IneqCheck:
     """sum_{x,y,z in A} |A_{x-y}||A_{x-z}||A_{y-z}| >= E(A)^3 / |A|^3."""
     check_nonempty(a)
-    lhs = triple_product_sum(a, np.array(a.autocorrelation, dtype=np.int64))
+    lhs = triple_product_sum(a, a.autocorrelation.table)
     rhs = Fraction(energy(a) ** 3, len(a) ** 3)
     return IneqCheck.from_ge("triple-shift-product-bound", Fraction(lhs), rhs)
 
 
-def weight_counts(a: GroupSet, b: GroupSet, k: int) -> GridFn:
+def weight_counts(a: GroupSet, b: GroupSet, k: int) -> GroupFn:
     """|A^B_x| = |B ∩ (A-x_1) ∩ ... ∩ (A-x_k)| for every x in Gr^k."""
     index, cells = _shift_cells(a, b, k)
     out = np.zeros(a.group.modulus ** k, dtype=np.int64)
     out[index] = cells.sum(1)
-    return GridFn(a.group, out.reshape((a.group.modulus,) * k))
+    return GroupFn(a.group, out.reshape((a.group.modulus,) * k))
 
 
 _HIT_BLOCK = 1 << 18  # entries of x @ y per float64 block in _hits
@@ -253,11 +253,10 @@ def check_weight_inequality(
     )
 
 
-def _weight_table(q, group, k: int) -> GridFn:
-    """The weight as a table over Gr^k: a GridFn, a GroupFn (k = 1) or
-    row-major values."""
-    if not isinstance(q, GridFn):
-        q = GridFn(q.group, q.table) if isinstance(q, GroupFn) else GridFn.of(group, q, k)
+def _weight_table(q, group, k: int) -> GroupFn:
+    """The weight as a table over Gr^k: a GroupFn or row-major values."""
+    if not isinstance(q, GroupFn):
+        q = GroupFn.of(group, q, k)
     if q.group != group or q.arity != k:
         raise ValueError("weight must be a table over Gr^k")
     return q
@@ -373,7 +372,7 @@ def check_membership_identity(
 
     # E(A^k, Δ(C)) = sum_z (C∘C)(z) (A∘A)(z)^k = c W^k c^T for the 0/1 row c
     # of C and W[j, j'] = (A∘A)(b_j - b_j'): |B|^2 products of k + 2 entries
-    w = restricted_matrix(b, np.array(a.autocorrelation, dtype=np.int64))
+    w = restricted_matrix(b, a.autocorrelation.table)
     c, w, *_ = _exact_operands((cells_l, *(w,) * k, cells_l), len(b) ** 2)
     total = int(((c @ w ** k) * c).sum())
     checks.append(IneqCheck.from_identity(

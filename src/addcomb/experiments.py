@@ -195,7 +195,7 @@ def level_set_profile(p: int, t: int) -> list[LevelSetRow]:
     gamma = subgroup(fld, t)
     stats = subgroup_stats(gamma)
     d = stats.E2 ** 2 / (2 ** 4 * t ** 3 * math.sqrt(stats.E3))
-    psi = stats.autocorrelation().tolist()
+    psi = gamma.autocorrelation.values
     above = [x for x in range(1, p) if psi[x] > d]
     rows = []
     i = 1
@@ -540,7 +540,7 @@ def _progression_row(fld: PrimeField, t: int) -> ProgressionRow:
     if any(x not in gamma.element_set for x in prog):
         raise AssertionError("progression search produced a non-member")
     pc = autocorrelation_np(prog, p)
-    gc = subgroup_stats(gamma).autocorrelation()
+    gc = gamma.autocorrelation.table
     pc, gc, _ = _exact_operands((pc, gc, gc), p)
     e_pg = int(np.sum(pc * gc))
     e3_pg = int(np.sum(pc * gc * gc))

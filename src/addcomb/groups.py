@@ -6,8 +6,9 @@ through one kernel, ``difference_counts``: a bincount of y - x over the
 member arrays, in row blocks.  The correlation A ∘ B is that count, a sumset
 is its support, and A ∘ A is cached on the set.  The cells of a shift
 system and their spreads are 0/1 numpy matrices in ``energy``.  A function
-on (Z/N)^k is a ``GridFn``: one read-only ndarray of shape (N,)*k, its
-kind decided once by ``_value_table``; an exact sum of products takes int64
+on (Z/N)^k is a ``GroupFn``: one read-only ndarray of shape (N,)*k, either
+the array the code that computed it hands over or a table that
+``_value_table`` builds from values; an exact sum of products takes int64
 or Python ints from ``_exact_operands``.
 """
 
@@ -66,10 +67,10 @@ class GroupSet:
         return cls(group, tuple(sorted({x % n for x in elems})))
 
     @cached_property
-    def autocorrelation(self) -> tuple[int, ...]:
+    def autocorrelation(self) -> "GroupFn":
         """(A ∘ A)(x) = |A ∩ (A - x)| for every x, counted once per set."""
         counts = difference_counts(self.members, self.members, self.group.modulus)
-        return tuple(counts.tolist())
+        return GroupFn(self.group, counts)
 
     @cached_property
     def _shift_profiles(self) -> dict:
@@ -119,10 +120,7 @@ def indicator_vector(x, n: int) -> np.ndarray:
 
 
 def indicator(a: GroupSet) -> "GroupFn":
-    from .transform import GroupFn
-
-    vals = indicator_vector(a.members, a.group.modulus).astype(np.int64)
-    return GroupFn(a.group, tuple(vals.tolist()))
+    return GroupFn(a.group, indicator_vector(a.members, a.group.modulus).astype(np.int64))
 
 
 def check_sign(sign: str) -> None:
@@ -230,8 +228,13 @@ def _exact_operands(tables: Sequence[np.ndarray], terms: int) -> list[np.ndarray
 def _value_table(values) -> np.ndarray:
     """A function's values as one table: the package's one decision of
     their kind.  Ints give int64 when every entry fits and Python ints
-    otherwise (numpy alone would read some mixes as uint64 or float64),
-    other reals float64, anything else complex128."""
+    otherwise, other reals float64, anything else complex128.  Numpy's own
+    reading is taken only when it is int64, which it gives only for
+    integers that fit; it reads some other integer mixes as uint64 or
+    float64, so every other input is scanned value by value."""
+    arr = np.array(values)
+    if arr.dtype == np.int64:
+        return _exact_operands((arr,), 1)[0]
     arr = np.array(values, dtype=object)
     if all(isinstance(v, (int, np.integer)) for v in arr.flat):
         return _exact_operands((np.frompyfunc(int, 1, 1)(arr),), 1)[0]
@@ -250,13 +253,18 @@ def _scalar(v):
 
 
 @dataclass(frozen=True, eq=False)
-class GridFn:
+class GroupFn:
     """Function (Z/N)^k -> C for k in 1..3, stored as a read-only ndarray of
     shape (N,)*k indexed by residues (row-major, last coordinate fastest).
 
-    The table is int64, object (Python ints), float64 or complex128, as
-    ``_value_table`` decides.  Everything handed out (``__call__``,
-    ``flat``, ``dot``) is a Python scalar.
+    The table is int64, object (Python ints), float64 or complex128.  An
+    int64, float64 or complex128 array is taken as the table as it is, so a
+    function computed as an array keeps it, and the constructor makes that
+    array read-only: the caller gives it up, and the table cannot drift from
+    the cached ``values``.  Anything else (nested values, or an array of
+    another dtype) goes through ``_value_table``.  Everything handed out
+    (``values``, ``__call__``, ``dot``) is a Python scalar.  Equality is
+    identity; compare ``values`` to compare functions.
     """
 
     group: CyclicGroup
@@ -264,23 +272,28 @@ class GridFn:
 
     def __post_init__(self) -> None:
         t = self.table
+        if not (isinstance(t, np.ndarray) and t.dtype in (np.int64, np.float64, np.complex128)):
+            t = _value_table(t)
         _check_grid(self.group.modulus, t.ndim)
         if t.shape != (self.group.modulus,) * t.ndim:
             raise ValueError("table shape must be (N,)*k")
-        if t.dtype not in (np.int64, np.float64, np.complex128, object):
-            raise ValueError(f"unsupported table dtype {t.dtype}")
-        view = t.view()
-        view.flags.writeable = False
-        object.__setattr__(self, "table", view)
+        t.flags.writeable = False
+        object.__setattr__(self, "table", t)
 
     @classmethod
-    def of(cls, group: CyclicGroup, values, arity: int | None = None) -> "GridFn":
-        """Table from nested values, or from row-major flat values of the
-        given arity."""
-        table = _value_table(values)
-        if arity is not None:
-            table = table.reshape((group.modulus,) * arity)
-        return cls(group, table)
+    def of(cls, group: CyclicGroup, values, arity: int) -> "GroupFn":
+        """Table from row-major flat values of the given arity."""
+        return cls(group, _value_table(values).reshape((group.modulus,) * arity))
+
+    @classmethod
+    def delta(cls, group: CyclicGroup, at: int = 0, height=1) -> "GroupFn":
+        vals = [0] * group.modulus
+        vals[at % group.modulus] = height
+        return cls(group, vals)
+
+    @classmethod
+    def constant(cls, group: CyclicGroup, c=1) -> "GroupFn":
+        return cls(group, [c] * group.modulus)
 
     @property
     def arity(self) -> int:
@@ -291,9 +304,22 @@ class GridFn:
         return _value_kind(self.table)
 
     @cached_property
-    def flat(self) -> tuple:
-        """Every value in row-major order."""
+    def values(self) -> tuple:
+        """Every value in row-major order, as Python scalars."""
         return tuple(self.table.ravel().tolist())
+
+    @property
+    def flat(self) -> tuple:
+        """The same tuple as ``values``."""
+        return self.values
+
+    @cached_property
+    def autocorrelation(self) -> "GroupFn":
+        """(f ∘ f)(x) = sum_y f(y) f(y + x), without conjugation; built once
+        per function."""
+        from .transform import correlate
+
+        return correlate(self, self)
 
     def __call__(self, *xs: int):
         if len(xs) != self.arity:
@@ -301,7 +327,21 @@ class GridFn:
         n = self.group.modulus
         return self.table.item(tuple(x % n for x in xs))
 
-    def dot(self, *others: "GridFn"):
+    def __len__(self) -> int:
+        return self.group.modulus
+
+    def conjugate(self) -> "GroupFn":
+        if self.kind != "complex":
+            return self
+        return GroupFn(self.group, np.conjugate(self.table))
+
+    def power(self, k: int) -> "GroupFn":
+        return GroupFn(self.group, [v ** k for v in self.values])
+
+    def l2_norm_sq(self):
+        return sum(abs(v) ** 2 for v in self.values)
+
+    def dot(self, *others: "GroupFn"):
         """sum over x in Gr^k of f(x) g_1(x) ... g_m(x), exact on integers;
         with no others, the sum of the table."""
         if any(o.table.shape != self.table.shape for o in others):
@@ -312,15 +352,15 @@ class GridFn:
             out = out * t
         return _scalar(out.sum())
 
-    def outer(self, other: "GridFn") -> "GridFn":
+    def outer(self, other: "GroupFn") -> "GroupFn":
         """(x, y) -> f(x) g(y) on Gr^(k + k')."""
         f, g = _exact_operands((self.table, other.table), 1)
-        return GridFn(self.group, np.multiply.outer(f, g))
+        return GroupFn(self.group, np.multiply.outer(f, g))
 
 
 def tuple_sumset_with_diagonal(
     sets: Sequence[GroupSet], b: GroupSet, sign: str = "-"
-) -> GridFn:
+) -> GroupFn:
     """0/1 table of A_1 x ... x A_k ∓ Δ(B) over Gr^k.
 
     For sign '-' this is {(a_1 - c, ..., a_k - c) : a_i in A_i, c in B},
@@ -345,7 +385,7 @@ def tuple_sumset_with_diagonal(
         index.append(pts.reshape(shape))
     grid = np.zeros((n,) * k, dtype=np.int64)
     grid[tuple(index)] = 1
-    return GridFn(g, grid)
+    return GroupFn(g, grid)
 
 
 def diag_shift_size(a: GroupSet, c: GroupSet, l: int, sign: str = "-") -> int:

@@ -24,6 +24,7 @@ import numpy as np
 from .checks import IneqCheck
 from .config import TOL
 from .groups import (
+    GroupFn,
     GroupSet,
     _exact_operands,
     check_nonempty,
@@ -31,7 +32,6 @@ from .groups import (
     restricted_matrix,
     triple_product_sum,
 )
-from .transform import GroupFn
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,7 @@ def check_traces(op: SpectralOperator, spectrum: Spectrum) -> list[IneqCheck]:
     a = op.base_set
     psi = op.kernel
     n = a.group.modulus
-    aa = a.autocorrelation
+    aa = a.autocorrelation.values
     tr_exact = len(a) * psi.values[0]
     tr_sq_exact = sum(psi.values[z] ** 2 * aa[z] for z in range(n))
     s1 = spectrum.power_sum(1)
@@ -200,7 +200,7 @@ def triangle_sum(a: GroupSet, psi: GroupFn) -> int | float:
 def rayleigh_indicator(a: GroupSet, psi: GroupFn):
     """<T 1_A, 1_A> / |A| = |A|^-1 sum_x psi(x)(A∘A)(x), a lower bound for mu_0."""
     check_nonempty(a)
-    aa = a.autocorrelation
+    aa = a.autocorrelation.values
     s = sum(p * c for p, c in zip(psi.values, aa))
     if psi.kind == "int":
         return Fraction(s, len(a))
@@ -211,7 +211,7 @@ def check_triangle_inequality(a: GroupSet, h: GroupFn) -> IneqCheck:
     """Triple-product lower bounds for kernels psi = h ∘ h."""
     check_nonempty(a)
     psi = correlation_kernel(h)
-    aa = a.autocorrelation
+    aa = a.autocorrelation.values
     na = len(a)
     lhs = triangle_sum(a, psi)
     s1 = sum(p * c for p, c in zip(psi.values, aa))

@@ -20,9 +20,9 @@ import numpy as np
 from .checks import IneqCheck
 from .config import FIELD_PRIME_CAP, MULT_ENERGY_CAP, TOL
 from .energy import correlation_counts, energy_k
-from .groups import CyclicGroup, GroupSet, _exact_operands, restricted_matrix
+from .groups import CyclicGroup, GroupFn, GroupSet, _exact_operands, indicator, restricted_matrix
 from .spectral import build_restricted_operator, eigendecompose
-from .transform import _BLOCK, GroupFn, _ordered_sums
+from .transform import _BLOCK, _ordered_sums, dft, kfold_convolve
 
 
 def _is_prime(n: int) -> bool:
@@ -155,14 +155,18 @@ class MultSubgroup:
 
     @cached_property
     def autocorrelation(self) -> GroupFn:
-        """(Gamma ∘ Gamma) as an integer function on Z/p, from the orbit
-        kernel once per subgroup."""
-        counts = subgroup_stats(self).autocorrelation()
-        return GroupFn(self.field.group, tuple(counts.tolist()))
+        """(Gamma ∘ Gamma)(x) for x in Z/p, int64: t at 0 and c_j on the
+        coset g^j Gamma, from the orbit kernel once per subgroup."""
+        fld = self.field
+        counts = np.empty(fld.p, dtype=np.int64)
+        counts[0] = self.order
+        counts[1:] = subgroup_stats(self).coset_counts[fld.dlog_array % self.index]
+        return GroupFn(fld.group, counts)
 
     @cached_property
     def _mu_tables(self) -> dict:
-        """``mu_alpha_direct``'s tables by kernel, each filled on first use."""
+        """``mu_alpha_direct``'s tables by kernel values, each filled on
+        first use."""
         return {}
 
     @cached_property
@@ -183,13 +187,9 @@ class MultSubgroup:
     def characters(self) -> tuple[GroupFn, ...]:
         """chi_alpha, alpha < t, on F_p: the columns of ``character_table``
         on the subgroup, 0 elsewhere; built once per subgroup."""
-        out = []
-        for column in self.character_table.T.tolist():
-            vals = [0j] * self.field.p
-            for x, v in zip(self.elements, column):
-                vals[x] = v
-            out.append(GroupFn(self.field.group, tuple(vals)))
-        return tuple(out)
+        table = np.zeros((self.order, self.field.p), dtype=np.complex128)
+        table[:, list(self.elements)] = self.character_table.T
+        return tuple(GroupFn(self.field.group, row) for row in table)
 
     def __len__(self) -> int:
         return self.order
@@ -266,7 +266,7 @@ def fn_from_profile(gamma: MultSubgroup, zero_value, rep_values: dict) -> GroupF
             vals[(r * g) % p] = v
     if any(v is None for v in vals):
         raise ValueError("profile does not cover every coset")
-    return GroupFn(gamma.field.group, tuple(vals))
+    return GroupFn(gamma.field.group, vals)
 
 
 def random_invariant_fn(
@@ -300,14 +300,6 @@ class SubgroupStats:
     E3: int
     sum: int
     diff: int
-
-    def autocorrelation(self) -> np.ndarray:
-        """(Gamma ∘ Gamma)(x) for x in Z/p as int64: t at 0, c_j on g^j Gamma."""
-        fld = self.gamma.field
-        out = np.empty(fld.p, dtype=np.int64)
-        out[0] = self.gamma.order
-        out[1:] = self.coset_counts[fld.dlog_array % self.gamma.index]
-        return out
 
 
 def subgroup_stats(gamma: MultSubgroup) -> SubgroupStats:
@@ -356,7 +348,7 @@ class MuTable:
 def mu_alpha_direct(gamma: MultSubgroup, g: GroupFn) -> MuTable:
     """mu_alpha(g) = sqrt(t) sum_x g(x) chi_alpha(1 - x) for invariant g,
     computed once per subgroup and kernel values."""
-    table = gamma._mu_tables.get(g)
+    table = gamma._mu_tables.get(g.values)
     if table is not None:
         return table
     if not gamma_invariant_fn(gamma, g, tol=0.0 if g.kind == "int" else 1e-12):
@@ -375,7 +367,7 @@ def mu_alpha_direct(gamma: MultSubgroup, g: GroupFn) -> MuTable:
     else:
         sums = [0] * t  # sum() of no terms
     out = tuple(math.sqrt(t) * s for s in sums)
-    table = gamma._mu_tables[g] = MuTable(g, out)
+    table = gamma._mu_tables[g.values] = MuTable(g, out)
     return table
 
 
@@ -400,10 +392,7 @@ def check_eigenbasis(
         row = {e: i for i, e in enumerate(gamma.elements)}
         xi_inv = gamma.field.inv(coset)
         vecs = gamma.character_table[[row[xi_inv * x % p] for x in base]]
-        dilated = GroupFn(
-            gamma.field.group,
-            tuple(g.values[(coset * z) % p] for z in range(p)),
-        )
+        dilated = GroupFn(gamma.field.group, g.table[coset * np.arange(p) % p])
         mus = mu_alpha_direct(gamma, dilated).values
     # kt[j, i] = g(x_i - y_j) over the base: acc_i = sum_j g(x_i - y_j) vec_j,
     # summed as the generator over j sums it
@@ -481,6 +470,12 @@ def check_mu_convolution(gamma: MultSubgroup, g: GroupFn, h: GroupFn) -> list[In
 # ---------------------------------------------------------------------------
 
 
+def _nonzero_constant(h: GroupFn) -> bool:
+    """Does h take one nonzero value everywhere?"""
+    t = h.table
+    return bool(t.flat[0] != 0 and (t == t.flat[0]).all())
+
+
 def check_exact_fourier(
     gamma: MultSubgroup,
     u: GroupFn,
@@ -492,20 +487,13 @@ def check_exact_fourier(
     for every invariant h, with equality at h = 1; plus the three-point
     variant weighted by a nonnegative v.
     """
-    from .transform import dft
-
     p, t = gamma.field.p, gamma.order
     if any(u.values[x] and x not in gamma.element_set for x in range(p)):
         raise ValueError("u must be supported on the subgroup")
-    if not any(
-        len({complex(v) for v in h.values}) == 1 and complex(h.values[0]) != 0
-        for h in h_family
-    ):
+    if not any(map(_nonzero_constant, h_family)):
         raise ValueError("family must contain a nonzero constant weight")
     uh = dft(u).values
-    ghat = dft(GroupFn(gamma.field.group, tuple(
-        1 if x in gamma.element_set else 0 for x in range(p)
-    ))).values
+    ghat = dft(indicator(gamma.as_set)).values
     target = abs(uh[lam % p]) ** 2
     out = []
     for idx, h in enumerate(h_family):
@@ -524,8 +512,7 @@ def check_exact_fourier(
             )
             continue
         bound = t * t * num / den
-        is_const = len({complex(x) for x in h.values}) == 1 and complex(h.values[0]) != 0
-        if is_const:
+        if _nonzero_constant(h):
             scale = max(1.0, bound)
             out.append(
                 IneqCheck.from_identity(
@@ -582,9 +569,8 @@ def _check_exact_fourier_c3(
             continue
         s = sum(hcorr[(x - y) % p] * table[(x, y)] for x in mem for y in mem).real
         bound = t * t * s / e_h
-        is_const = len({complex(x) for x in h.values}) == 1 and complex(h.values[0]) != 0
         name = f"restricted-fourier-c3-h{idx}"
-        if is_const:
+        if _nonzero_constant(h):
             out.append(
                 IneqCheck.from_identity(
                     name + "-equality",
@@ -644,18 +630,11 @@ def mult_energy_k_dlog(gamma: MultSubgroup, f: GroupFn, k: int) -> int:
     Products in the subgroup become sums of character indices, so the count
     is an additive k-fold convolution moment on Z/t.
     """
-    t = gamma.order
-    pull = [0] * t
-    for x in gamma.elements:
-        v = f.values[x]
-        if v:
-            pull[gamma.char_index(x)] = v
-    rep = pull
-    for _ in range(k - 1):
-        rep = [
-            sum(rep[y] * pull[(x - y) % t] for y in range(t)) for x in range(t)
-        ]
-    return sum(v * v for v in rep)
+    els = np.asarray(gamma.elements, dtype=np.int64)
+    pull = np.zeros(gamma.order, dtype=f.table.dtype)
+    pull[gamma.field.dlog_array[els - 1] // gamma.index] = f.table[els]
+    rep = kfold_convolve(GroupFn(CyclicGroup(gamma.order), pull), k)
+    return sum(v * v for v in rep.values)
 
 
 def check_tk_characters(gamma: MultSubgroup, f: GroupFn, k: int) -> list[IneqCheck]:
@@ -702,11 +681,7 @@ def check_vinogradov_bounds(gamma: MultSubgroup, a: GroupSet) -> list[IneqCheck]
     t = gamma.order
     if any(x not in gamma.element_set for x in a.members):
         raise ValueError("A must be a subset of the subgroup")
-    find = GroupFn(
-        gamma.field.group,
-        tuple(1 if x in a.member_set else 0 for x in range(gamma.field.p)),
-    )
-    em = mult_energy_k_dlog(gamma, find, 2)
+    em = mult_energy_k_dlog(gamma, indicator(a), 2)
     out = [
         IneqCheck.from_le(
             "subset-size-bound",

@@ -19,75 +19,22 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .checks import IneqCheck
 from .config import TOL
-from .groups import CyclicGroup, GridFn, _exact_operands, _value_kind
-
-
-@dataclass(frozen=True)
-class GroupFn:
-    """Dense function Z/N -> C; integer-valued functions stay exact ints."""
-
-    group: CyclicGroup
-    values: tuple
-
-    def __post_init__(self) -> None:
-        if len(self.values) != self.group.modulus:
-            raise ValueError("value vector length must equal the modulus")
-
-    @classmethod
-    def delta(cls, group: CyclicGroup, at: int = 0, height=1) -> "GroupFn":
-        vals = [0] * group.modulus
-        vals[at % group.modulus] = height
-        return cls(group, tuple(vals))
-
-    @classmethod
-    def constant(cls, group: CyclicGroup, c=1) -> "GroupFn":
-        return cls(group, (c,) * group.modulus)
-
-    @cached_property
-    def table(self) -> np.ndarray:
-        """The values as a read-only table of the kind ``_value_table`` decides."""
-        return GridFn.of(self.group, self.values).table
-
-    @cached_property
-    def kind(self) -> str:
-        """The value kind, "int", "real" or "complex", read from ``table``."""
-        return _value_kind(self.table)
-
-    @cached_property
-    def autocorrelation(self) -> "GroupFn":
-        """(f ∘ f)(x) = sum_y f(y) f(y + x), without conjugation; built once
-        per function."""
-        return correlate(self, self)
-
-    def __call__(self, x: int):
-        return self.values[x % self.group.modulus]
-
-    def __len__(self) -> int:
-        return self.group.modulus
-
-    def conjugate(self) -> "GroupFn":
-        if self.kind != "complex":
-            return self
-        return GroupFn(self.group, tuple(complex(v).conjugate() for v in self.values))
-
-    def power(self, k: int) -> "GroupFn":
-        return GroupFn(self.group, tuple(v ** k for v in self.values))
-
-    def l2_norm_sq(self):
-        return sum(abs(v) ** 2 for v in self.values)
+from .groups import CyclicGroup, GroupFn, _exact_operands
 
 
 def _same_group(*fns) -> CyclicGroup:
+    """The one Z/N that every function lives on; tables over Gr^k, k > 1,
+    are refused."""
     g = fns[0].group
-    for f in fns[1:]:
+    for f in fns:
+        if f.arity != 1:
+            raise ValueError("expected functions on Z/N, got a table over Gr^k")
         if f.group != g:
             raise ValueError("functions live on different moduli")
     return g
@@ -95,39 +42,41 @@ def _same_group(*fns) -> CyclicGroup:
 
 def dft(f: GroupFn) -> GroupFn:
     """F(f)(xi) = sum_x f(x) e(-xi x / N)."""
-    return GroupFn(f.group, tuple(_fourier_sum(f.values, -2.0 * math.pi / len(f))))
+    return GroupFn(_same_group(f), _fourier_sum(f.table, -2.0 * math.pi / len(f)))
 
 
 def idft(coeffs: GroupFn) -> GroupFn:
-    """f(x) = N^-1 sum_xi F(f)(xi) e(xi x / N)."""
-    n = len(coeffs)
-    return GroupFn(
-        coeffs.group, tuple(v / n for v in _fourier_sum(coeffs.values, 2.0 * math.pi / n))
-    )
+    """f(x) = N^-1 sum_xi F(f)(xi) e(xi x / N).  The division by N is
+    CPython's complex / int, which numpy's complex division does not
+    reproduce bit for bit."""
+    group = _same_group(coeffs)
+    n = group.modulus
+    sums = _fourier_sum(coeffs.table, 2.0 * math.pi / n).tolist()
+    return GroupFn(group, np.array([v / n for v in sums]))
 
 
 _BLOCK = 8192  # entries per transient array of the in-order loops here and in subgroup
 _SIGNS = np.array([-1.0, 1.0])
 
 
-def _fourier_sum(values: Sequence, w: float) -> list[complex]:
-    """sum_x values[x] exp(i w (y x mod N)) for every y, zero values skipped,
-    in the order and the rounding of the direct double loop: each root is
-    ``cmath.exp(1j * w * k)`` for k = y x mod N, taken from a table of the N
-    roots, and the sum over x runs through ``_ordered_sums`` a block of x at
-    a time, so no transient array holds more than O(N) entries."""
-    n = len(values)
-    support = [(x, complex(v)) for x, v in enumerate(values) if v]
+def _fourier_sum(table: np.ndarray, w: float) -> np.ndarray:
+    """sum_x table[x] exp(i w (y x mod N)) for every y as a complex128 row,
+    zero values skipped, in the order and the rounding of the direct double
+    loop: each root is ``cmath.exp(1j * w * k)`` for k = y x mod N, taken
+    from a table of the N roots, and the sum over x runs through
+    ``_ordered_sums`` a block of x at a time, so no transient array holds
+    more than O(N) entries."""
+    n = len(table)
+    xs = np.flatnonzero(table)
+    weights = table[xs].astype(np.complex128)  # complex(v), as CPython converts
     roots = np.array([cmath.exp(1j * w * k) for k in range(n)])
-    xs = np.array([x for x, _ in support], dtype=np.int64)
-    weights = np.array([v for _, v in support], dtype=np.complex128)
     y = np.arange(n, dtype=np.int64)
     step = max(1, _BLOCK // (2 * n))
     acc = np.zeros(n, dtype=np.complex128)  # acc = 0j
     for lo in range(0, len(xs), step):
         at = np.multiply.outer(xs[lo:lo + step], y)
         acc = _ordered_sums(weights[lo:lo + step], roots[np.remainder(at, n, out=at)], acc)
-    return acc.tolist()
+    return acc
 
 
 def _ordered_sums(a: np.ndarray, b: np.ndarray, acc: np.ndarray | None = None) -> np.ndarray:
@@ -184,7 +133,7 @@ def _circulant_product(f: GroupFn, g: GroupFn, at: np.ndarray) -> GroupFn:
     one matmul in the dtype of ``_exact_operands``, so exact for integer f
     and g and real unless one is complex."""
     fv, gv = _exact_operands((f.table, g.table), len(f))
-    return GroupFn(f.group, tuple((gv[at] @ fv).tolist()))
+    return GroupFn(f.group, gv[at] @ fv)
 
 
 def correlate_many(fns: Sequence[GroupFn]) -> GroupFn:
@@ -214,7 +163,7 @@ def kfold_correlate(f: GroupFn, k: int) -> GroupFn:
     return correlate(kfold_convolve(f, k), f)
 
 
-def gen_convolution(fns: Sequence[GroupFn]) -> GridFn:
+def gen_convolution(fns: Sequence[GroupFn]) -> GroupFn:
     """C_k(f_0,...,f_{k-1})(x_1,..,x_{k-1}) = sum_z f_0(z) f_1(z+x_1) ...,
     as a table over Gr^(k-1) (k in {2, 3})."""
     k = len(fns)
@@ -229,7 +178,7 @@ def gen_convolution(fns: Sequence[GroupFn]) -> GridFn:
         table = rest[0][at] @ f0
     else:
         table = (rest[0][at] * f0) @ rest[1][at].T
-    return GridFn(group, table)
+    return GroupFn(group, table)
 
 
 def check_commutation(
@@ -276,7 +225,7 @@ def check_commutation(
     )
 
 
-def _shifted_dots(tables: Sequence[GridFn], shifts: np.ndarray) -> list:
+def _shifted_dots(tables: Sequence[GroupFn], shifts: np.ndarray) -> list:
     """C_m(T_0, ..., T_{m-1})(s) = sum_z T_0(z) T_1(z + s_1) ... T_{m-1}(z + s_{m-1})
     for each s = shifts[p] of shape (m - 1, d), d the tables' arity: one
     gather per table, the products taken in table order."""

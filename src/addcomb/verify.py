@@ -29,7 +29,7 @@ from .energy import (
     check_membership_identity,
     check_weight_inequality,
 )
-from .groups import CyclicGroup, GridFn, GroupSet, _exact_operands
+from .groups import CyclicGroup, GroupFn, GroupSet, _exact_operands
 from .spectral import (
     build_restricted_operator,
     check_cycle_sums,
@@ -54,7 +54,6 @@ from .subgroup import (
     subgroup_autocorrelation,
 )
 from .transform import (
-    GroupFn,
     _ordered_sums,
     check_commutation,
     convolve,
@@ -191,16 +190,13 @@ def random_subset(rng: random.Random, group: CyclicGroup, density: float) -> Gro
 
 
 def random_int_fn(rng: random.Random, group: CyclicGroup, lo=-3, hi=3) -> GroupFn:
-    return GroupFn(group, tuple(rng.randint(lo, hi) for _ in group.elements()))
+    draws = [rng.randint(lo, hi) for _ in group.elements()]
+    return GroupFn(group, np.array(draws, dtype=np.int64))
 
 
 def random_complex_fn(rng: random.Random, group: CyclicGroup) -> GroupFn:
-    return GroupFn(
-        group,
-        tuple(
-            complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in group.elements()
-        ),
-    )
+    draws = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in group.elements()]
+    return GroupFn(group, np.array(draws, dtype=np.complex128))
 
 
 def additive_subgroups(group: CyclicGroup) -> list[GroupSet]:
@@ -356,9 +352,8 @@ def run_identity_suite(seed: int = 1, trials: int = 200) -> CheckSuite:
 
 def _scalar_product_discrepancy(fs, gs) -> int:
     """sum_x C_l(fs)(x) C_l(gs)(x) = sum_z prod_i (f_i ∘ g_i)(z)."""
-    group = fs[0].group
     lhs = gen_convolution(fs).dot(gen_convolution(gs))
-    pairs = [GridFn(group, correlate(f, g).table) for f, g in zip(fs, gs)]
+    pairs = [correlate(f, g) for f, g in zip(fs, gs)]
     return abs(lhs - pairs[0].dot(*pairs[1:]))
 
 
@@ -381,7 +376,7 @@ def _conv_power_discrepancy(fs, l: int) -> int:
     if l == 3:  # row-major index of y + x, rows x = (x_1, x_2), columns y
         at = (at[:, None, :, None] * n + at[None, :, None, :]).reshape(n * n, n * n)
     f1, f2 = _exact_operands((t1.table, t2.table), t1.table.size)
-    corr = GridFn(group, (f2.ravel()[at] @ f1.ravel()).reshape(t1.table.shape))
+    corr = GroupFn(group, (f2.ravel()[at] @ f1.ravel()).reshape(t1.table.shape))
     rhs = sum(v ** l for v in correlate_many(fs).values)
     return abs(t0.dot(corr) - rhs)
 
@@ -447,8 +442,7 @@ def _inequality_instance(
         _record_zero_slack(suite, triple, inst)
 
     q = random_int_fn(rng, group, -3, 3)
-    q1 = GridFn(group, q.table)
-    for k, weight in ((1, q1), (2, q1.outer(q1))):
+    for k, weight in ((1, q), (2, q.outer(q))):
         for sign in "+-":
             suite.record(
                 check_weight_inequality(a, a, weight, k, 1, sign),
@@ -463,10 +457,8 @@ def _inequality_instance(
         for c in check_level_thresholds(a, sign):
             suite.record(c, inst)
 
-    h = GroupFn(
-        group,
-        tuple(1 if rng.random() < 0.5 else 0 for _ in group.elements()),
-    )
+    draws = [1 if rng.random() < 0.5 else 0 for _ in group.elements()]
+    h = GroupFn(group, np.array(draws, dtype=np.int64))
     if not any(h.values):
         h = GroupFn.delta(group, 0)
     suite.record(check_triangle_inequality(a, h), {**inst, "h": list(h.values)})
@@ -533,13 +525,7 @@ def run_subgroup_suite(p_list, seed: int = 1, tk_order_cap: int = 12) -> CheckSu
                     suite.record(c, inst)
                 # symmetrize: invariant but not even kernels have no
                 # symmetric restricted matrix unless -1 is in the subgroup
-                p_mod = fld.group.modulus
-                h_even = GroupFn(
-                    fld.group,
-                    tuple(
-                        h.values[x] + h.values[(-x) % p_mod] for x in range(p_mod)
-                    ),
-                )
+                h_even = GroupFn(fld.group, h.table + h.table[-np.arange(p) % p])
                 suite.record(check_mu_vs_jacobi(gamma, h_even), inst)
 
                 if t > 1:

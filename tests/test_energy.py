@@ -155,7 +155,7 @@ def test_heart_triple_matches_definition():
     for _ in range(10):
         a = rand_set(rng, 9)
         n = 9
-        ax = a.autocorrelation
+        ax = a.autocorrelation.values
         lhs = sum(
             ax[(x - y) % n] * ax[(x - z) % n] * ax[(y - z) % n]
             for x in a for y in a for z in a
@@ -281,7 +281,7 @@ def test_ap_bound_values():
 def test_ap_bound_22_is_cauchy_schwarz_form():
     rng = random.Random(10)
     a = rand_set(rng, 16)
-    ax = a.autocorrelation
+    ax = a.autocorrelation.values
     spread = shift_spread_sizes(a, "-")
     lhs = sum(c * c for c in ax)
     e3 = sum(c ** 3 for c in ax)

@@ -99,7 +99,7 @@ def test_energy_tables_paths_agree():
     for n, a, b, _ in [*instances(3, 4), *edge_instances(10)]:
         assert list(correlation_counts(a, b)) == oracle.correlation(a.members, b.members, n)
         want_aa = oracle.correlation(a.members, a.members, n)
-        assert list(a.autocorrelation) == want_aa
+        assert list(a.autocorrelation.values) == want_aa
         assert autocorrelation_np(a.members, n).tolist() == want_aa
         assert energy(a, b) == oracle.quadruple_energy(a.members, b.members, n)
         # |B ∩ (A - x)| = (B ∘ A)(x)
@@ -122,7 +122,7 @@ def test_pair_count_row_blocks():
         assert len(rows) > step and len(rows) % step
     assert list(correlation_counts(a, b)) == oracle.correlation(a.members, b.members, n)
     want_aa = oracle.correlation(a.members, a.members, n)
-    assert list(a.autocorrelation) == want_aa
+    assert list(a.autocorrelation.values) == want_aa
     assert autocorrelation_np(a.members, n).tolist() == want_aa
     for sign in "+-":
         want = oracle.sumset_naive(a.members, b.members, n, sign)

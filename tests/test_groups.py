@@ -1,15 +1,18 @@
 import itertools
+import json
 import pathlib
 import random
+import re
 
 import numpy as np
 import pytest
 
+import addcomb.groups as groups
 import oracle
 from addcomb.groups import (
     CyclicGroup,
     INT64_MAX,
-    GridFn,
+    GroupFn,
     GroupSet,
     _exact_operands,
     diag_shift_size,
@@ -210,30 +213,114 @@ def test_diag_shift_matches_enumeration():
 
 def test_grid_fn_table():
     g = CyclicGroup(3)
-    f = GridFn.of(g, range(9), 2)
+    f = GroupFn.of(g, range(9), 2)
     assert f.arity == 2 and f.table.dtype == np.int64
     assert f(1, 2) == f(4, -1) == 5 and type(f(1, 2)) is int
     assert f.flat == tuple(range(9))
     with pytest.raises(ValueError):
         f.table[0, 0] = 7  # read-only
+    handed = np.arange(3)
+    assert GroupFn(g, handed).values == (0, 1, 2)
+    with pytest.raises(ValueError):
+        handed[0] = 7  # the function owns the array it was given
     assert f.dot() == 36 and f.dot(f) == sum(v * v for v in range(9))
-    h = GridFn.of(g, [1, -2, 3])
+    h = GroupFn(g, [1, -2, 3])
     assert h.outer(h).flat == tuple(u * v for u in (1, -2, 3) for v in (1, -2, 3))
-    big = GridFn.of(g, [2 ** 70, 1, 0])
+    big = GroupFn(g, [2 ** 70, 1, 0])
     assert big.table.dtype == object and big.dot(big) == 2 ** 140 + 1
-    assert big.dot(GridFn.of(g, [0, 0, 0])) == 0
-    assert GridFn.of(g, [1j, 0, 2]).table.dtype == np.complex128
-    real = GridFn.of(g, [0.5, 1, -2])
+    assert big.dot(GroupFn(g, [0, 0, 0])) == 0
+    assert GroupFn(g, [1j, 0, 2]).table.dtype == np.complex128
+    real = GroupFn(g, [0.5, 1, -2])
     assert real.table.dtype == np.float64 and real.flat == (0.5, 1.0, -2.0)
     assert f.kind == big.kind == "int" and real.kind == "real"
-    assert GridFn.of(g, [1j, 0, 2]).kind == "complex"
+    assert GroupFn(g, [1j, 0, 2]).kind == "complex"
     for bad in ([1, 2], [[1, 2, 3]] * 2):
         with pytest.raises(ValueError):
-            GridFn.of(g, bad)
+            GroupFn(g, bad)
     with pytest.raises(ValueError):
-        GridFn.of(g, [0] * 81, 4)
+        GroupFn.of(g, [0] * 81, 4)
     with pytest.raises(ValueError):
         f(1)
+
+
+# invariant under the subgroup {1, 2, 4} of F_7*: one value at 0, one on
+# each coset {1, 2, 4} and {3, 5, 6}
+INVARIANT_VALUES = (
+    ([5, 1, 1, -2, 1, -2, -2], "int", np.int64),
+    ([2 ** 70, 1, 1, 3, 1, 3, 3], "int", object),
+    ([0.5, 1.5, 1.5, -2.25, 1.5, -2.25, -2.25], "real", np.float64),
+    ([1j, 2 + 1j, 2 + 1j, -0.5, 2 + 1j, -0.5, -0.5], "complex", np.complex128),
+)
+
+
+@pytest.mark.parametrize("vals, kind, dtype", INVARIANT_VALUES)
+def test_array_and_numpy_scalar_inputs_match_tuples(vals, kind, dtype):
+    """An ndarray, numpy scalars and a tuple of the same values give one
+    function: Python scalars out of ``values``, one kind and table dtype,
+    a hashable ``mu_alpha_direct`` key and a JSON-ready report payload."""
+    from addcomb.subgroup import make_field, mu_alpha_direct, subgroup
+    from addcomb.verify import _fn_payload
+
+    g = CyclicGroup(7)
+    gamma = subgroup(make_field(7), 3)
+    scalars = [v if isinstance(v, int) and abs(v) > INT64_MAX else np.array(v)[()]
+               for v in vals]
+    fns = [GroupFn(g, tuple(vals)), GroupFn(g, np.array(vals)), GroupFn(g, scalars)]
+    want = fns[0]
+    assert all(type(v) in (int, float, complex) for v in want.values)
+    for f in fns:
+        assert repr(f.values) == repr(want.values)
+        assert (f.kind, f.table.dtype) == (kind, dtype)
+        assert mu_alpha_direct(gamma, f) is mu_alpha_direct(gamma, want)
+        assert json.loads(json.dumps(_fn_payload(f))) == _fn_payload(want)
+
+
+def test_value_table_integer_edges():
+    """Integers give int64 exactly when every entry is within +-INT64_MAX,
+    whatever numpy's own reading of the mix (it reads 2^63 with 1 as
+    float64)."""
+    for vals, dtype in (
+        ([INT64_MAX, -INT64_MAX], np.int64),
+        ([-INT64_MAX - 1, 1], object),
+        ([INT64_MAX + 1, 1], object),
+        ([np.uint64(INT64_MAX + 1), np.int64(1)], object),
+        ([True, 2], np.int64),
+    ):
+        table = groups._value_table(vals)
+        assert table.dtype == dtype and table.tolist() == [int(v) for v in vals]
+
+
+def test_one_function_type():
+    """GroupFn is the one function class, and no module rebuilds a function
+    from the ``tolist`` of an array it already has."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "addcomb"
+    offenders = [
+        p.name
+        for p in sorted(src.glob("*.py"))
+        if "GridFn" in p.read_text() or re.search(r"GroupFn\([^)]*tolist", p.read_text())
+    ]
+    assert offenders == []
+
+
+def test_array_born_functions_skip_value_table(monkeypatch):
+    """A function computed as an array keeps it: correlate, dft, indicator,
+    the characters and the autocorrelations A ∘ A, Gamma ∘ Gamma and h ∘ h
+    build no table through ``_value_table``."""
+    from addcomb.subgroup import make_field, subgroup
+    from addcomb.transform import correlate, dft
+
+    g = CyclicGroup(12)
+    f = GroupFn(g, [1, -2, 0, 3] * 3)
+    h = GroupFn(g, [0, 1] * 6)
+    a = gset(12, [0, 3, 4, 9])
+    gamma = subgroup(make_field(13), 4)
+    calls = []
+    real = groups._value_table
+    monkeypatch.setattr(groups, "_value_table", lambda v: calls.append(v) or real(v))
+    built = [correlate(f, h), dft(f), indicator(a), *gamma.characters,
+             a.autocorrelation, gamma.autocorrelation, h.autocorrelation]
+    assert all(fn.table.size and fn.values for fn in built)
+    assert calls == []
 
 
 def test_group_set_validation():

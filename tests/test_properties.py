@@ -111,4 +111,4 @@ def test_heart_and_katz_koester_always_hold(a):
 @given(group_set())
 def test_shift_counts_total(a):
     # sum_x |A_x| = |A|^2
-    assert sum(a.autocorrelation) == len(a) ** 2
+    assert sum(a.autocorrelation.values) == len(a) ** 2

@@ -243,6 +243,18 @@ def test_circulant_products_keep_real_input_real():
     assert max(abs(u - v) for u, v in zip(out.values, want)) <= 1e-12
 
 
+def test_transforms_refuse_tables_over_grids():
+    """dft, idft and the circulant products take functions on Z/N only: a
+    table over Gr^2 is refused, not read as N rows."""
+    g = CyclicGroup(3)
+    grid = GroupFn.of(g, range(9), 2)
+    line = GroupFn(g, (1, 2, 3))
+    for call in (lambda: dft(grid), lambda: idft(grid), lambda: convolve(grid, line),
+                 lambda: correlate(line, grid), lambda: gen_convolution([line, grid])):
+        with pytest.raises(ValueError, match="functions on Z/N"):
+            call()
+
+
 @pytest.mark.parametrize("l,k", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_commutation_matches_per_point_oracle(l, k):
     """check_commutation (one gather per table for all points) against the
