@@ -3,12 +3,14 @@
 Diagonalization is a classical cyclic Jacobi sweep (symmetric matrices
 only), adequate for the sizes this package targets (n <= 512).  Each
 rotation updates one array [m | v^T]: two rows, which also rotates two
-eigenvector columns, then two columns of m.  Each pair is one ufunc
-product with R = [[c, -s], [s, c]] into a preallocated buffer and one sum
-of its halves; c x + (-s) y equals the textbook c x - s y exactly, so
-eigenvalues, eigenvectors and residual are bit-identical to the separate
-row, column and vector updates that tests/oracle.py keeps as the
-reference.  A kernel with no complex value gives a float64 operator.
+eigenvector columns, then two columns of m, taken as two rows of one m.T
+view.  Each pair is one ufunc product with R = [[c, -s], [s, c]] into a
+preallocated buffer and one sum of its halves; c x + (-s) y equals the
+textbook c x - s y exactly, so eigenvalues, eigenvectors and residual are
+bit-identical to the separate row, column and vector updates that
+tests/oracle.py keeps as the reference.  The pivot and the two diagonal
+entries are read as Python floats with ``item``.  A kernel with no complex
+value gives a float64 operator.
 Kernels with nonnegative Fourier transform are always *constructed* as
 psi = h ∘ h for real h, which forces the hypothesis instead of testing it.
 """
@@ -99,21 +101,23 @@ def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     # and columns p and q of the eigenvector matrix v in the same step
     w = np.hstack((m, np.eye(n)))
     m = w[:, :n]
+    mt = m.T  # rows p and q of mt are columns p and q of m
+    item = w.item  # one entry as a Python float
     rot2 = np.empty((2, 2))  # [[c, -s], [s, c]]
     rot = rot2[:, :, None]  # the same, broadcast along a row
     row_buf = np.empty((2, 2, 2 * n))
     col_buf = row_buf[:, :, :n]
+    # the halves R[:, 0] x_p and R[:, 1] x_q of each product
+    row_xp, row_xq = row_buf[:, 0], row_buf[:, 1]
+    col_xp, col_xq = col_buf[:, 0], col_buf[:, 1]
+    multiply, add = np.multiply, np.add  # looked up once, not per rotation
     for _ in range(TOL.jacobi_sweeps):
         if math.sqrt(float(np.square(m[off_diag]).sum())) <= target:
             break
-        # row p and the diagonal as Python floats, read again after each
-        # rotation, so a pivot that is skipped costs no array access
-        diag = m.diagonal().tolist()
         for p in range(n - 1):
-            row = m[p].tolist()
             for q in range(p + 1, n):
-                apq = row[q]
-                app, aqq = diag[p], diag[q]
+                apq = item(p, q)
+                app, aqq = item(p, p), item(q, q)
                 if abs(apq) <= 1e-40 * (abs(app) + abs(aqq) + 1e-300):
                     continue
                 theta = (aqq - app) / (2.0 * apq)
@@ -131,13 +135,11 @@ def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
                 # rows p and q, then columns p and q: c x + (-s) y is
                 # c x - s y exactly, so each pair is one product and one sum
                 rows = w[p:q + 1:q - p]
-                np.multiply(rot, rows, row_buf)
-                np.add(row_buf[:, 0], row_buf[:, 1], rows)
-                cols = m[:, p:q + 1:q - p].T
-                np.multiply(rot, cols, col_buf)
-                np.add(col_buf[:, 0], col_buf[:, 1], cols)
-                row = m[p].tolist()
-                diag[p], diag[q] = row[p], w.item(q, q)
+                multiply(rot, rows, row_buf)
+                add(row_xp, row_xq, rows)
+                cols = mt[p:q + 1:q - p]
+                multiply(rot, cols, col_buf)
+                add(col_xp, col_xq, cols)
     off = math.sqrt(float(np.square(m[off_diag]).sum()))
     eigs = m.diagonal().copy()
     order = np.argsort(-eigs, kind="stable")
@@ -296,14 +298,17 @@ def top_eigenpair(matrix: np.ndarray) -> tuple[float, np.ndarray]:
     norm = float(np.abs(matrix).max())
     if norm == 0.0:
         return 0.0, v
+    w = matrix @ v
     for _ in range(_POWER_ITERS):
-        w = matrix @ v
         nw = float(np.linalg.norm(w))
         if nw == 0.0:
             return 0.0, v
         v = w / nw
-        mu = float(v @ (matrix @ v))
-        if float(np.linalg.norm(matrix @ v - mu * v)) <= 1e-12 * max(1.0, abs(mu)):
+        # one product per step: w = matrix v gives mu, the residual and
+        # the next iterate
+        w = matrix @ v
+        mu = float(v @ w)
+        if float(np.linalg.norm(w - mu * v)) <= 1e-12 * max(1.0, abs(mu)):
             return mu, np.abs(v)
     eigs, vecs, _ = jacobi_eigh(matrix)
     mu = float(eigs[0])

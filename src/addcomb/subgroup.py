@@ -156,12 +156,18 @@ class MultSubgroup:
     @cached_property
     def autocorrelation(self) -> GroupFn:
         """(Gamma ∘ Gamma)(x) for x in Z/p, int64: t at 0 and c_j on the
-        coset g^j Gamma, from the orbit kernel once per subgroup."""
+        coset g^j Gamma, from the cached ``stats``."""
         fld = self.field
         counts = np.empty(fld.p, dtype=np.int64)
         counts[0] = self.order
-        counts[1:] = subgroup_stats(self).coset_counts[fld.dlog_array % self.index]
+        counts[1:] = self.stats.coset_counts[fld.dlog_array % self.index]
         return GroupFn(fld.group, counts)
+
+    @cached_property
+    def stats(self) -> SubgroupStats:
+        """Gamma ∘ Gamma's coset counts, E2, E3 and |Gamma ± Gamma| from
+        the orbit kernel, run once per subgroup."""
+        return _orbit_stats(self)
 
     @cached_property
     def _mu_tables(self) -> dict:
@@ -294,7 +300,6 @@ class SubgroupStats:
     - |Gamma + Gamma| = [-1 in Gamma] + t #{dlog(1 + gamma) mod n : gamma != -1}.
     """
 
-    gamma: MultSubgroup
     coset_counts: np.ndarray  # int64 c_j, j < index
     E2: int
     E3: int
@@ -303,6 +308,11 @@ class SubgroupStats:
 
 
 def subgroup_stats(gamma: MultSubgroup) -> SubgroupStats:
+    """Every Gamma ∘ Gamma / Gamma + Gamma count of ``gamma``, cached on it."""
+    return gamma.stats
+
+
+def _orbit_stats(gamma: MultSubgroup) -> SubgroupStats:
     """The orbit kernel: every Gamma ∘ Gamma / Gamma + Gamma count in O(t + n)."""
     fld = gamma.field
     p, t, n = fld.p, gamma.order, gamma.index
@@ -311,9 +321,9 @@ def subgroup_stats(gamma: MultSubgroup) -> SubgroupStats:
     # dlog(gamma - 1) sits at index gamma - 2, dlog(gamma + 1) at index gamma
     counts = np.bincount(dl[els[els != 1] - 2] % n, minlength=n)
     sum_cosets = np.count_nonzero(np.bincount(dl[els[els != p - 1]] % n, minlength=n))
+    counts.flags.writeable = False  # cached on the subgroup
     nz = counts[counts > 0].tolist()  # Python ints: the moment sums cannot wrap
     return SubgroupStats(
-        gamma=gamma,
         coset_counts=counts,
         E2=t * t + t * sum(v * v for v in nz),
         E3=t ** 3 + t * sum(v ** 3 for v in nz),

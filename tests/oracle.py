@@ -8,6 +8,7 @@ import math
 import numpy as np
 
 from addcomb.config import TOL
+from addcomb.spectral import _POWER_ITERS
 
 
 def quadruple_energy(a, b, n):
@@ -474,6 +475,28 @@ def jacobi_eigh(matrix):
     eigs = m.diagonal().copy()
     order = np.argsort(-eigs, kind="stable")
     return eigs[order], v[:, order], off
+
+
+def top_eigenpair(matrix):
+    """Power iteration from the all-ones vector that forms matrix @ v three
+    times per step (the new iterate, then twice on the normalized one), with
+    the reference Jacobi sweep as fallback: the reference the library's
+    one-product step must match bit for bit."""
+    n = matrix.shape[0]
+    v = np.ones(n) / math.sqrt(n)
+    if float(np.abs(matrix).max()) == 0.0:
+        return 0.0, v
+    for _ in range(_POWER_ITERS):
+        w = matrix @ v
+        nw = float(np.linalg.norm(w))
+        if nw == 0.0:
+            return 0.0, v
+        v = w / nw
+        mu = float(v @ (matrix @ v))
+        if float(np.linalg.norm(matrix @ v - mu * v)) <= 1e-12 * max(1.0, abs(mu)):
+            return mu, np.abs(v)
+    eigs, vecs, _ = jacobi_eigh(matrix)
+    return float(eigs[0]), np.abs(vecs[:, 0])
 
 
 # The float loops below are the library's earlier forms.  The library now

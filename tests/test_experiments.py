@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -145,6 +146,24 @@ def test_level_profile_partition():
     d = rows[0].d
     above = sum(1 for x in range(1, 13) if counts[x] > d)
     assert sum(r.size for r in rows) == above
+
+
+def test_level_profile_runs_the_orbit_kernel_once(monkeypatch):
+    """A level profile reads E2, E3 and Gamma ∘ Gamma from one orbit-kernel
+    run, cached on the subgroup."""
+    # the package exports the function ``subgroup``, which shadows the module
+    sub_mod = importlib.import_module("addcomb.subgroup")
+    runs = []
+    kernel = sub_mod._orbit_stats
+
+    def counting_kernel(gamma):
+        runs.append((gamma.field.p, gamma.order))
+        return kernel(gamma)
+
+    monkeypatch.setattr(sub_mod, "_orbit_stats", counting_kernel)
+    rows = level_set_profile(101, 20)
+    assert rows
+    assert runs == [(101, 20)]
 
 
 def test_coverage_scan():

@@ -23,6 +23,7 @@ from addcomb.spectral import (
     top_eigenpair,
     triangle_sum,
 )
+from addcomb.subgroup import make_field, subgroup
 from addcomb.transform import GroupFn
 import oracle
 from oracle import cycle_enumeration, triangle_enumeration
@@ -416,6 +417,67 @@ def test_jacobi_bit_identical_on_nearly_symmetric_input():
     m[2, 5] += 1e-15
     assert not np.array_equal(m, m.T)
     _assert_same_sweep(m)
+
+
+def test_jacobi_bit_identical_on_diagonalized_operators():
+    """The operators the library diagonalizes: psi = h ∘ h for a 0/1 h on
+    |A| = 64 in Z/256 (the large-instances shape, whose last sweep rotates
+    tiny pivots that move near-zero diagonal bits), and Gamma ∘ Gamma on
+    Gamma for subgroups of F_101."""
+    rng = random.Random(3)
+    g = CyclicGroup(256)
+    a = GroupSet.of(g, rng.sample(range(256), 64))
+    h = GroupFn(g, tuple(rng.randint(0, 1) for _ in range(256)))
+    _assert_same_sweep(build_restricted_operator(a, correlation_kernel(h)).matrix)
+    fld = make_field(101)
+    for t in (20, 50):
+        gamma = subgroup(fld, t)
+        _assert_same_sweep(build_restricted_operator(gamma.as_set, gamma.autocorrelation).matrix)
+
+
+def test_jacobi_bit_identical_when_zero_pivots_are_skipped():
+    """Two interleaved blocks: every pivot between them is an exact zero
+    (a rotation inside one block keeps it zero), so the sweep takes the skip
+    branch, which a rotation would turn into a division by zero."""
+    rng = np.random.default_rng(5)
+    blocks = rng.standard_normal((2, 6, 6))
+    m = np.zeros((12, 12))
+    for b, idx in zip(blocks, (np.arange(0, 12, 2), np.arange(1, 12, 2))):
+        m[np.ix_(idx, idx)] = b + b.T
+    _assert_same_sweep(m)
+    _, vecs, _ = jacobi_eigh(m)
+    assert np.count_nonzero(vecs) == 2 * 6 * 6  # no rotation mixed the blocks
+
+
+def test_jacobi_bit_identical_at_the_largest_reachable_theta():
+    """A pivot just above the skip bound with the diagonal gap far larger
+    gives theta = 5e38.  The skip rule keeps |apq| above 1e-40 (|app| +
+    |aqq|) >= 1e-40 |aqq - app|, so |theta| stays below about 5e39 for
+    every input and the |theta| > 1e100 branch is never taken."""
+    m = np.zeros((4, 4))
+    m[1, 1] = 1e-250
+    m[0, 1] = m[1, 0] = 1e-289
+    m[2, 3] = m[3, 2] = 1.0  # keeps the off-diagonal norm above the target
+    _assert_same_sweep(m)
+
+
+def test_top_eigenpair_bit_identical_to_three_product_loop():
+    """One product per power step gives the mu and the vector bytes of the
+    loop that forms matrix @ v three times per step, including the zero
+    matrix and a sign-split spectrum that falls back to Jacobi."""
+    rng = random.Random(9)
+    mats = [
+        build_restricted_operator(a, correlation_kernel(h)).matrix
+        for a, h in (rand_instance(rng, 24) for _ in range(5))
+    ]
+    gamma = subgroup(make_field(101), 20)
+    mats.append(build_restricted_operator(gamma.as_set, gamma.autocorrelation).matrix)
+    mats += [np.zeros((3, 3)), np.diag([1.0, -1.0])]
+    for m in mats:
+        mu, vec = top_eigenpair(m)
+        want_mu, want_vec = oracle.top_eigenpair(m)
+        assert repr(mu) == repr(want_mu)
+        assert vec.tobytes() == want_vec.tobytes()
 
 
 def _assert_same_sweep(m):
