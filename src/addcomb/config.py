@@ -26,8 +26,6 @@ class Tolerances:
     jacobi_off: float = 1e-12
     # maximum Jacobi sweeps before reporting non-convergence
     jacobi_sweeps: int = 100
-    # relative target for non-integer-exponent energies
-    energy_float_rel: float = 1e-12
 
 
 TOL = Tolerances()

@@ -55,6 +55,16 @@ def divisors(n: int) -> list[int]:
     return sorted(out)
 
 
+def _scan_orders(p_max: int):
+    """(F_p, t) for every odd prime p <= p_max and every t | p - 1, in
+    ascending (p, t) order.  The cap is checked at the call; each field is
+    built as the iteration reaches it."""
+    if p_max > SCAN_PRIME_CAP:
+        raise ValueError(f"scan capped at p <= {SCAN_PRIME_CAP}")
+    odd_primes = primes_up_to(p_max)[1:]  # drop 2
+    return ((fld, t) for fld in map(make_field, odd_primes) for t in divisors(fld.p - 1))
+
+
 # ---------------------------------------------------------------------------
 # exact counting helpers
 # ---------------------------------------------------------------------------
@@ -129,43 +139,37 @@ def subgroup_scan(
     diff = 1 + t #{j : c_j > 0} and
     sum = [-1 in Gamma] + t #{dlog(1 + gamma) mod n : gamma != -1}.
     """
-    if p_max > SCAN_PRIME_CAP:
-        raise ValueError(f"scan capped at p <= {SCAN_PRIME_CAP}")
     rows = []
-    for p in primes_up_to(p_max):
-        if p == 2:
+    for fld, t in _scan_orders(p_max):
+        if t < t_min or (t_max is not None and t > t_max):
             continue
-        fld = make_field(p)
-        for t in divisors(p - 1):
-            if t < t_min or (t_max is not None and t > t_max):
-                continue
-            gamma = subgroup(fld, t)
-            els = gamma.elements
-            stats = subgroup_stats(gamma)
-            e2, ssum = stats.E2, stats.sum
-            if e2 * ssum < t ** 4:
-                raise AssertionError(f"energy lower bound failed at p={p}, t={t}")
-            fhat = np.fft.fft(indicator_vector(els, p).astype(float))
-            fourier_max = float(np.abs(fhat[1:]).max()) if p > 1 else 0.0
-            logt = math.log2(t) if t > 1 else 0.0
-            rows.append(
-                SubgroupScanRow(
-                    p=p,
-                    t=t,
-                    E2=e2,
-                    E3=stats.E3,
-                    sum=ssum,
-                    diff=stats.diff,
-                    ratio_52=e2 / t ** 2.5,
-                    ratio_229=(e2 / (t ** (22 / 9) * logt)) if logt else None,
-                    ratio_sumw=(e2 / (t ** (4 / 3) * ssum ** (2 / 3) * logt))
-                    if logt
-                    else None,
-                    lower=t ** 4 / ssum,
-                    fourier_max=fourier_max,
-                )
+        p = fld.p
+        gamma = subgroup(fld, t)
+        els = gamma.elements
+        stats = subgroup_stats(gamma)
+        e2, ssum = stats.E2, stats.sum
+        if e2 * ssum < t ** 4:
+            raise AssertionError(f"energy lower bound failed at p={p}, t={t}")
+        fhat = np.fft.fft(indicator_vector(els, p).astype(float))
+        fourier_max = float(np.abs(fhat[1:]).max()) if p > 1 else 0.0
+        logt = math.log2(t) if t > 1 else 0.0
+        rows.append(
+            SubgroupScanRow(
+                p=p,
+                t=t,
+                E2=e2,
+                E3=stats.E3,
+                sum=ssum,
+                diff=stats.diff,
+                ratio_52=e2 / t ** 2.5,
+                ratio_229=(e2 / (t ** (22 / 9) * logt)) if logt else None,
+                ratio_sumw=(e2 / (t ** (4 / 3) * ssum ** (2 / 3) * logt))
+                if logt
+                else None,
+                lower=t ** 4 / ssum,
+                fourier_max=fourier_max,
             )
-    rows.sort(key=lambda r: (r.p, r.t))
+        )
     return rows
 
 
@@ -241,40 +245,34 @@ class CoverageRow:
 
 def coverage_scan(p_max: int, cap: int = 12) -> list[CoverageRow]:
     """Smallest m <= cap with the m-fold sumset of each subgroup covering F_p."""
-    if p_max > SCAN_PRIME_CAP:
-        raise ValueError(f"scan capped at p <= {SCAN_PRIME_CAP}")
+    orders = _scan_orders(p_max)
     if cap < 2:
         # 0 is not in Gamma, so no single copy of Gamma covers F_p
         raise ValueError(f"cap must be >= 2, got {cap}")
     rows = []
-    for p in primes_up_to(p_max):
-        if p == 2:
-            continue
-        fld = make_field(p)
-        for t in divisors(p - 1):
-            gamma = subgroup(fld, t)
-            cur = indicator_vector(gamma.elements, p)
-            ind = cur.astype(float)
-            m_found = None
-            if cur.all():
-                m_found = 1
-            else:
-                support = ind
-                for m in range(2, cap + 1):
-                    support = _support_convolve(support, ind).astype(float)
-                    if support.all():
-                        m_found = m
-                        break
-            rows.append(
-                CoverageRow(
-                    p=p,
-                    t=t,
-                    m=m_found,
-                    covered_by_6=m_found is not None and m_found <= 6,
-                    cap=cap,
-                )
+    for fld, t in orders:
+        gamma = subgroup(fld, t)
+        cur = indicator_vector(gamma.elements, fld.p)
+        ind = cur.astype(float)
+        m_found = None
+        if cur.all():
+            m_found = 1
+        else:
+            support = ind
+            for m in range(2, cap + 1):
+                support = _support_convolve(support, ind).astype(float)
+                if support.all():
+                    m_found = m
+                    break
+        rows.append(
+            CoverageRow(
+                p=fld.p,
+                t=t,
+                m=m_found,
+                covered_by_6=m_found is not None and m_found <= 6,
+                cap=cap,
             )
-    rows.sort(key=lambda r: (r.p, r.t))
+        )
     return rows
 
 
@@ -571,17 +569,7 @@ def _progression_row(fld: PrimeField, t: int) -> ProgressionRow:
 
 
 def progression_batch(p_max: int) -> list[ProgressionRow]:
-    if p_max > SCAN_PRIME_CAP:
-        raise ValueError(f"scan capped at p <= {SCAN_PRIME_CAP}")
-    rows = []
-    for p in primes_up_to(p_max):
-        if p == 2:
-            continue
-        fld = make_field(p)
-        for t in divisors(p - 1):
-            rows.append(_progression_row(fld, t))
-    rows.sort(key=lambda r: (r.p, r.t))
-    return rows
+    return [_progression_row(fld, t) for fld, t in _scan_orders(p_max)]
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .groups import (
     restricted_matrix,
     triple_product_sum,
 )
+from .transform import correlate, dft
 
 
 @dataclass(frozen=True)
@@ -81,8 +82,8 @@ def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Cyclic Jacobi diagonalization of a real symmetric matrix.
 
     Returns (eigenvalues descending, eigenvector columns, off-diagonal
-    residual).  Raises on non-symmetric input; reports the residual if the
-    sweep budget runs out.
+    residual).  Raises on non-symmetric input and on a Frobenius norm that
+    overflows; reports the residual if the sweep budget runs out.
     """
     m = np.array(matrix, dtype=float)
     n = m.shape[0]
@@ -91,6 +92,10 @@ def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     if n <= 1:
         return m.diagonal().copy(), np.eye(n), 0.0
     fro = math.sqrt(float((m * m).sum()))
+    if not math.isfinite(fro):
+        # (m * m) overflows at entries near 1.3e154, and an inf target would
+        # end the sweep before any rotation
+        raise ValueError("jacobi_eigh needs a matrix with a finite Frobenius norm")
     if fro == 0.0:
         return np.zeros(n), np.eye(n), 0.0
     target = TOL.jacobi_off * fro
@@ -120,13 +125,10 @@ def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
                 app, aqq = item(p, p), item(q, q)
                 if abs(apq) <= 1e-40 * (abs(app) + abs(aqq) + 1e-300):
                     continue
+                # the skip rule bounds |theta| by about 5e39, so theta^2
+                # cannot overflow
                 theta = (aqq - app) / (2.0 * apq)
-                if abs(theta) > 1e100:
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = math.copysign(1.0, theta) / (
-                        abs(theta) + math.sqrt(theta * theta + 1.0)
-                    )
+                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
                 rot2[0, 0] = rot2[1, 1] = c
@@ -173,16 +175,10 @@ def check_traces(op: SpectralOperator, spectrum: Spectrum) -> list[IneqCheck]:
         IneqCheck.from_identity("trace-linear", abs(s1 - tr_exact) / scale1, TOL.spectrum_rel),
         IneqCheck.from_identity("trace-square", abs(s2 - tr_sq_exact) / scale2, TOL.spectrum_rel),
     ]
-    # dual-side form of the squared trace via the spectral table of psi-hat
-    from .transform import dft
-
-    psihat = dft(psi)
-    ahat = dft(indicator(a))
-    phi = [v / n for v in psihat.values]
-    dual = 0.0
-    for z in range(n):
-        corr_phi = sum(phi[y] * phi[(y + z) % n] for y in range(n))
-        dual += (corr_phi * abs(ahat.values[z]) ** 2).real
+    # dual-side form of the squared trace: sum_z (phi ∘ phi)(z) |A^(z)|^2
+    # for phi = psi^ / N
+    phi = GroupFn(a.group, dft(psi).table / n)
+    dual = float((correlate(phi, phi).table * np.abs(dft(indicator(a)).table) ** 2).real.sum())
     out.append(
         IneqCheck.from_identity(
             "trace-square-dual", abs(dual - tr_sq_exact) / scale2, TOL.spectrum_rel

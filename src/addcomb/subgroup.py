@@ -22,7 +22,7 @@ from .config import FIELD_PRIME_CAP, MULT_ENERGY_CAP, TOL
 from .energy import correlation_counts, energy_k
 from .groups import CyclicGroup, GroupFn, GroupSet, _exact_operands, indicator, restricted_matrix
 from .spectral import build_restricted_operator, eigendecompose
-from .transform import _BLOCK, _ordered_sums, dft, kfold_convolve
+from .transform import _BLOCK, _ordered_sums, correlate, dft, kfold_convolve
 
 
 def _is_prime(n: int) -> bool:
@@ -189,14 +189,6 @@ class MultSubgroup:
         table.flags.writeable = False
         return table
 
-    @cached_property
-    def characters(self) -> tuple[GroupFn, ...]:
-        """chi_alpha, alpha < t, on F_p: the columns of ``character_table``
-        on the subgroup, 0 elsewhere; built once per subgroup."""
-        table = np.zeros((self.order, self.field.p), dtype=np.complex128)
-        table[:, list(self.elements)] = self.character_table.T
-        return tuple(GroupFn(self.field.group, row) for row in table)
-
     def __len__(self) -> int:
         return self.order
 
@@ -212,17 +204,9 @@ def subgroup(field: PrimeField, t: int) -> MultSubgroup:
 
 def gamma_invariant_set(gamma: MultSubgroup, s: GroupSet) -> bool:
     """Is S fixed by multiplication with every subgroup element? (0 is fixed)."""
-    p = gamma.field.p
-    if s.group.modulus != p:
+    if s.group.modulus != gamma.field.p:
         raise ValueError("set lives on the wrong modulus")
-    mem = s.member_set
-    for x in s.members:
-        if x == 0:
-            continue
-        for g in gamma.elements:
-            if (x * g) % p not in mem:
-                return False
-    return True
+    return gamma_invariant_fn(gamma, indicator(s))
 
 
 def orbit_closure(gamma: MultSubgroup, s: GroupSet) -> GroupSet:
@@ -439,39 +423,33 @@ def check_mu_convolution(gamma: MultSubgroup, g: GroupFn, h: GroupFn) -> list[In
     and mu_alpha(g^l) = t^-(l-1) (mu *_(l-1) mu)(alpha) for l in {2, 3}.
     """
     t = gamma.order
-    mug = mu_alpha_direct(gamma, g).values
-    muh = mu_alpha_direct(gamma, h).values
+    mug = np.array(mu_alpha_direct(gamma, g).values, dtype=np.complex128)
+    muh = np.array(mu_alpha_direct(gamma, h).values, dtype=np.complex128)
     gh = GroupFn(g.group, tuple(gv * hv for gv, hv in zip(g.conjugate().values, h.values)))
     mugh = mu_alpha_direct(gamma, gh).values
-    worst = 0.0
+    # each sum runs over b in order; the division by t is Python's complex / int
+    r = np.arange(t)
+    rhs = _ordered_sums(mug.conj(), muh[(r[:, None] + r) % t]).tolist()
+    worst = max(abs(m - v / t) for m, v in zip(mugh, rhs))
     scale = max(1.0, max(abs(v) for v in mugh))
-    for a in range(t):
-        rhs = sum(
-            complex(mug[b]).conjugate() * muh[(a + b) % t] for b in range(t)
-        ) / t
-        worst = max(worst, abs(mugh[a] - rhs))
     out = [
         IneqCheck.from_identity(
             "eigenvalue-product-rule", worst / scale, TOL.spectrum_rel
         )
     ]
     if g.kind != "complex":
-        mu = [complex(v) for v in mug]
-        cur = list(mu)
+        cur = mug
         for l in (2, 3):
-            nxt = [
-                sum(cur[b] * mu[(a - b) % t] for b in range(t)) / t for a in range(t)
-            ]
-            gl = g.power(l)
-            mugl = mu_alpha_direct(gamma, gl).values
+            nxt = [v / t for v in _ordered_sums(cur, mug[(r - r[:, None]) % t]).tolist()]
+            mugl = mu_alpha_direct(gamma, g.power(l)).values
             sc = max(1.0, max(abs(v) for v in mugl))
-            w = max(abs(mugl[a] - nxt[a]) for a in range(t))
+            w = max(abs(m - v) for m, v in zip(mugl, nxt))
             out.append(
                 IneqCheck.from_identity(
                     f"eigenvalue-power-rule-l{l}", w / sc, TOL.spectrum_rel
                 )
             )
-            cur = nxt
+            cur = np.array(nxt)
     return out
 
 
@@ -552,32 +530,19 @@ def _check_exact_fourier_c3(
     t = gamma.order
     if any(float(x) < 0 for x in v.values):
         raise ValueError("v must be nonnegative")
-    mem = gamma.elements
-    uv = u.values
-    vv = v.values
-    table = {}
-    for x in mem:
-        for y in mem:
-            acc = 0j
-            for z in range(p):
-                w = vv[z]
-                if w:
-                    acc += w * uv[(z + x) % p] * complex(uv[(z + y) % p]).conjugate()
-            table[(x, y)] = acc
-    lhs = sum(table.values()).real
-    gg = gamma.autocorrelation.values
+    # U[x, z] = u(z + x) for x in Gamma; the Gram matrix (U v) U^H holds
+    # sum_z v(z) u(z + x) conj(u(z + y)) at (x, y)
+    els = np.asarray(gamma.elements, dtype=np.int64)
+    shifted = u.table.astype(np.complex128)[(els[:, None] + np.arange(p)) % p]
+    gram = (shifted * v.table) @ shifted.conj().T
+    lhs = gram.sum().real
     out = []
     for idx, h in enumerate(h_family):
-        # (h ∘ conj(h))(x) = sum_y h(y) conj(h(y+x))
-        hv = h.values
-        hcorr = [
-            sum(hv[y] * complex(hv[(y + x) % p]).conjugate() for y in range(p))
-            for x in range(p)
-        ]
-        e_h = sum(hcorr[x].real * gg[x] for x in range(p))
+        hcorr = correlate(h, h.conjugate()).table  # sum_y h(y) conj(h(y + x))
+        e_h = (hcorr.real * gamma.autocorrelation.table).sum()
         if e_h == 0:
             continue
-        s = sum(hcorr[(x - y) % p] * table[(x, y)] for x in mem for y in mem).real
+        s = (restricted_matrix(gamma.as_set, hcorr) * gram).sum().real
         bound = t * t * s / e_h
         name = f"restricted-fourier-c3-h{idx}"
         if _nonzero_constant(h):
@@ -653,13 +618,9 @@ def check_tk_characters(gamma: MultSubgroup, f: GroupFn, k: int) -> list[IneqChe
     t = gamma.order
     direct = mult_energy_k(gamma, f, k)
     fv = f.values
-    rhs = 0.0
-    table = gamma.character_table
-    for alpha in range(t):
-        chi = table[:, alpha].tolist()
-        c = sum(fv[x] * v.conjugate() for x, v in zip(gamma.elements, chi))
-        rhs += abs(c) ** (2 * k)
-    rhs *= t ** (k - 1)
+    # <f, chi_alpha> for every alpha, each summed over the elements in order
+    inner = _ordered_sums(f.table[list(gamma.elements)], gamma.character_table.conj())
+    rhs = t ** (k - 1) * sum(abs(c) ** (2 * k) for c in inner.tolist())
     scale = max(1.0, abs(direct), abs(rhs))
     out = [
         IneqCheck.from_identity(

@@ -29,6 +29,7 @@ from .energy import (
     check_membership_identity,
     check_weight_inequality,
 )
+from .experiments import divisors
 from .groups import CyclicGroup, GroupFn, GroupSet, _exact_operands
 from .spectral import (
     build_restricted_operator,
@@ -386,9 +387,10 @@ def _conv_power_discrepancy(fs, l: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def run_inequality_suite(
-    seed: int = 1, trials: int = 1000, modulus: int = 32, spectral_every: int = 20
-) -> CheckSuite:
+_SPECTRAL_EVERY = 20  # every this many random trials also diagonalize h ∘ h on A
+
+
+def run_inequality_suite(seed: int = 1, trials: int = 1000, modulus: int = 32) -> CheckSuite:
     """Shifted-intersection and kernel inequalities on random subsets plus
     additive-subgroup equality cases (those must have exactly zero slack on
     every exact-arithmetic check)."""
@@ -409,7 +411,7 @@ def run_inequality_suite(
         for trial in range(trials):
             a = random_subset(rng, group, densities[trial % len(densities)])
             _inequality_instance(
-                suite, rng, a, trial, spectral=(trial % spectral_every == 0)
+                suite, rng, a, trial, spectral=(trial % _SPECTRAL_EVERY == 0)
             )
     except CheckFailure:
         pass
@@ -499,7 +501,10 @@ def validate_suite_primes(p_list) -> list[int]:
     return p_list
 
 
-def run_subgroup_suite(p_list, seed: int = 1, tk_order_cap: int = 12) -> CheckSuite:
+_TK_ORDER_CAP = 12  # largest t whose T^x_k character identity is checked
+
+
+def run_subgroup_suite(p_list, seed: int = 1) -> CheckSuite:
     """Spectral and character checks for every subgroup of every listed prime."""
     p_list = validate_suite_primes(p_list)
     suite = CheckSuite("subgroups", {"p": p_list, "seed": seed})
@@ -508,7 +513,7 @@ def run_subgroup_suite(p_list, seed: int = 1, tk_order_cap: int = 12) -> CheckSu
     try:
         for p in p_list:
             fld = make_field(p)
-            for t in sorted(d for d in range(1, p) if (p - 1) % d == 0):
+            for t in divisors(p - 1):
                 gamma = subgroup(fld, t)
                 inst = {"p": p, "t": t}
                 g = subgroup_autocorrelation(gamma)
@@ -534,7 +539,7 @@ def run_subgroup_suite(p_list, seed: int = 1, tk_order_cap: int = 12) -> CheckSu
 
                 suite.record(_orthonormality_check(gamma), inst)
 
-                if t <= tk_order_cap:
+                if t <= _TK_ORDER_CAP:
                     f = GroupFn(
                         fld.group,
                         tuple(

@@ -4,11 +4,16 @@ with the library paths they validate."""
 import cmath
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
+from addcomb.checks import IneqCheck
 from addcomb.config import TOL
+from addcomb.groups import GroupFn, indicator
 from addcomb.spectral import _POWER_ITERS
+from addcomb.subgroup import _nonzero_constant, mu_alpha_direct, mult_energy_k
+from addcomb.transform import dft
 
 
 def quadruple_energy(a, b, n):
@@ -588,3 +593,155 @@ def gamma_invariant(elements, values, p, tol=0.0):
             if abs(values[(x * g) % p] - base) > tol:
                 return False
     return True
+
+
+def gamma_invariant_set(gamma, s):
+    """Is S fixed by multiplication with every subgroup element? (0 is
+    fixed): every product x g looked up in the member set."""
+    p = gamma.field.p
+    mem = s.member_set
+    for x in s.members:
+        if x == 0:
+            continue
+        for g in gamma.elements:
+            if (x * g) % p not in mem:
+                return False
+    return True
+
+
+def tk_character_checks(gamma, f, k):
+    """The T^x_k character identity with each <f, chi_alpha> a generator sum
+    over the subgroup, and the lower bound for indicator f."""
+    t = gamma.order
+    direct = mult_energy_k(gamma, f, k)
+    fv = f.values
+    rhs = 0.0
+    table = gamma.character_table
+    for alpha in range(t):
+        chi = table[:, alpha].tolist()
+        c = sum(fv[x] * v.conjugate() for x, v in zip(gamma.elements, chi))
+        rhs += abs(c) ** (2 * k)
+    rhs *= t ** (k - 1)
+    scale = max(1.0, abs(direct), abs(rhs))
+    out = [
+        IneqCheck.from_identity(
+            f"product-energy-character-identity-k{k}",
+            abs(direct - rhs) / scale,
+            TOL.cycle_rel,
+            detail={"direct": direct if f.kind == "int" else abs(direct),
+                    "character_side": rhs},
+        )
+    ]
+    if f.kind == "int" and all(v in (0, 1) for v in fv):
+        size = sum(fv)
+        out.append(
+            IneqCheck.from_ge(
+                f"product-energy-lower-bound-k{k}",
+                Fraction(direct),
+                Fraction(size ** (2 * k), t),
+            )
+        )
+    return out
+
+
+def mu_convolution_checks(gamma, g, h):
+    """The eigenvalue product and power rules, each convolution of mu
+    tables a generator sum over b per alpha."""
+    t = gamma.order
+    mug = mu_alpha_direct(gamma, g).values
+    muh = mu_alpha_direct(gamma, h).values
+    gh = GroupFn(g.group, tuple(gv * hv for gv, hv in zip(g.conjugate().values, h.values)))
+    mugh = mu_alpha_direct(gamma, gh).values
+    worst = 0.0
+    scale = max(1.0, max(abs(v) for v in mugh))
+    for a in range(t):
+        rhs = sum(
+            complex(mug[b]).conjugate() * muh[(a + b) % t] for b in range(t)
+        ) / t
+        worst = max(worst, abs(mugh[a] - rhs))
+    out = [
+        IneqCheck.from_identity(
+            "eigenvalue-product-rule", worst / scale, TOL.spectrum_rel
+        )
+    ]
+    if g.kind != "complex":
+        mu = [complex(v) for v in mug]
+        cur = list(mu)
+        for l in (2, 3):
+            nxt = [
+                sum(cur[b] * mu[(a - b) % t] for b in range(t)) / t for a in range(t)
+            ]
+            gl = g.power(l)
+            mugl = mu_alpha_direct(gamma, gl).values
+            sc = max(1.0, max(abs(v) for v in mugl))
+            w = max(abs(mugl[a] - nxt[a]) for a in range(t))
+            out.append(
+                IneqCheck.from_identity(
+                    f"eigenvalue-power-rule-l{l}", w / sc, TOL.spectrum_rel
+                )
+            )
+            cur = nxt
+    return out
+
+
+def exact_fourier_c3_checks(gamma, u, h_family, v):
+    """The three-point restricted Fourier bound by triple loops: the table
+    sum_z v(z) u(z + x) conj(u(z + y)) for x, y in Gamma, h ∘ conj(h) and
+    the double sum against it."""
+    p = gamma.field.p
+    t = gamma.order
+    mem = gamma.elements
+    uv = u.values
+    vv = v.values
+    table = {}
+    for x in mem:
+        for y in mem:
+            acc = 0j
+            for z in range(p):
+                w = vv[z]
+                if w:
+                    acc += w * uv[(z + x) % p] * complex(uv[(z + y) % p]).conjugate()
+            table[(x, y)] = acc
+    lhs = sum(table.values()).real
+    gg = gamma.autocorrelation.values
+    out = []
+    for idx, h in enumerate(h_family):
+        # (h ∘ conj(h))(x) = sum_y h(y) conj(h(y+x))
+        hv = h.values
+        hcorr = [
+            sum(hv[y] * complex(hv[(y + x) % p]).conjugate() for y in range(p))
+            for x in range(p)
+        ]
+        e_h = sum(hcorr[x].real * gg[x] for x in range(p))
+        if e_h == 0:
+            continue
+        s = sum(hcorr[(x - y) % p] * table[(x, y)] for x in mem for y in mem).real
+        bound = t * t * s / e_h
+        name = f"restricted-fourier-c3-h{idx}"
+        if _nonzero_constant(h):
+            out.append(
+                IneqCheck.from_identity(
+                    name + "-equality",
+                    abs(lhs - bound) / max(1.0, abs(bound)),
+                    TOL.complex_rel,
+                )
+            )
+        else:
+            out.append(
+                IneqCheck.from_le(name, lhs, bound, TOL.complex_rel * max(1.0, abs(bound)))
+            )
+    return out
+
+
+def trace_square_dual(a, psi):
+    """sum_z (phi ∘ phi)(z) |A^(z)|^2 for phi = psi^ / N, each correlation
+    value a generator sum."""
+    n = a.group.modulus
+    psihat = dft(psi)
+    ahat = dft(indicator(a))
+    phi = [v / n for v in psihat.values]
+    dual = 0.0
+    for z in range(n):
+        corr_phi = sum(phi[y] * phi[(y + z) % n] for y in range(n))
+        dual += (corr_phi * abs(ahat.values[z]) ** 2).real
+    return dual

@@ -122,6 +122,23 @@ def test_progression_batch_builds_one_field_per_prime(monkeypatch):
     assert "inverse_table" not in vars(fld)  # one pow per inverse, no table
 
 
+def test_scan_arguments_checked_before_any_field(monkeypatch):
+    import addcomb.experiments as exp_mod
+    from addcomb.config import SCAN_PRIME_CAP
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a field was built before the arguments were checked")
+
+    monkeypatch.setattr(exp_mod, "make_field", must_not_run)
+    for scan in (subgroup_scan, coverage_scan, progression_batch):
+        with pytest.raises(ValueError, match="capped"):
+            scan(SCAN_PRIME_CAP + 1)
+    with pytest.raises(ValueError, match="capped"):
+        coverage_scan(SCAN_PRIME_CAP + 1, cap=1)  # the prime cap comes first
+    with pytest.raises(ValueError, match="cap must be"):
+        coverage_scan(31, cap=1)
+
+
 def test_energy_sums_exact_past_int64():
     assert _energy_sums(np.array([3, 1, 0])) == (10, 28)
     assert _energy_sums([2 ** 21]) == (2 ** 42, 2 ** 63)  # (2^21)^3 = 2^63

@@ -304,8 +304,8 @@ def test_one_function_type():
 
 def test_array_born_functions_skip_value_table(monkeypatch):
     """A function computed as an array keeps it: correlate, dft, indicator,
-    the characters and the autocorrelations A ∘ A, Gamma ∘ Gamma and h ∘ h
-    build no table through ``_value_table``."""
+    a column of the character table and the autocorrelations A ∘ A,
+    Gamma ∘ Gamma and h ∘ h build no table through ``_value_table``."""
     from addcomb.subgroup import make_field, subgroup
     from addcomb.transform import correlate, dft
 
@@ -314,10 +314,11 @@ def test_array_born_functions_skip_value_table(monkeypatch):
     h = GroupFn(g, [0, 1] * 6)
     a = gset(12, [0, 3, 4, 9])
     gamma = subgroup(make_field(13), 4)
+    g4 = CyclicGroup(4)  # a character column as a function on Z/t
     calls = []
     real = groups._value_table
     monkeypatch.setattr(groups, "_value_table", lambda v: calls.append(v) or real(v))
-    built = [correlate(f, h), dft(f), indicator(a), *gamma.characters,
+    built = [correlate(f, h), dft(f), indicator(a), GroupFn(g4, gamma.character_table[:, 1]),
              a.autocorrelation, gamma.autocorrelation, h.autocorrelation]
     assert all(fn.table.size and fn.values for fn in built)
     assert calls == []

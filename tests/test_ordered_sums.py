@@ -1,6 +1,7 @@
-"""The float loops of the transform, character and eigenbasis checks run on
-float64 arrays in CPython's own operation order: every value must have the
-repr of the direct Python loop that tests/oracle.py keeps."""
+"""The float loops of the transform, character, eigenbasis, product-energy
+and eigenvalue-rule checks run on float64 arrays in CPython's own operation
+order: every value must have the repr of the direct Python loop that
+tests/oracle.py keeps."""
 
 import math
 import random
@@ -10,6 +11,8 @@ import pytest
 
 from addcomb.subgroup import (
     check_eigenbasis,
+    check_mu_convolution,
+    check_tk_characters,
     gamma_invariant_fn,
     make_field,
     mu_alpha_direct,
@@ -131,3 +134,38 @@ def test_gamma_invariant_fn_matches_the_loop(p, t):
     assert delta.table.dtype == object
     assert not gamma_invariant_fn(gamma, delta)
     assert oracle.gamma_invariant(els, delta.values, p) is False
+
+
+@pytest.mark.parametrize("p,t", CASES)
+def test_mu_convolution_matches_the_loops_by_repr(p, t):
+    rng = random.Random(p - t)
+    gamma = subgroup(make_field(p), t)
+    kernels = _kernels(gamma, rng)
+    for g in kernels:
+        for h in kernels:
+            got = check_mu_convolution(gamma, g, h)
+            assert repr(got) == repr(oracle.mu_convolution_checks(gamma, g, h))
+
+
+@pytest.mark.parametrize("p,t", CASES)
+def test_tk_characters_match_the_loop_by_repr(p, t):
+    """0/1 f as the report draws it, and int, float, complex and zero f it
+    never draws; k = 3 only where the direct enumeration stays small."""
+    rng = random.Random(p * t + 1)
+    gamma = subgroup(make_field(p), t)
+    supp = [x for x in gamma.elements if rng.random() < min(1.0, 30 / t)] or [1]
+    draws = {
+        "indicator": lambda: 1,
+        "int": lambda: rng.randint(-3, 3),
+        "float": lambda: rng.uniform(-1, 1),
+        "complex": lambda: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+        "zero": lambda: 0,
+    }
+    for draw in draws.values():
+        vals = [0] * p
+        for x in supp:
+            vals[x] = draw()
+        f = GroupFn(gamma.field.group, tuple(vals))
+        for k in (2, 3) if len(supp) <= 12 else (2,):
+            got = check_tk_characters(gamma, f, k)
+            assert repr(got) == repr(oracle.tk_character_checks(gamma, f, k))

@@ -96,6 +96,22 @@ def test_jacobi_rejects_nonsymmetric():
         jacobi_eigh(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
+def test_jacobi_rejects_an_overflowing_norm():
+    """Past about 1e154 the squared Frobenius norm overflows, and the sweep
+    would return the diagonal unrotated; at 1e150 it still diagonalizes."""
+    big = np.array([[0.0, 1e200], [1e200, 0.0]])
+    g = CyclicGroup(4)
+    op = build_restricted_operator(GroupSet.of(g, [0, 1]), GroupFn(g, (0.0, 1e200, 0.0, 1e200)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warning
+        with pytest.raises(ValueError, match="finite Frobenius norm"):
+            jacobi_eigh(big)
+        with pytest.raises(ValueError, match="finite Frobenius norm"):
+            eigendecompose(op)
+    eigs, _, _ = jacobi_eigh(big / 1e50)
+    assert np.allclose(eigs, [1e150, -1e150], rtol=1e-15, atol=0)
+
+
 def test_nonsymmetric_operator_rejected():
     g = CyclicGroup(5)
     a = GroupSet.of(g, [0, 1, 3])
@@ -153,6 +169,24 @@ def test_traces_golden_and_random():
         op = build_restricted_operator(a, correlation_kernel(h))
         spectrum = eigendecompose(op)
         assert all(c.passed for c in check_traces(op, spectrum))
+
+
+def test_trace_square_dual_matches_the_loop():
+    """The dual side of the squared trace agrees with the generator loop
+    within 1e-12 of the identity's scale, for int and real kernels."""
+    rng = random.Random(6)
+    for n in (5, 16, 33):
+        for _ in range(3):
+            a, h = rand_instance(rng, n)
+            psi = correlation_kernel(h)
+            for kernel in (psi, GroupFn(a.group, psi.table * 0.37 + 0.1)):
+                op = build_restricted_operator(a, kernel)
+                got = check_traces(op, eigendecompose(op))[2]
+                aa = a.autocorrelation.values
+                exact = sum(kernel.values[z] ** 2 * aa[z] for z in range(n))
+                want = abs(oracle.trace_square_dual(a, kernel) - exact) / max(1.0, abs(exact))
+                assert got.name == "trace-square-dual"
+                assert abs(got.lhs - want) <= 1e-12
 
 
 def test_traces_delta_kernel():

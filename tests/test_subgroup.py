@@ -8,6 +8,7 @@ import pytest
 from addcomb.groups import CyclicGroup, GroupSet
 from addcomb.spectral import build_restricted_operator, eigendecompose
 from addcomb.subgroup import (
+    _check_exact_fourier_c3,
     check_eigenbasis,
     check_exact_fourier,
     check_mu_convolution,
@@ -31,6 +32,7 @@ from addcomb.subgroup import (
 )
 from addcomb.experiments import divisors, primes_up_to
 from addcomb.transform import GroupFn
+import oracle
 from oracle import correlation, mult_tuple_energy, subgroup_stats_naive
 
 
@@ -84,6 +86,21 @@ def test_invariance_and_orbit():
     assert not gamma_invariant_set(g, GroupSet.of(fld.group, [3, 6]))
 
 
+def test_gamma_invariant_set_matches_the_loop():
+    rng = random.Random(9)
+    for p, t in ((7, 3), (13, 4), (31, 5), (101, 20)):
+        fld = make_field(p)
+        gamma = subgroup(fld, t)
+        for _ in range(20):
+            s = GroupSet.of(fld.group, [x for x in range(p) if rng.random() < 0.2])
+            closure = orbit_closure(gamma, s)
+            bent = GroupSet.of(fld.group, closure.members[1:])
+            for cand in (s, closure, bent):
+                assert gamma_invariant_set(gamma, cand) == oracle.gamma_invariant_set(gamma, cand)
+        with pytest.raises(ValueError, match="wrong modulus"):
+            gamma_invariant_set(gamma, GroupSet.of(CyclicGroup(p + 1), [1]))
+
+
 def test_invariant_profile_roundtrip():
     rng = random.Random(1)
     fld = make_field(13)
@@ -99,11 +116,11 @@ def test_character_orthonormality_and_multiplicativity():
     for p, t in ((7, 3), (13, 4), (31, 6)):
         fld = make_field(p)
         g = subgroup(fld, t)
-        chis = g.characters
+        chis = [dict(zip(g.elements, col)) for col in g.character_table.T.tolist()]
         for a in range(t):
             for b in range(t):
                 ip = sum(
-                    chis[a].values[x] * chis[b].values[x].conjugate()
+                    chis[a][x] * chis[b][x].conjugate()
                     for x in g.elements
                 )
                 assert abs(ip - (1 if a == b else 0)) < 1e-10
@@ -112,8 +129,8 @@ def test_character_orthonormality_and_multiplicativity():
             chi = chis[a]
             for gm in g.elements:
                 for x in g.elements:
-                    lhs = chi((gm * x) % p)
-                    rhs = math.sqrt(t) * chi(gm) * chi(x)
+                    lhs = chi[(gm * x) % p]
+                    rhs = math.sqrt(t) * chi[gm] * chi[x]
                     assert abs(lhs - rhs) < 1e-10
 
 
@@ -253,6 +270,32 @@ def test_exact_fourier_golden_cases():
     v = GroupFn(fld.group, tuple(rng.randint(0, 3) for _ in range(7)))
     checks = check_exact_fourier(g, u, 2, fam, v=v)
     assert all(c.passed for c in checks)
+
+
+@pytest.mark.parametrize("p", [7, 13, 31, 101])
+def test_exact_fourier_c3_matches_the_loops(p):
+    """On every subgroup of p, the Gram-matrix form of the three-point bound
+    agrees with the triple loops within 1e-12 relative on each side, for
+    int, complex and zero weights h."""
+    rng = random.Random(p)
+    fld = make_field(p)
+    for t in divisors(p - 1):
+        gamma = subgroup(fld, t)
+        u = GroupFn(fld.group, tuple(
+            complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) if x in gamma.element_set else 0j
+            for x in range(p)
+        ))
+        v = GroupFn(fld.group, tuple(rng.uniform(0, 2) if rng.random() < 0.7 else 0 for _ in range(p)))
+        h = random_invariant_fn(gamma, rng, -2, 3)
+        fam = [GroupFn.constant(fld.group, 1), subgroup_autocorrelation(gamma), h,
+               GroupFn(fld.group, tuple(complex(x, -0.5 * x) for x in h.values)),
+               GroupFn(fld.group, (0,) * p)]
+        got = _check_exact_fourier_c3(gamma, u, fam, v)
+        want = oracle.exact_fourier_c3_checks(gamma, u, fam, v)
+        assert [c.name for c in got] == [c.name for c in want]
+        for c, w in zip(got, want):
+            for x, y in ((c.lhs, w.lhs), (c.rhs, w.rhs)):
+                assert abs(x - y) <= 1e-12 * max(1.0, abs(y)), (t, c.name)
 
 
 def test_exact_fourier_rejects_bad_support():
@@ -404,9 +447,9 @@ def test_energy_max_attained_at_trivial_character():
         gg = subgroup_autocorrelation(g).values
         vals = []
         for alpha in range(t):
-            chi = g.characters[alpha].values
+            chi = dict(zip(g.elements, g.character_table[:, alpha].tolist()))
             corr = [
-                sum(chi[y] * chi[(y + x) % p].conjugate() for y in g.elements)
+                sum(chi[y] * chi.get((y + x) % p, 0).conjugate() for y in g.elements)
                 for x in range(p)
             ]
             vals.append(t * sum(gg[x] ** k * corr[x] for x in range(p)).real)
