@@ -138,20 +138,34 @@ def subgroup_scan(
     E2 = t^2 + t sum c_j^2, E3 = t^3 + t sum c_j^3,
     diff = 1 + t #{j : c_j > 0} and
     sum = [-1 in Gamma] + t #{dlog(1 + gamma) mod n : gamma != -1}.
+
+    ``fourier_max`` is max_j |eta_j| over the n Gauss periods
+    eta_j = sum_{l < t} e(g^(j + n l) / p), since Gamma^(xi) = eta_j on the
+    coset xi in g^j Gamma.  Each prime takes cos and sin of 2 pi g^k / p
+    once, over its power table; for each t the two tables are read as
+    (t, n) arrays whose column j holds the coset g^j Gamma, transposed into
+    contiguous rows and summed along them (numpy sums a contiguous axis
+    pairwise), and |eta_j| is ``np.hypot`` of the two sums.
     """
     rows = []
+    p_done = None
     for fld, t in _scan_orders(p_max):
         if t < t_min or (t_max is not None and t > t_max):
             continue
         p = fld.p
+        if p != p_done:
+            angles = 2 * math.pi * fld.powers / p
+            cos_powers, sin_powers = np.cos(angles), np.sin(angles)
+            p_done = p
         gamma = subgroup(fld, t)
-        els = gamma.elements
         stats = subgroup_stats(gamma)
         e2, ssum = stats.E2, stats.sum
         if e2 * ssum < t ** 4:
             raise AssertionError(f"energy lower bound failed at p={p}, t={t}")
-        fhat = np.fft.fft(indicator_vector(els, p).astype(float))
-        fourier_max = float(np.abs(fhat[1:]).max()) if p > 1 else 0.0
+        n = gamma.index
+        re = np.ascontiguousarray(cos_powers.reshape(t, n).T).sum(axis=1)
+        im = np.ascontiguousarray(sin_powers.reshape(t, n).T).sum(axis=1)
+        fourier_max = float(np.hypot(re, im).max())
         logt = math.log2(t) if t > 1 else 0.0
         rows.append(
             SubgroupScanRow(

@@ -91,7 +91,8 @@ def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         raise ValueError("jacobi_eigh needs a symmetric square matrix")
     if n <= 1:
         return m.diagonal().copy(), np.eye(n), 0.0
-    fro = math.sqrt(float((m * m).sum()))
+    with np.errstate(over="ignore"):  # an overflow is the error raised below
+        fro = math.sqrt(float((m * m).sum()))
     if not math.isfinite(fro):
         # (m * m) overflows at entries near 1.3e154, and an inf target would
         # end the sweep before any rotation

@@ -54,7 +54,8 @@ def _prime_factors(n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """F_p with a fixed primitive root and a full discrete-log table."""
+    """F_p with a fixed primitive root, its power table and a full
+    discrete-log table."""
 
     p: int
     root: int
@@ -71,6 +72,12 @@ class PrimeField:
         return self.dlog[x - 1]
 
     @cached_property
+    def powers(self) -> np.ndarray:
+        """Read-only int64 g^k for k < p - 1; ``make_field`` caches the
+        table it scattered ``dlog`` from."""
+        return _power_table(self.p, self.root)
+
+    @cached_property
     def dlog_array(self) -> np.ndarray:
         """Read-only int64 copy of ``dlog``: entry x - 1 is dlog x."""
         arr = np.asarray(self.dlog, dtype=np.int64)
@@ -79,14 +86,30 @@ class PrimeField:
 
     @cached_property
     def inverse_table(self) -> tuple[int, ...]:
-        """x^-1 for every x (0 at 0), for callers that invert in bulk."""
-        return (0,) + tuple(pow(x, self.p - 2, self.p) for x in range(1, self.p))
+        """x^-1 = g^(-dlog x) for every x (0 at 0), for callers that invert
+        in bulk."""
+        return (0,) + tuple(self.powers[-self.dlog_array % (self.p - 1)].tolist())
 
     def inv(self, x: int) -> int:
         x %= self.p
         if x == 0:
             raise ZeroDivisionError("0 is not invertible")
         return pow(x, -1, self.p)
+
+
+def _power_table(p: int, g: int) -> np.ndarray:
+    """Read-only int64 g^k mod p for k < p - 1, by doubling: once the first
+    f powers are known, the next f are those times g^f.  Every product is
+    below p^2, which int64 holds for p <= FIELD_PRIME_CAP."""
+    powers = np.empty(p - 1, dtype=np.int64)
+    powers[0] = 1
+    f = 1
+    while f < p - 1:
+        m = min(f, p - 1 - f)
+        powers[f:f + m] = powers[:m] * pow(g, f, p) % p
+        f += m
+    powers.flags.writeable = False
+    return powers
 
 
 def primitive_root(p: int) -> int:
@@ -105,17 +128,18 @@ def make_field(p: int, root: int | None = None) -> PrimeField:
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     g = primitive_root(p) if root is None else root
-    dlog = [0] * (p - 1)
-    acc = 1
-    for k in range(p - 1):
-        dlog[acc - 1] = k
-        acc = (acc * g) % p
-    if acc != 1:
+    powers = _power_table(p, g)
+    # g generates iff its powers hit every nonzero residue once; g = 0 mod p
+    # is checked apart, since the table for p = 2 holds only g^0
+    if g % p == 0 or (np.bincount(powers, minlength=p)[1:] != 1).any():
         raise ValueError(f"{g} is not a primitive root mod {p}")
-    # reject non-generators passed explicitly (table would have collisions)
-    if root is not None and len({pow(g, k, p) for k in range(p - 1)}) != p - 1:
-        raise ValueError(f"{g} is not a primitive root mod {p}")
-    return PrimeField(p, g, tuple(dlog))
+    dlog = np.empty(p - 1, dtype=np.int64)
+    dlog[powers - 1] = np.arange(p - 1)
+    dlog.flags.writeable = False
+    fld = PrimeField(p, g, tuple(dlog.tolist()))
+    # a cached_property is an instance attribute once set: cache both tables
+    vars(fld).update(powers=powers, dlog_array=dlog)
+    return fld
 
 
 @dataclass(frozen=True)
@@ -133,13 +157,8 @@ class MultSubgroup:
 
     @cached_property
     def elements(self) -> tuple[int, ...]:
-        """g^(n l) for l < t, sorted: successive products by g^n."""
-        p = self.field.p
-        step = pow(self.field.root, self.index, p)
-        out = [1]
-        for _ in range(self.order - 1):
-            out.append(out[-1] * step % p)
-        return tuple(sorted(out))
+        """g^(n l) for l < t, sorted: every n-th entry of the power table."""
+        return tuple(np.sort(self.field.powers[::self.index]).tolist())
 
     @cached_property
     def element_set(self) -> frozenset[int]:
@@ -301,7 +320,7 @@ def _orbit_stats(gamma: MultSubgroup) -> SubgroupStats:
     fld = gamma.field
     p, t, n = fld.p, gamma.order, gamma.index
     dl = fld.dlog_array
-    els = np.asarray(gamma.elements, dtype=np.int64)
+    els = fld.powers[::n]  # Gamma in power order: the counts take no order
     # dlog(gamma - 1) sits at index gamma - 2, dlog(gamma + 1) at index gamma
     counts = np.bincount(dl[els[els != 1] - 2] % n, minlength=n)
     sum_cosets = np.count_nonzero(np.bincount(dl[els[els != p - 1]] % n, minlength=n))
@@ -311,7 +330,8 @@ def _orbit_stats(gamma: MultSubgroup) -> SubgroupStats:
         coset_counts=counts,
         E2=t * t + t * sum(v * v for v in nz),
         E3=t ** 3 + t * sum(v ** 3 for v in nz),
-        sum=int((p - 1) in gamma.element_set) + t * sum_cosets,
+        # -1 = g^((p-1)/2) is in Gamma iff t is even (p odd); at p = 2, -1 = 1
+        sum=int(p == 2 or t % 2 == 0) + t * sum_cosets,
         diff=1 + t * len(nz),
     )
 
@@ -528,8 +548,8 @@ def _check_exact_fourier_c3(
 ) -> list[IneqCheck]:
     p = gamma.field.p
     t = gamma.order
-    if any(float(x) < 0 for x in v.values):
-        raise ValueError("v must be nonnegative")
+    if v.kind == "complex" or (v.table < 0).any():
+        raise ValueError("v must be real and nonnegative")
     # U[x, z] = u(z + x) for x in Gamma; the Gram matrix (U v) U^H holds
     # sum_z v(z) u(z + x) conj(u(z + y)) at (x, y)
     els = np.asarray(gamma.elements, dtype=np.int64)

@@ -745,3 +745,26 @@ def trace_square_dual(a, psi):
         corr_phi = sum(phi[y] * phi[(y + z) % n] for y in range(n))
         dual += (corr_phi * abs(ahat.values[z]) ** 2).real
     return dual
+
+
+def fourier_max_fft(elements, p):
+    """max |Gamma^(xi)| over xi != 0 from a full length-p FFT of Gamma's
+    indicator."""
+    ind = np.zeros(p)
+    ind[list(elements)] = 1.0
+    return float(np.abs(np.fft.fft(ind)[1:]).max())
+
+
+def fourier_max_fsum(gamma):
+    """max_j |eta_j| over the Gauss periods eta_j = sum_{x in g^j Gamma}
+    e(x/p), each part summed by math.fsum over the coset."""
+    fld = gamma.field
+    p = fld.p
+    best = 0.0
+    for j in range(gamma.index):
+        xi = pow(fld.root, j, p)
+        coset = [xi * e % p for e in gamma.elements]
+        re = math.fsum(math.cos(2 * math.pi * x / p) for x in coset)
+        im = math.fsum(math.sin(2 * math.pi * x / p) for x in coset)
+        best = max(best, math.hypot(re, im))
+    return best

@@ -31,6 +31,8 @@ from oracle import (
     check_row,
     convex_row_recount,
     doubling_row_recount,
+    fourier_max_fft,
+    fourier_max_fsum,
     longest_ap_naive,
     mult_tuple_energy,
     quadruple_energy,
@@ -84,6 +86,35 @@ def test_subgroup_scan_rows_match_dict_recount():
         if r.p not in fields:
             fields[r.p] = make_field(r.p)
         check_row(r, subgroup_row_recount(subgroup(fields[r.p], r.t).elements, r.p))
+
+
+def test_subgroup_scan_fourier_max_matches_fft_and_fsum_periods():
+    """fourier_max from the Gauss periods agrees, on every row with p <= 500,
+    with a full FFT of Gamma's indicator and with periods summed by fsum;
+    Gamma = F_p* has every nontrivial coefficient equal to -1."""
+    rows = subgroup_scan(500)
+    assert len(rows) > 800
+    fields = {}
+    for r in rows:
+        if r.p not in fields:
+            fields[r.p] = make_field(r.p)
+        gamma = subgroup(fields[r.p], r.t)
+        for want in (fourier_max_fft(gamma.elements, r.p), fourier_max_fsum(gamma)):
+            assert abs(r.fourier_max - want) <= 1e-12 * want, (r.p, r.t)
+        if r.t == r.p - 1:
+            assert abs(r.fourier_max - 1) <= 1e-12, r.p
+
+
+def test_subgroup_scan_full_group_rows_at_the_cap():
+    """Every t = p - 1 row up to the scan cap has fourier_max 1 within 1e-12
+    (t >= 5001 leaves exactly the rows t = p - 1 of the primes past 5001)."""
+    from addcomb.config import SCAN_PRIME_CAP
+
+    rows = subgroup_scan(SCAN_PRIME_CAP, t_min=5001)
+    assert len(rows) == len(primes_up_to(SCAN_PRIME_CAP)) - len(primes_up_to(5002))
+    for r in rows:
+        assert r.t == r.p - 1
+        assert abs(r.fourier_max - 1) <= 1e-12, r.p
 
 
 @pytest.mark.parametrize("generator", ["squares", "perturbed"])

@@ -103,7 +103,7 @@ def test_jacobi_rejects_an_overflowing_norm():
     g = CyclicGroup(4)
     op = build_restricted_operator(GroupSet.of(g, [0, 1]), GroupFn(g, (0.0, 1e200, 0.0, 1e200)))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warning
+        warnings.simplefilter("error")  # the ValueError alone, no overflow warning
         with pytest.raises(ValueError, match="finite Frobenius norm"):
             jacobi_eigh(big)
         with pytest.raises(ValueError, match="finite Frobenius norm"):

@@ -3,6 +3,7 @@ import importlib
 import math
 import random
 
+import numpy as np
 import pytest
 
 from addcomb.groups import CyclicGroup, GroupSet
@@ -47,6 +48,37 @@ def test_make_field_examples():
         make_field(8)
     with pytest.raises(ValueError):
         make_field(10 ** 6 + 3)
+
+
+@pytest.mark.parametrize("p", primes_up_to(500))
+def test_power_and_dlog_tables_invert_each_other(p):
+    """powers and dlog are inverse permutations, and inverse_table read
+    from them matches Fermat inversion."""
+    fld = make_field(p)
+    powers, dlog = fld.powers, fld.dlog
+    assert powers.dtype == np.int64 and not powers.flags.writeable
+    assert powers[0] == 1 and len(powers) == p - 1
+    assert all(powers[dlog[x - 1]] == x for x in range(1, p))
+    assert all(dlog[powers[k] - 1] == k for k in range(p - 1))
+    assert fld.dlog_array.tolist() == list(dlog)
+    assert fld.inverse_table == (0,) + tuple(pow(x, p - 2, p) for x in range(1, p))
+
+
+@pytest.mark.parametrize("p, root", [(13, 0), (13, 1), (13, 13), (13, 3), (2, 0), (2, 2),
+                                     (3, 0), (3, 3), (7, 2), (101, 100)])
+def test_make_field_rejects_non_generators(p, root):
+    with pytest.raises(ValueError, match="not a primitive root"):
+        make_field(p, root)
+
+
+def test_make_field_takes_any_generator():
+    for root in (2, 6, 7, 11, 15):
+        fld = make_field(13, root)
+        assert fld.root == root
+        assert fld.powers.tolist() == [pow(root, k, 13) for k in range(12)]
+        assert sorted(fld.dlog) == list(range(12))
+    assert make_field(2, 1).powers.tolist() == [1]
+    assert make_field(2, 3).dlog == (0,)
 
 
 def test_dlog_consistency():
@@ -298,6 +330,17 @@ def test_exact_fourier_c3_matches_the_loops(p):
                 assert abs(x - y) <= 1e-12 * max(1.0, abs(y)), (t, c.name)
 
 
+def test_exact_fourier_c3_rejects_complex_or_negative_weights():
+    fld = make_field(7)
+    g = subgroup(fld, 3)
+    u = GroupFn(fld.group, tuple(1 if x in g.element_set else 0 for x in range(7)))
+    fam = [GroupFn.constant(fld.group, 1)]
+    for v in ((1j,) * 7, (1 + 0j,) * 7, (1, 0, -1, 0, 0, 0, 0), (0.5, -0.25) + (0.0,) * 5):
+        with pytest.raises(ValueError, match="real and nonnegative"):
+            check_exact_fourier(g, u, 1, fam, v=GroupFn(fld.group, v))
+    assert all(c.passed for c in check_exact_fourier(g, u, 1, fam, v=GroupFn(fld.group, (2,) * 7)))
+
+
 def test_exact_fourier_rejects_bad_support():
     fld = make_field(7)
     g = subgroup(fld, 3)
@@ -462,7 +505,7 @@ def test_energy_max_attained_at_trivial_character():
 def test_subgroup_stats_match_pair_enumeration():
     # every (p, t) with p < 300: t runs over odd and even orders, so both
     # cases of -1 in Gamma reach the |Gamma + Gamma| formula; the elements
-    # built by repeated multiplication equal the powers g^(n l)
+    # read from the power table equal the powers g^(n l)
     minus_one_cases = set()
     for p in primes_up_to(299):
         fld = make_field(p)
