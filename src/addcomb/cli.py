@@ -23,13 +23,7 @@ from .experiments import (
     write_csv,
     write_rows,
 )
-from .verify import (
-    Report,
-    run_identity_suite,
-    run_inequality_suite,
-    run_subgroup_suite,
-    validate_suite_primes,
-)
+from .verify import run_all, validate_suite_primes
 
 
 def _emit_rows(rows, out_path: str | None, empty: str = "no rows") -> int:
@@ -58,15 +52,8 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--trials must be >= 0, got {args.trials}")
     if args.json:
         open(args.json, "w", encoding="utf-8").close()
-    identity_trials = args.trials if args.trials else 200
-    inequality_trials = args.trials if args.trials else 1000
-    suites = [
-        run_identity_suite(args.seed, identity_trials),
-        run_inequality_suite(args.seed, inequality_trials),
-        run_subgroup_suite(primes, args.seed),
-    ]
-    report = Report(suites)
-    for s in suites:
+    report = run_all(args.seed, args.trials or 200, args.trials or 1000, primes)
+    for s in report.suites:
         status = "pass" if s.passed else f"FAIL at {s.halted or 'checks'}"
         print(
             f"{s.name}: {s.n_checks} checks, {s.n_failed} failed, "

@@ -9,7 +9,7 @@ sums of their products take int64 or Python ints from
 columns and never asserted against invented constants.  Rows are emitted in
 sorted (p, t) order so CSV output is deterministic.
 
-Subgroup statistics come from the orbit kernel ``subgroup.subgroup_stats``:
+Subgroup statistics come from the orbit kernel, cached as ``MultSubgroup.stats``:
 Gamma ∘ Gamma and Gamma + Gamma are constant on the n = (p-1)/t cosets
 g^j Gamma, so with c_j = #{gamma != 1 : dlog(gamma - 1) = j mod n},
 E2 = t^2 + t sum c_j^2, E3 = t^3 + t sum c_j^3, |Gamma - Gamma| =
@@ -31,7 +31,7 @@ import numpy as np
 
 from .config import CONVEX_N_CAP, DOUBLING_SET_CAP, SCAN_PRIME_CAP
 from .groups import _exact_operands, _value_table, difference_counts, indicator_vector
-from .subgroup import MultSubgroup, PrimeField, make_field, subgroup, subgroup_stats
+from .subgroup import MultSubgroup, PrimeField, make_field, subgroup
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -132,7 +132,7 @@ def subgroup_scan(
     difference-set sizes, reported ratio columns, and the largest nontrivial
     Fourier coefficient.  E2 * |sum| >= t^4 is asserted on every row.
 
-    The integer columns come from ``subgroup_stats`` in O(t + n) per row,
+    The integer columns come from ``gamma.stats`` in O(t + n) per row,
     n = (p-1)/t: with c_j = (Gamma ∘ Gamma)(g^j) =
     #{gamma != 1 : dlog(gamma - 1) = j mod n},
     E2 = t^2 + t sum c_j^2, E3 = t^3 + t sum c_j^3,
@@ -158,7 +158,7 @@ def subgroup_scan(
             cos_powers, sin_powers = np.cos(angles), np.sin(angles)
             p_done = p
         gamma = subgroup(fld, t)
-        stats = subgroup_stats(gamma)
+        stats = gamma.stats
         e2, ssum = stats.E2, stats.sum
         if e2 * ssum < t ** 4:
             raise AssertionError(f"energy lower bound failed at p={p}, t={t}")
@@ -211,7 +211,7 @@ def level_set_profile(p: int, t: int) -> list[LevelSetRow]:
     """
     fld = make_field(p)
     gamma = subgroup(fld, t)
-    stats = subgroup_stats(gamma)
+    stats = gamma.stats
     d = stats.E2 ** 2 / (2 ** 4 * t ** 3 * math.sqrt(stats.E3))
     psi = gamma.autocorrelation.values
     above = [x for x in range(1, p) if psi[x] > d]
@@ -258,7 +258,11 @@ class CoverageRow:
 
 
 def coverage_scan(p_max: int, cap: int = 12) -> list[CoverageRow]:
-    """Smallest m <= cap with the m-fold sumset of each subgroup covering F_p."""
+    """Smallest m <= cap with the m-fold sumset of each subgroup covering F_p.
+
+    The search stops early once |m Gamma| stops growing: |A + Gamma| = |A|
+    makes A + Gamma a translate of A, and then so is every later sumset.
+    By Cauchy-Davenport that happens only at t = 1, a single point."""
     orders = _scan_orders(p_max)
     if cap < 2:
         # 0 is not in Gamma, so no single copy of Gamma covers F_p
@@ -274,10 +278,13 @@ def coverage_scan(p_max: int, cap: int = 12) -> list[CoverageRow]:
         else:
             support = ind
             for m in range(2, cap + 1):
-                support = _support_convolve(support, ind).astype(float)
-                if support.all():
+                grown = _support_convolve(support, ind).astype(float)
+                if grown.all():
                     m_found = m
                     break
+                if grown.sum() == support.sum():
+                    break
+                support = grown
         rows.append(
             CoverageRow(
                 p=fld.p,
@@ -495,7 +502,7 @@ def longest_progression(gamma: MultSubgroup) -> tuple[int, int, int]:
         return 1, gamma.elements[0], 1
     if t == p - 1:
         return p - 1, 1, 1
-    mem = gamma.element_set
+    mem = gamma.as_set.member_set
     if t * t * max(4, t // 2) < n * p:
         best = (1, gamma.elements[0], 1)
         for x in gamma.elements:
@@ -514,10 +521,8 @@ def longest_progression(gamma: MultSubgroup) -> tuple[int, int, int]:
                 if length > best[0]:
                     best = (length, x, d)
         return best
-    root = gamma.field.root
     best = (1, gamma.elements[0], 1)
-    for j in range(n):
-        xi = pow(root, j, p)
+    for xi in gamma.field.powers[:n].tolist():
         coset = sorted((xi * e) % p for e in gamma.elements)
         inset = bytearray(p)
         for x in coset:
@@ -549,7 +554,7 @@ def _progression_row(fld: PrimeField, t: int) -> ProgressionRow:
     gamma = subgroup(fld, t)
     length, start, step = longest_progression(gamma)
     prog = [(start + i * step) % p for i in range(length)]
-    if any(x not in gamma.element_set for x in prog):
+    if not gamma.as_set.member_set.issuperset(prog):
         raise AssertionError("progression search produced a non-member")
     pc = autocorrelation_np(prog, p)
     gc = gamma.autocorrelation.table
@@ -557,7 +562,7 @@ def _progression_row(fld: PrimeField, t: int) -> ProgressionRow:
     e_pg = int(np.sum(pc * gc))
     e3_pg = int(np.sum(pc * gc * gc))
     # T^x_2(P) = #{x1 y1 = x2 y2}: the additive energy of dlog P in Z/(p-1)
-    logs = fld.dlog_array[np.asarray(prog) - 1]
+    logs = fld.dlog[np.asarray(prog) - 1]
     tmult2 = _energy_sums(difference_counts(logs, logs, p - 1))[0]
     logp_len = math.log2(length) if length > 1 else None
     dirichlet = length ** 2 * (logp_len / 2) ** 2 if logp_len else None

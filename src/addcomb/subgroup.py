@@ -8,7 +8,6 @@ cyclic group Z/p from ``groups``, so every additive tool applies directly.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -20,7 +19,16 @@ import numpy as np
 from .checks import IneqCheck
 from .config import FIELD_PRIME_CAP, MULT_ENERGY_CAP, TOL
 from .energy import correlation_counts, energy_k
-from .groups import CyclicGroup, GroupFn, GroupSet, _exact_operands, indicator, restricted_matrix
+from .groups import (
+    CyclicGroup,
+    GroupFn,
+    GroupSet,
+    _exact_operands,
+    _scalar,
+    indicator,
+    indicator_vector,
+    restricted_matrix,
+)
 from .spectral import build_restricted_operator, eigendecompose
 from .transform import _BLOCK, _ordered_sums, correlate, dft, kfold_convolve
 
@@ -54,12 +62,11 @@ def _prime_factors(n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """F_p with a fixed primitive root, its power table and a full
-    discrete-log table."""
+    """F_p with a fixed primitive root g, read through two lazily built,
+    read-only int64 tables: ``powers`` and ``dlog``."""
 
     p: int
     root: int
-    dlog: tuple[int, ...]  # dlog[x] for x in 1..p-1, offset by 1
 
     @cached_property
     def group(self) -> CyclicGroup:
@@ -69,47 +76,37 @@ class PrimeField:
         x %= self.p
         if x == 0:
             raise ValueError("0 has no discrete logarithm")
-        return self.dlog[x - 1]
+        return int(self.dlog[x - 1])
 
     @cached_property
     def powers(self) -> np.ndarray:
-        """Read-only int64 g^k for k < p - 1; ``make_field`` caches the
-        table it scattered ``dlog`` from."""
-        return _power_table(self.p, self.root)
+        """g^k mod p for k < p - 1, by doubling: once the first f powers are
+        known, the next f are those times g^f.  Every product is below p^2,
+        which int64 holds for p <= FIELD_PRIME_CAP."""
+        p = self.p
+        powers = np.empty(p - 1, dtype=np.int64)
+        powers[0] = 1
+        f = 1
+        while f < p - 1:
+            m = min(f, p - 1 - f)
+            powers[f:f + m] = powers[:m] * pow(self.root, f, p) % p
+            f += m
+        powers.flags.writeable = False
+        return powers
 
     @cached_property
-    def dlog_array(self) -> np.ndarray:
-        """Read-only int64 copy of ``dlog``: entry x - 1 is dlog x."""
-        arr = np.asarray(self.dlog, dtype=np.int64)
-        arr.flags.writeable = False
-        return arr
-
-    @cached_property
-    def inverse_table(self) -> tuple[int, ...]:
-        """x^-1 = g^(-dlog x) for every x (0 at 0), for callers that invert
-        in bulk."""
-        return (0,) + tuple(self.powers[-self.dlog_array % (self.p - 1)].tolist())
+    def dlog(self) -> np.ndarray:
+        """Entry x - 1 is dlog x: ``powers`` scattered back to its indices."""
+        dlog = np.empty(self.p - 1, dtype=np.int64)
+        dlog[self.powers - 1] = np.arange(self.p - 1)
+        dlog.flags.writeable = False
+        return dlog
 
     def inv(self, x: int) -> int:
         x %= self.p
         if x == 0:
             raise ZeroDivisionError("0 is not invertible")
         return pow(x, -1, self.p)
-
-
-def _power_table(p: int, g: int) -> np.ndarray:
-    """Read-only int64 g^k mod p for k < p - 1, by doubling: once the first
-    f powers are known, the next f are those times g^f.  Every product is
-    below p^2, which int64 holds for p <= FIELD_PRIME_CAP."""
-    powers = np.empty(p - 1, dtype=np.int64)
-    powers[0] = 1
-    f = 1
-    while f < p - 1:
-        m = min(f, p - 1 - f)
-        powers[f:f + m] = powers[:m] * pow(g, f, p) % p
-        f += m
-    powers.flags.writeable = False
-    return powers
 
 
 def primitive_root(p: int) -> int:
@@ -128,17 +125,11 @@ def make_field(p: int, root: int | None = None) -> PrimeField:
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     g = primitive_root(p) if root is None else root
-    powers = _power_table(p, g)
+    fld = PrimeField(p, g)
     # g generates iff its powers hit every nonzero residue once; g = 0 mod p
     # is checked apart, since the table for p = 2 holds only g^0
-    if g % p == 0 or (np.bincount(powers, minlength=p)[1:] != 1).any():
+    if g % p == 0 or (np.bincount(fld.powers, minlength=p)[1:] != 1).any():
         raise ValueError(f"{g} is not a primitive root mod {p}")
-    dlog = np.empty(p - 1, dtype=np.int64)
-    dlog[powers - 1] = np.arange(p - 1)
-    dlog.flags.writeable = False
-    fld = PrimeField(p, g, tuple(dlog.tolist()))
-    # a cached_property is an instance attribute once set: cache both tables
-    vars(fld).update(powers=powers, dlog_array=dlog)
     return fld
 
 
@@ -161,16 +152,9 @@ class MultSubgroup:
         return tuple(np.sort(self.field.powers[::self.index]).tolist())
 
     @cached_property
-    def element_set(self) -> frozenset[int]:
-        return frozenset(self.elements)
-
-    @cached_property
     def as_set(self) -> GroupSet:
-        return GroupSet.of(self.field.group, self.elements)
-
-    def char_index(self, x: int) -> int:
-        """l with x = g^(n l), for x in the subgroup."""
-        return self.field.log(x) // self.index
+        """The subgroup's one membership view; ``elements`` is already sorted."""
+        return GroupSet(self.field.group, self.elements)
 
     @cached_property
     def autocorrelation(self) -> GroupFn:
@@ -179,7 +163,7 @@ class MultSubgroup:
         fld = self.field
         counts = np.empty(fld.p, dtype=np.int64)
         counts[0] = self.order
-        counts[1:] = self.stats.coset_counts[fld.dlog_array % self.index]
+        counts[1:] = self.stats.coset_counts[fld.dlog % self.index]
         return GroupFn(fld.group, counts)
 
     @cached_property
@@ -201,9 +185,10 @@ class MultSubgroup:
         subgroup."""
         t = self.order
         scale = 1.0 / math.sqrt(t)
+        ls = self.field.dlog[np.asarray(self.elements) - 1] // self.index
         table = np.array([
             [scale * cmath.exp(2j * math.pi * alpha * l / t) for alpha in range(t)]
-            for l in map(self.char_index, self.elements)
+            for l in ls.tolist()
         ])
         table.flags.writeable = False
         return table
@@ -230,14 +215,9 @@ def gamma_invariant_set(gamma: MultSubgroup, s: GroupSet) -> bool:
 
 def orbit_closure(gamma: MultSubgroup, s: GroupSet) -> GroupSet:
     """Smallest invariant superset: union of the orbits x * Gamma."""
-    p = gamma.field.p
-    out = set()
-    for x in s.members:
-        if x == 0:
-            out.add(0)
-        else:
-            out.update((x * g) % p for g in gamma.elements)
-    return GroupSet.of(gamma.field.group, out)
+    members = np.asarray(s.members, dtype=np.int64)
+    orbits = np.multiply.outer(members, gamma.elements) % gamma.field.p
+    return GroupSet.of(gamma.field.group, orbits.ravel().tolist())
 
 
 def gamma_invariant_fn(gamma: MultSubgroup, f: GroupFn, tol: float = 0.0) -> bool:
@@ -262,8 +242,7 @@ def gamma_invariant_fn(gamma: MultSubgroup, f: GroupFn, tol: float = 0.0) -> boo
 def invariant_profile(gamma: MultSubgroup, f: GroupFn):
     """Compact storage of an invariant function: value at 0 plus one value
     per multiplicative coset, keyed by coset representative g^j, j < index."""
-    p, n = gamma.field.p, gamma.index
-    reps = [pow(gamma.field.root, j, p) for j in range(n)]
+    reps = gamma.field.powers[:gamma.index].tolist()
     return f.values[0], {r: f.values[r] for r in reps}
 
 
@@ -281,9 +260,9 @@ def fn_from_profile(gamma: MultSubgroup, zero_value, rep_values: dict) -> GroupF
 def random_invariant_fn(
     gamma: MultSubgroup, rng: random.Random, lo: int = 0, hi: int = 3
 ) -> GroupFn:
-    p, n = gamma.field.p, gamma.index
+    n = gamma.index
     while True:
-        reps = {pow(gamma.field.root, j, p): rng.randint(lo, hi) for j in range(n)}
+        reps = {r: rng.randint(lo, hi) for r in gamma.field.powers[:n].tolist()}
         if any(reps.values()) or (lo <= 0 <= hi and n == 0):
             break
     return fn_from_profile(gamma, rng.randint(lo, hi), reps)
@@ -310,20 +289,15 @@ class SubgroupStats:
     diff: int
 
 
-def subgroup_stats(gamma: MultSubgroup) -> SubgroupStats:
-    """Every Gamma ∘ Gamma / Gamma + Gamma count of ``gamma``, cached on it."""
-    return gamma.stats
-
-
 def _orbit_stats(gamma: MultSubgroup) -> SubgroupStats:
     """The orbit kernel: every Gamma ∘ Gamma / Gamma + Gamma count in O(t + n)."""
     fld = gamma.field
     p, t, n = fld.p, gamma.order, gamma.index
-    dl = fld.dlog_array
+    dl = fld.dlog
     els = fld.powers[::n]  # Gamma in power order: the counts take no order
     # dlog(gamma - 1) sits at index gamma - 2, dlog(gamma + 1) at index gamma
     counts = np.bincount(dl[els[els != 1] - 2] % n, minlength=n)
-    sum_cosets = np.count_nonzero(np.bincount(dl[els[els != p - 1]] % n, minlength=n))
+    sum_cosets = int(np.count_nonzero(np.bincount(dl[els[els != p - 1]] % n, minlength=n)))
     counts.flags.writeable = False  # cached on the subgroup
     nz = counts[counts > 0].tolist()  # Python ints: the moment sums cannot wrap
     return SubgroupStats(
@@ -496,7 +470,7 @@ def check_exact_fourier(
     variant weighted by a nonnegative v.
     """
     p, t = gamma.field.p, gamma.order
-    if any(u.values[x] and x not in gamma.element_set for x in range(p)):
+    if any(u.values[x] and x not in gamma.as_set for x in range(p)):
         raise ValueError("u must be supported on the subgroup")
     if not any(map(_nonzero_constant, h_family)):
         raise ValueError("family must contain a nonzero constant weight")
@@ -587,36 +561,31 @@ def _check_exact_fourier_c3(
 
 def mult_energy_k(gamma: MultSubgroup, f: GroupFn, k: int):
     """T^x_k(f) = sum f(x_1)...f(x_k) conj(f(x'_1)...f(x'_k)) over
-    x_1...x_k = x'_1...x'_k in F_p*, by direct enumeration.
+    x_1...x_k = x'_1...x'_k in F_p*, as sum_z r_k(z) conj(r_k(z)) for the
+    k-fold product count r_k(z) = sum_{x_1...x_k = z} f(x_1)...f(x_k).
 
-    One loop for every kind of value: conjugation is the identity on ints,
-    so integer f gives an exact integer count.
+    r_k takes k - 1 multiplicative convolutions over the support of f.
+    Integer f gives an exact integer count: int64 behind the bound of
+    ``_exact_operands`` for the sum of |supp|^(2k-1) products of 2k values,
+    Python ints above it.
     """
     if k not in (2, 3):
         raise ValueError("k must be 2 or 3")
     p = gamma.field.p
-    supp = [x for x in range(1, p) if f.values[x]]
-    if any(f.values[x] and x not in gamma.element_set for x in range(p)):
+    if (f.table[~indicator_vector(gamma.elements, p)] != 0).any():
         raise ValueError("f must be supported on the subgroup")
-    if len(supp) ** (2 * k - 1) > MULT_ENERGY_CAP:
+    supp = np.flatnonzero(f.table)
+    terms = len(supp) ** (2 * k - 1)
+    if terms > MULT_ENERGY_CAP:
         raise ValueError("enumeration cap exceeded")
-    fv = f.values
-    inv = gamma.field.inverse_table
-    total = 0
-    for xs in itertools.product(supp, repeat=k):
-        px = 1
-        val = 1
-        for x in xs:
-            px = (px * x) % p
-            val *= fv[x]
-        for ys in itertools.product(supp, repeat=k - 1):
-            py = 1
-            w = val
-            for y in ys:
-                py = (py * y) % p
-                w *= fv[y].conjugate()
-            total += w * fv[(px * inv[py]) % p].conjugate()
-    return total
+    fv = _exact_operands((f.table,) * (2 * k), terms)[0]
+    r = fv
+    for _ in range(k - 1):
+        nz = np.flatnonzero(r)
+        nxt = np.zeros_like(fv)
+        np.add.at(nxt, np.multiply.outer(nz, supp) % p, np.multiply.outer(r[nz], fv[supp]))
+        r = nxt
+    return _scalar((r * r.conj()).sum())
 
 
 def mult_energy_k_dlog(gamma: MultSubgroup, f: GroupFn, k: int) -> int:
@@ -627,7 +596,7 @@ def mult_energy_k_dlog(gamma: MultSubgroup, f: GroupFn, k: int) -> int:
     """
     els = np.asarray(gamma.elements, dtype=np.int64)
     pull = np.zeros(gamma.order, dtype=f.table.dtype)
-    pull[gamma.field.dlog_array[els - 1] // gamma.index] = f.table[els]
+    pull[gamma.field.dlog[els - 1] // gamma.index] = f.table[els]
     rep = kfold_convolve(GroupFn(CyclicGroup(gamma.order), pull), k)
     return sum(v * v for v in rep.values)
 
@@ -670,7 +639,7 @@ def check_vinogradov_bounds(gamma: MultSubgroup, a: GroupSet) -> list[IneqCheck]
     E_l(A, Gamma) <= t^(-1/2) E_(2l-1)(Gamma)^(1/2) E^x(A)^(1/2).
     """
     t = gamma.order
-    if any(x not in gamma.element_set for x in a.members):
+    if any(x not in gamma.as_set for x in a.members):
         raise ValueError("A must be a subset of the subgroup")
     em = mult_energy_k_dlog(gamma, indicator(a), 2)
     out = [

@@ -235,6 +235,6 @@ def _shifted_dots(tables: Sequence[GroupFn], shifts: np.ndarray) -> list:
     z = np.indices((n,) * d).reshape(d, 1, -1)  # every z of Gr^d, row-major
     out = first
     for t, s in zip(rest, shifts.transpose(1, 2, 0)):  # s[j, p]: coordinate j
-        at = np.ravel_multi_index((z + s[:, :, None]) % n, (n,) * d)
-        out = out * t[at]
+        gathered = t[np.ravel_multi_index(z + s[:, :, None], (n,) * d, mode="wrap")]
+        out = np.multiply(out, gathered, out=gathered)  # in place: no third array
     return out.sum(axis=1).tolist()

@@ -30,7 +30,7 @@ from .energy import (
     check_weight_inequality,
 )
 from .experiments import divisors
-from .groups import CyclicGroup, GroupFn, GroupSet, _exact_operands
+from .groups import CyclicGroup, GroupFn, GroupSet
 from .spectral import (
     build_restricted_operator,
     check_cycle_sums,
@@ -56,6 +56,7 @@ from .subgroup import (
 )
 from .transform import (
     _ordered_sums,
+    _shifted_dots,
     check_commutation,
     convolve,
     correlate,
@@ -367,17 +368,11 @@ def _multi_scalar_discrepancy(fs, l: int) -> int:
 
 def _conv_power_discrepancy(fs, l: int) -> int:
     """sum_x C_l(f0)(x) (C_l(f1) ∘ C_l(f2))(x) = sum_z (f0∘(f1∘f2))^l(z)."""
-    group = fs[0].group
-    n = group.modulus
     t0, t1, t2 = (gen_convolution([f] * l) for f in fs)
-    # (C_l(f1) ∘ C_l(f2))(x) = sum_y C_l(f1)(y) C_l(f2)(y + x) for every x of
-    # Gr^(l-1) at once: one gather of C_l(f2) at y + x, then one matmul
-    r = np.arange(n)
-    at = (r[:, None] + r) % n  # at[x, y] = y + x
-    if l == 3:  # row-major index of y + x, rows x = (x_1, x_2), columns y
-        at = (at[:, None, :, None] * n + at[None, :, None, :]).reshape(n * n, n * n)
-    f1, f2 = _exact_operands((t1.table, t2.table), t1.table.size)
-    corr = GroupFn(group, (f2.ravel()[at] @ f1.ravel()).reshape(t1.table.shape))
+    # (C_l(f1) ∘ C_l(f2))(x) = sum_y C_l(f1)(y) C_l(f2)(y + x), shifted by
+    # every x of Gr^(l-1) in row-major order
+    xs = np.indices(t1.table.shape).reshape(l - 1, 1, -1).T
+    corr = GroupFn(t1.group, np.array(_shifted_dots([t1, t2], xs)).reshape(t1.table.shape))
     rhs = sum(v ** l for v in correlate_many(fs).values)
     return abs(t0.dot(corr) - rhs)
 
@@ -543,7 +538,7 @@ def run_subgroup_suite(p_list, seed: int = 1) -> CheckSuite:
                     f = GroupFn(
                         fld.group,
                         tuple(
-                            1 if (x in gamma.element_set and rng.random() < 0.7) else 0
+                            1 if (x in gamma.as_set and rng.random() < 0.7) else 0
                             for x in range(p)
                         ),
                     )
@@ -563,7 +558,7 @@ def run_subgroup_suite(p_list, seed: int = 1) -> CheckSuite:
                     fld.group,
                     tuple(
                         complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                        if x in gamma.element_set
+                        if x in gamma.as_set
                         else 0j
                         for x in range(p)
                     ),
@@ -637,7 +632,7 @@ def _nonresidue(gamma: MultSubgroup, rng: random.Random) -> int:
     p = gamma.field.p
     for _ in range(64):
         xi = rng.randrange(1, p)
-        if xi not in gamma.element_set:
+        if xi not in gamma.as_set:
             return xi
     return 1
 

@@ -190,7 +190,7 @@ def test_criterion_6_restricted_fourier():
             fld.group,
             tuple(
                 complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                if x in gamma.element_set
+                if x in gamma.as_set
                 else 0j
                 for x in range(p)
             ),

@@ -30,7 +30,7 @@ def test_verify_cli_deterministic(tmp_path):
 
 
 def test_verify_cli_exit_status_on_failure(tmp_path, monkeypatch):
-    import addcomb.cli as cli_mod
+    import addcomb.verify as verify_mod
     from addcomb.checks import IneqCheck
     from addcomb.verify import CheckSuite
 
@@ -42,7 +42,7 @@ def test_verify_cli_exit_status_on_failure(tmp_path, monkeypatch):
         suite.halted = "forced"
         return suite
 
-    monkeypatch.setattr(cli_mod, "run_identity_suite", failing_suite)
+    monkeypatch.setattr(verify_mod, "run_identity_suite", failing_suite)
     out = tmp_path / "r.json"
     rc = main(["verify", "--trials", "1", "--json", str(out)])
     assert rc == 1
@@ -126,8 +126,8 @@ def test_empty_scan_exits_1(argv, capsys):
 def test_bad_input_exits_2(argv, capsys, monkeypatch, tmp_path):
     # bad input is rejected before any suite runs, any scan starts or any
     # count is allocated
-    import addcomb.cli as cli_mod
     import addcomb.experiments as exp_mod
+    import addcomb.verify as verify_mod
     from addcomb.config import DOUBLING_SET_CAP
 
     if "{oversize}" in argv:
@@ -138,8 +138,8 @@ def test_bad_input_exits_2(argv, capsys, monkeypatch, tmp_path):
     def must_not_run(*args, **kwargs):
         raise AssertionError("work started before the input was checked")
 
-    for mod, name in ((cli_mod, "run_identity_suite"),
-                      (cli_mod, "run_inequality_suite"),
+    for mod, name in ((verify_mod, "run_identity_suite"),
+                      (verify_mod, "run_inequality_suite"),
                       (exp_mod, "autocorrelation_np"),
                       (exp_mod, "_progression_row"),
                       (exp_mod, "_value_table")):

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import importlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -56,6 +57,17 @@ def test_subgroup_scan_golden_rows():
     for r in rows:
         assert r.E2 * r.sum >= r.t ** 4
     assert [(r.p, r.t) for r in rows] == sorted((r.p, r.t) for r in rows)
+
+
+def test_subgroup_scan_rows_carry_python_numbers():
+    """The integer columns are Python ints, so E2 * sum >= t^4 cannot wrap,
+    and the ratio columns Python floats."""
+    for row in subgroup_scan(101):
+        for name in ("p", "t", "E2", "E3", "sum", "diff"):
+            assert type(getattr(row, name)) is int, (row.p, row.t, name)
+        for name in ("ratio_52", "ratio_229", "ratio_sumw", "lower", "fourier_max"):
+            v = getattr(row, name)
+            assert v is None or type(v) is float, (row.p, row.t, name)
 
 
 def test_subgroup_scan_energy_matches_oracle():
@@ -150,7 +162,6 @@ def test_progression_batch_builds_one_field_per_prime(monkeypatch):
     assert sorted(built) == sorted(set(built)) == sorted({r.p for r in rows})
     fld = make_field(101)
     assert fld.inv(7) * 7 % 101 == 1
-    assert "inverse_table" not in vars(fld)  # one pow per inverse, no table
 
 
 def test_scan_arguments_checked_before_any_field(monkeypatch):
@@ -228,6 +239,16 @@ def test_coverage_scan():
         m += 1
     assert by_key[(7, 3)].m == m == 3
     assert by_key[(7, 3)].covered_by_6
+
+
+def test_coverage_scan_stops_when_the_sumset_stops_growing():
+    """Only t = 1 stalls (a single point), so a huge cap ends as soon as
+    cap = 50 does, with the same rows."""
+    t0 = time.process_time()
+    rows = coverage_scan(50, cap=10 ** 9)
+    assert time.process_time() - t0 < 1.0
+    assert [dataclasses.replace(r, cap=50) for r in rows] == coverage_scan(50, cap=50)
+    assert [r.t for r in rows if r.m is None] == [1] * len(primes_up_to(50)[1:])
 
 
 def test_expansion_scan_rows():

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import importlib
 import math
 import random
@@ -6,7 +7,8 @@ import random
 import numpy as np
 import pytest
 
-from addcomb.groups import CyclicGroup, GroupSet
+from addcomb.config import MULT_ENERGY_CAP
+from addcomb.groups import CyclicGroup, GroupSet, indicator
 from addcomb.spectral import build_restricted_operator, eigendecompose
 from addcomb.subgroup import (
     _check_exact_fourier_c3,
@@ -21,6 +23,7 @@ from addcomb.subgroup import (
     gamma_invariant_fn,
     gamma_invariant_set,
     invariant_profile,
+    PrimeField,
     make_field,
     mu_alpha_direct,
     mult_energy_k,
@@ -29,7 +32,6 @@ from addcomb.subgroup import (
     random_invariant_fn,
     subgroup,
     subgroup_autocorrelation,
-    subgroup_stats,
 )
 from addcomb.experiments import divisors, primes_up_to
 from addcomb.transform import GroupFn
@@ -52,16 +54,14 @@ def test_make_field_examples():
 
 @pytest.mark.parametrize("p", primes_up_to(500))
 def test_power_and_dlog_tables_invert_each_other(p):
-    """powers and dlog are inverse permutations, and inverse_table read
-    from them matches Fermat inversion."""
+    """powers and dlog are read-only int64 inverse permutations."""
     fld = make_field(p)
     powers, dlog = fld.powers, fld.dlog
     assert powers.dtype == np.int64 and not powers.flags.writeable
     assert powers[0] == 1 and len(powers) == p - 1
     assert all(powers[dlog[x - 1]] == x for x in range(1, p))
+    assert dlog.dtype == np.int64 and not dlog.flags.writeable
     assert all(dlog[powers[k] - 1] == k for k in range(p - 1))
-    assert fld.dlog_array.tolist() == list(dlog)
-    assert fld.inverse_table == (0,) + tuple(pow(x, p - 2, p) for x in range(1, p))
 
 
 @pytest.mark.parametrize("p, root", [(13, 0), (13, 1), (13, 13), (13, 3), (2, 0), (2, 2),
@@ -76,9 +76,17 @@ def test_make_field_takes_any_generator():
         fld = make_field(13, root)
         assert fld.root == root
         assert fld.powers.tolist() == [pow(root, k, 13) for k in range(12)]
-        assert sorted(fld.dlog) == list(range(12))
+        assert sorted(fld.dlog.tolist()) == list(range(12))
     assert make_field(2, 1).powers.tolist() == [1]
-    assert make_field(2, 3).dlog == (0,)
+    assert make_field(2, 3).dlog.tolist() == [0]
+
+
+def test_prime_field_is_its_prime_and_root():
+    """Everything else on a field is derived from p and the root."""
+    assert [f.name for f in dataclasses.fields(PrimeField)] == ["p", "root"]
+    fld = make_field(13)
+    assert fld == PrimeField(13, 2) and hash(fld) == hash(PrimeField(13, 2))
+    assert fld != make_field(13, 6)
 
 
 def test_dlog_consistency():
@@ -104,7 +112,7 @@ def test_subgroup_closed_under_multiplication():
         g = subgroup(fld, t)
         for a in g.elements:
             for b in g.elements:
-                assert (a * b) % 31 in g.element_set
+                assert (a * b) % 31 in g.as_set
 
 
 def test_invariance_and_orbit():
@@ -116,6 +124,18 @@ def test_invariance_and_orbit():
     assert closure.members == (3, 5, 6)
     assert gamma_invariant_set(g, closure)
     assert not gamma_invariant_set(g, GroupSet.of(fld.group, [3, 6]))
+
+
+def test_orbit_closure_matches_the_set_of_products():
+    rng = random.Random(4)
+    for p in (7, 13, 31):
+        fld = make_field(p)
+        for t in divisors(p - 1):
+            gamma = subgroup(fld, t)
+            for density in (0.0, 0.1, 0.5):
+                s = GroupSet.of(fld.group, [x for x in range(p) if rng.random() < density])
+                want = {x * e % p for x in s.members for e in gamma.elements}
+                assert orbit_closure(gamma, s).members == tuple(sorted(want))
 
 
 def test_gamma_invariant_set_matches_the_loop():
@@ -208,7 +228,7 @@ def test_eigenbasis_and_coset():
         g = subgroup(fld, t)
         h = random_invariant_fn(g, rng, 0, 3)
         assert check_eigenbasis(g, h).passed
-        xi = next(x for x in range(2, p) if x not in g.element_set)
+        xi = next(x for x in range(2, p) if x not in g.as_set)
         assert check_eigenbasis(g, h, coset=xi).passed
 
 
@@ -282,7 +302,7 @@ def test_exact_fourier_golden_cases():
     rng = random.Random(5)
     fld = make_field(7)
     g = subgroup(fld, 3)
-    ind = GroupFn(fld.group, tuple(1 if x in g.element_set else 0 for x in range(7)))
+    ind = GroupFn(fld.group, tuple(1 if x in g.as_set else 0 for x in range(7)))
     fam = [GroupFn.constant(fld.group, 1), subgroup_autocorrelation(g)]
     checks = check_exact_fourier(g, ind, 0, fam)
     assert all(c.passed for c in checks)
@@ -294,7 +314,7 @@ def test_exact_fourier_golden_cases():
         fld.group,
         tuple(
             complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            if x in g.element_set
+            if x in g.as_set
             else 0j
             for x in range(7)
         ),
@@ -314,7 +334,7 @@ def test_exact_fourier_c3_matches_the_loops(p):
     for t in divisors(p - 1):
         gamma = subgroup(fld, t)
         u = GroupFn(fld.group, tuple(
-            complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) if x in gamma.element_set else 0j
+            complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) if x in gamma.as_set else 0j
             for x in range(p)
         ))
         v = GroupFn(fld.group, tuple(rng.uniform(0, 2) if rng.random() < 0.7 else 0 for _ in range(p)))
@@ -333,7 +353,7 @@ def test_exact_fourier_c3_matches_the_loops(p):
 def test_exact_fourier_c3_rejects_complex_or_negative_weights():
     fld = make_field(7)
     g = subgroup(fld, 3)
-    u = GroupFn(fld.group, tuple(1 if x in g.element_set else 0 for x in range(7)))
+    u = GroupFn(fld.group, tuple(1 if x in g.as_set else 0 for x in range(7)))
     fam = [GroupFn.constant(fld.group, 1)]
     for v in ((1j,) * 7, (1 + 0j,) * 7, (1, 0, -1, 0, 0, 0, 0), (0.5, -0.25) + (0.0,) * 5):
         with pytest.raises(ValueError, match="real and nonnegative"):
@@ -351,7 +371,7 @@ def test_exact_fourier_rejects_bad_support():
 def test_mult_energy_closure_and_identity():
     fld = make_field(7)
     g = subgroup(fld, 3)
-    ind = GroupFn(fld.group, tuple(1 if x in g.element_set else 0 for x in range(7)))
+    ind = GroupFn(fld.group, tuple(1 if x in g.as_set else 0 for x in range(7)))
     assert mult_energy_k(g, ind, 2) == 27
     assert mult_energy_k_dlog(g, ind, 2) == 27
     sub = GroupFn(fld.group, (0, 1, 1, 0, 0, 0, 0))  # {1, 2}
@@ -383,7 +403,7 @@ def test_mult_energy_complex_weights():
         fld.group,
         tuple(
             complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            if x in g.element_set
+            if x in g.as_set
             else 0j
             for x in range(13)
         ),
@@ -409,10 +429,42 @@ def test_mult_energy_complex_matches_oracle():
         assert abs(direct.imag) <= 1e-12 * max(1.0, abs(want))
 
 
+@pytest.mark.parametrize("p", [7, 13, 31])
+def test_mult_energy_k_matches_product_classes(p):
+    """T^x_k by multiplicative convolution against the product-class oracle
+    on every subgroup, with 0/1, Python-int (near 2^40) and complex weights.
+    Where the whole subgroup is past the cap, it is refused and 20 of its
+    elements are counted instead."""
+    rng = random.Random(p)
+    fld = make_field(p)
+    draws = (
+        lambda: 1,
+        lambda: rng.choice((-1, 1)) * rng.randint(2 ** 40 - 99, 2 ** 40 + 99),
+        lambda: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+    )
+    for t in divisors(p - 1):
+        g = subgroup(fld, t)
+        for k in (2, 3):
+            supp = list(g.elements)
+            if t ** (2 * k - 1) > MULT_ENERGY_CAP:
+                with pytest.raises(ValueError, match="cap"):
+                    mult_energy_k(g, indicator(g.as_set), k)
+                supp = rng.sample(supp, 20)
+            for draw in draws:
+                w = {x: draw() for x in supp}
+                f = GroupFn(fld.group, tuple(w.get(x, 0) for x in range(p)))
+                got = mult_energy_k(g, f, k)
+                want = mult_tuple_energy(supp, p, k, w)
+                if f.kind == "int":
+                    assert type(got) is int and got == want, (t, k)
+                else:
+                    assert abs(got - want) <= 1e-12 * abs(want), (t, k)
+
+
 def test_mult_energy_enumeration_cap():
     fld = make_field(101)
     g = subgroup(fld, 100)
-    ind = GroupFn(fld.group, tuple(1 if x in g.element_set else 0 for x in range(101)))
+    ind = GroupFn(fld.group, tuple(1 if x in g.as_set else 0 for x in range(101)))
     with pytest.raises(ValueError):
         mult_energy_k(g, ind, 3)
 
@@ -516,13 +568,13 @@ def test_subgroup_stats_match_pair_enumeration():
                 sorted(pow(fld.root, n * l, p) for l in range(t))
             ), (p, t)
             e2, e3, ssum, diff, corr = subgroup_stats_naive(g.elements, p)
-            st = subgroup_stats(g)
+            st = g.stats
             assert (st.E2, st.E3, st.sum, st.diff) == (e2, e3, ssum, diff), (p, t)
             assert list(g.autocorrelation.values) == corr, (p, t)
             psi = subgroup_autocorrelation(g)
             assert psi.kind == "int"
             assert list(psi.values) == correlation(g.elements, g.elements, p), (p, t)
-            minus_one_cases.add((p - 1) in g.element_set)
+            minus_one_cases.add((p - 1) in g.as_set)
     assert minus_one_cases == {True, False}
 
 
