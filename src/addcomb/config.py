@@ -32,9 +32,10 @@ TOL = Tolerances()
 
 # set/tuple size caps
 TUPLE_CELL_CAP = 10 ** 6   # dense tables over Gr^k refuse to exceed this
-MULT_ENERGY_CAP = 10 ** 7  # direct product-energy enumeration cap t^(2k-1)
 SCAN_PRIME_CAP = 10 ** 4   # largest p in the subgroup scans and the verify suite
-FIELD_PRIME_CAP = 10 ** 6  # largest p make_field builds a discrete-log table for
+# largest p make_field accepts; the field's power and dlog tables, built
+# on first use, hold p - 1 int64 entries each
+FIELD_PRIME_CAP = 10 ** 6
 # largest n in convex_scan: its int64 count vector has about 4 n^2 entries
 # (33.6 MB at n = 1024)
 CONVEX_N_CAP = 1024

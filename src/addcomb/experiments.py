@@ -9,15 +9,12 @@ sums of their products take int64 or Python ints from
 columns and never asserted against invented constants.  Rows are emitted in
 sorted (p, t) order so CSV output is deterministic.
 
-Subgroup statistics come from the orbit kernel, cached as ``MultSubgroup.stats``:
-Gamma ∘ Gamma and Gamma + Gamma are constant on the n = (p-1)/t cosets
-g^j Gamma, so with c_j = #{gamma != 1 : dlog(gamma - 1) = j mod n},
-E2 = t^2 + t sum c_j^2, E3 = t^3 + t sum c_j^3, |Gamma - Gamma| =
-1 + t #{j : c_j > 0} and |Gamma + Gamma| = [-1 in Gamma] +
-t #{dlog(1 + gamma) mod n}.  The pair counts below serve the sets that are
-not Gamma-invariant (convex sets, progressions, A + Gamma); iterated
-sumsets of a whole subgroup are FFT supports, where pair counting would
-cost O(p t) per step.
+Subgroup statistics come from the orbit kernel, cached as
+``MultSubgroup.stats``: one count per coset g^j Gamma, O(t + n) per
+subgroup, by the formulas in the ``subgroup.SubgroupStats`` docstring.  The
+pair counts below serve the sets that are not Gamma-invariant (convex sets,
+progressions, A + Gamma); iterated sumsets of a whole subgroup are FFT
+supports, where pair counting would cost O(p t) per step.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .config import CONVEX_N_CAP, DOUBLING_SET_CAP, SCAN_PRIME_CAP
-from .groups import _exact_operands, _value_table, difference_counts, indicator_vector
+from .groups import _energy_sums, _exact_operands, _value_table, difference_counts, indicator_vector
 from .subgroup import MultSubgroup, PrimeField, make_field, subgroup
 
 
@@ -97,12 +94,6 @@ def _support_convolve(ind_a: np.ndarray, ind_b: np.ndarray) -> np.ndarray:
     return conv > 0.5
 
 
-def _energy_sums(counts) -> tuple[int, int]:
-    """(sum c^2, sum c^3), exact in the dtype chosen for the cubes."""
-    c = _exact_operands((np.asarray(counts),) * 3, len(counts))[0]
-    return int(np.sum(c * c)), int(np.sum(c * c * c))
-
-
 # ---------------------------------------------------------------------------
 # subgroup scan
 # ---------------------------------------------------------------------------
@@ -133,11 +124,7 @@ def subgroup_scan(
     Fourier coefficient.  E2 * |sum| >= t^4 is asserted on every row.
 
     The integer columns come from ``gamma.stats`` in O(t + n) per row,
-    n = (p-1)/t: with c_j = (Gamma ∘ Gamma)(g^j) =
-    #{gamma != 1 : dlog(gamma - 1) = j mod n},
-    E2 = t^2 + t sum c_j^2, E3 = t^3 + t sum c_j^3,
-    diff = 1 + t #{j : c_j > 0} and
-    sum = [-1 in Gamma] + t #{dlog(1 + gamma) mod n : gamma != -1}.
+    n = (p-1)/t, by the formulas of ``subgroup.SubgroupStats``.
 
     ``fourier_max`` is max_j |eta_j| over the n Gauss periods
     eta_j = sum_{l < t} e(g^(j + n l) / p), since Gamma^(xi) = eta_j on the

@@ -225,6 +225,12 @@ def _exact_operands(tables: Sequence[np.ndarray], terms: int) -> list[np.ndarray
     return [cast[id(t)] for t in tables]
 
 
+def _energy_sums(counts) -> tuple[int, int]:
+    """(sum c^2, sum c^3) as Python ints, exact in the dtype chosen for the cubes."""
+    c = _exact_operands((np.asarray(counts),) * 3, len(counts))[0]
+    return int((c * c).sum()), int((c * c * c).sum())
+
+
 def _value_table(values) -> np.ndarray:
     """A function's values as one table: the package's one decision of
     their kind.  Ints give int64 when every entry fits and Python ints

@@ -17,36 +17,27 @@ from functools import cached_property
 import numpy as np
 
 from .checks import IneqCheck
-from .config import FIELD_PRIME_CAP, MULT_ENERGY_CAP, TOL
+from .config import FIELD_PRIME_CAP, TOL
 from .energy import correlation_counts, energy_k
 from .groups import (
     CyclicGroup,
     GroupFn,
     GroupSet,
+    _PAIR_BLOCK,
+    _energy_sums,
     _exact_operands,
     _scalar,
+    _value_table,
     indicator,
     indicator_vector,
     restricted_matrix,
 )
 from .spectral import build_restricted_operator, eigendecompose
-from .transform import _BLOCK, _ordered_sums, correlate, dft, kfold_convolve
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+from .transform import _BLOCK, _ordered_sums, correlate, dft
 
 
 def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending, by trial division."""
     out = []
     f = 2
     while f * f <= n:
@@ -58,6 +49,10 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 @dataclass(frozen=True)
@@ -109,14 +104,15 @@ class PrimeField:
         return pow(x, -1, self.p)
 
 
+def _generates(g: int, p: int) -> bool:
+    """Does g generate F_p* for prime p?  Its order divides p - 1, so it is
+    p - 1 unless g^((p-1)/q) = 1 for a prime q | p - 1."""
+    return g % p != 0 and all(pow(g, (p - 1) // q, p) != 1 for q in _prime_factors(p - 1))
+
+
 def primitive_root(p: int) -> int:
-    if p == 2:
-        return 1
-    qs = _prime_factors(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in qs):
-            return g
-    raise ArithmeticError(f"no primitive root found for {p}")
+    """The least generator of F_p* (1 at p = 2)."""
+    return next(g for g in range(1, p) if _generates(g, p))
 
 
 def make_field(p: int, root: int | None = None) -> PrimeField:
@@ -124,13 +120,11 @@ def make_field(p: int, root: int | None = None) -> PrimeField:
         raise ValueError(f"field size capped at {FIELD_PRIME_CAP}")
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    g = primitive_root(p) if root is None else root
-    fld = PrimeField(p, g)
-    # g generates iff its powers hit every nonzero residue once; g = 0 mod p
-    # is checked apart, since the table for p = 2 holds only g^0
-    if g % p == 0 or (np.bincount(fld.powers, minlength=p)[1:] != 1).any():
-        raise ValueError(f"{g} is not a primitive root mod {p}")
-    return fld
+    if root is None:
+        root = primitive_root(p)
+    elif not _generates(root, p):
+        raise ValueError(f"{root} is not a primitive root mod {p}")
+    return PrimeField(p, root)
 
 
 @dataclass(frozen=True)
@@ -206,10 +200,17 @@ def subgroup(field: PrimeField, t: int) -> MultSubgroup:
 # ---------------------------------------------------------------------------
 
 
+def _check_on_field(gamma: MultSubgroup, f: GroupFn, off_gamma: str | None = None) -> None:
+    """Raise ValueError unless f is on Z/p and, given ``off_gamma``, vanishes off Gamma."""
+    p = gamma.field.p
+    if f.group.modulus != p or f.arity != 1:
+        raise ValueError(f"function on the wrong modulus: not a function on Z/{p}")
+    if off_gamma is not None and (f.table[~indicator_vector(gamma.elements, p)] != 0).any():
+        raise ValueError(off_gamma)
+
+
 def gamma_invariant_set(gamma: MultSubgroup, s: GroupSet) -> bool:
     """Is S fixed by multiplication with every subgroup element? (0 is fixed)."""
-    if s.group.modulus != gamma.field.p:
-        raise ValueError("set lives on the wrong modulus")
     return gamma_invariant_fn(gamma, indicator(s))
 
 
@@ -225,6 +226,7 @@ def gamma_invariant_fn(gamma: MultSubgroup, f: GroupFn, tol: float = 0.0) -> boo
     block of x at a time; int differences are exact (int64 behind the bound
     of ``_exact_operands`` for a sum of two entries), complex ones are
     measured with ``hypot``, as ``abs`` measures a Python complex."""
+    _check_on_field(gamma, f)
     p = gamma.field.p
     table = _exact_operands((f.table,), 2)[0]
     els = np.asarray(gamma.elements, dtype=np.int64)
@@ -242,29 +244,31 @@ def gamma_invariant_fn(gamma: MultSubgroup, f: GroupFn, tol: float = 0.0) -> boo
 def invariant_profile(gamma: MultSubgroup, f: GroupFn):
     """Compact storage of an invariant function: value at 0 plus one value
     per multiplicative coset, keyed by coset representative g^j, j < index."""
+    _check_on_field(gamma, f)
     reps = gamma.field.powers[:gamma.index].tolist()
     return f.values[0], {r: f.values[r] for r in reps}
 
 
 def fn_from_profile(gamma: MultSubgroup, zero_value, rep_values: dict) -> GroupFn:
-    p, n = gamma.field.p, gamma.index
-    vals = [zero_value] + [None] * (p - 1)
-    for r, v in rep_values.items():
-        for g in gamma.elements:
-            vals[(r * g) % p] = v
-    if any(v is None for v in vals):
+    """The invariant function with ``zero_value`` at 0 and ``rep_values[r]``
+    on r Gamma (the later r of a coset wins), gathered by coset dlog x mod n."""
+    fld, n = gamma.field, gamma.index
+    by_coset = {fld.log(r) % n: v for r, v in rep_values.items()}  # r = 0 raises
+    if len(by_coset) < n:
         raise ValueError("profile does not cover every coset")
-    return GroupFn(gamma.field.group, vals)
+    vals = _value_table([zero_value] + [by_coset[j] for j in range(n)])
+    return GroupFn(fld.group, vals[np.concatenate(([0], 1 + fld.dlog % n))])
 
 
 def random_invariant_fn(
     gamma: MultSubgroup, rng: random.Random, lo: int = 0, hi: int = 3
 ) -> GroupFn:
-    n = gamma.index
-    while True:
-        reps = {r: rng.randint(lo, hi) for r in gamma.field.powers[:n].tolist()}
-        if any(reps.values()) or (lo <= 0 <= hi and n == 0):
-            break
+    """Invariant, values in [lo, hi]; coset values redrawn until one is nonzero."""
+    if lo == hi == 0:
+        raise ValueError("values in [0, 0] give no nonzero function")
+    reps = {}
+    while not any(reps.values()):
+        reps = {r: rng.randint(lo, hi) for r in gamma.field.powers[:gamma.index].tolist()}
     return fn_from_profile(gamma, rng.randint(lo, hi), reps)
 
 
@@ -299,14 +303,14 @@ def _orbit_stats(gamma: MultSubgroup) -> SubgroupStats:
     counts = np.bincount(dl[els[els != 1] - 2] % n, minlength=n)
     sum_cosets = int(np.count_nonzero(np.bincount(dl[els[els != p - 1]] % n, minlength=n)))
     counts.flags.writeable = False  # cached on the subgroup
-    nz = counts[counts > 0].tolist()  # Python ints: the moment sums cannot wrap
+    s2, s3 = _energy_sums(counts)
     return SubgroupStats(
         coset_counts=counts,
-        E2=t * t + t * sum(v * v for v in nz),
-        E3=t ** 3 + t * sum(v ** 3 for v in nz),
+        E2=t * t + t * s2,
+        E3=t ** 3 + t * s3,
         # -1 = g^((p-1)/2) is in Gamma iff t is even (p odd); at p = 2, -1 = 1
         sum=int(p == 2 or t % 2 == 0) + t * sum_cosets,
-        diff=1 + t * len(nz),
+        diff=1 + t * int(np.count_nonzero(counts)),
     )
 
 
@@ -369,6 +373,7 @@ def check_eigenbasis(
     coset are xi times differences inside the subgroup, so the matching
     eigenvalues come from the dilated kernel z -> g(xi z).
     """
+    _check_on_field(gamma, g)
     p = gamma.field.p
     if coset is None:
         base = gamma.as_set
@@ -469,9 +474,8 @@ def check_exact_fourier(
     for every invariant h, with equality at h = 1; plus the three-point
     variant weighted by a nonnegative v.
     """
+    _check_on_field(gamma, u, "u must be supported on the subgroup")
     p, t = gamma.field.p, gamma.order
-    if any(u.values[x] and x not in gamma.as_set for x in range(p)):
-        raise ValueError("u must be supported on the subgroup")
     if not any(map(_nonzero_constant, h_family)):
         raise ValueError("family must contain a nonzero constant weight")
     uh = dft(u).values
@@ -522,6 +526,7 @@ def _check_exact_fourier_c3(
 ) -> list[IneqCheck]:
     p = gamma.field.p
     t = gamma.order
+    _check_on_field(gamma, v)
     if v.kind == "complex" or (v.table < 0).any():
         raise ValueError("v must be real and nonnegative")
     # U[x, z] = u(z + x) for x in Gamma; the Gram matrix (U v) U^H holds
@@ -564,41 +569,29 @@ def mult_energy_k(gamma: MultSubgroup, f: GroupFn, k: int):
     x_1...x_k = x'_1...x'_k in F_p*, as sum_z r_k(z) conj(r_k(z)) for the
     k-fold product count r_k(z) = sum_{x_1...x_k = z} f(x_1)...f(x_k).
 
-    r_k takes k - 1 multiplicative convolutions over the support of f.
-    Integer f gives an exact integer count: int64 behind the bound of
-    ``_exact_operands`` for the sum of |supp|^(2k-1) products of 2k values,
-    Python ints above it.
+    r_k takes k - 1 multiplicative convolutions over the support of f, at
+    most (k - 1) t |supp| pair products, added in row blocks of about
+    ``_PAIR_BLOCK`` pairs as ``groups.difference_counts`` counts, so memory
+    stays bounded at any t.  Integer f gives an exact integer count: int64
+    behind the bound of ``_exact_operands`` for the sum of |supp|^(2k-1)
+    products of 2k values, Python ints above it.
     """
     if k not in (2, 3):
         raise ValueError("k must be 2 or 3")
+    _check_on_field(gamma, f, "f must be supported on the subgroup")
     p = gamma.field.p
-    if (f.table[~indicator_vector(gamma.elements, p)] != 0).any():
-        raise ValueError("f must be supported on the subgroup")
     supp = np.flatnonzero(f.table)
-    terms = len(supp) ** (2 * k - 1)
-    if terms > MULT_ENERGY_CAP:
-        raise ValueError("enumeration cap exceeded")
-    fv = _exact_operands((f.table,) * (2 * k), terms)[0]
+    fv = _exact_operands((f.table,) * (2 * k), len(supp) ** (2 * k - 1))[0]
+    step = max(1, _PAIR_BLOCK // max(1, len(supp)))
     r = fv
     for _ in range(k - 1):
         nz = np.flatnonzero(r)
         nxt = np.zeros_like(fv)
-        np.add.at(nxt, np.multiply.outer(nz, supp) % p, np.multiply.outer(r[nz], fv[supp]))
+        for lo in range(0, len(nz), step):
+            x = nz[lo:lo + step]
+            np.add.at(nxt, np.multiply.outer(x, supp) % p, np.multiply.outer(r[x], fv[supp]))
         r = nxt
     return _scalar((r * r.conj()).sum())
-
-
-def mult_energy_k_dlog(gamma: MultSubgroup, f: GroupFn, k: int) -> int:
-    """Exact T^x_k for integer f via the discrete-log pullback to Z/t.
-
-    Products in the subgroup become sums of character indices, so the count
-    is an additive k-fold convolution moment on Z/t.
-    """
-    els = np.asarray(gamma.elements, dtype=np.int64)
-    pull = np.zeros(gamma.order, dtype=f.table.dtype)
-    pull[gamma.field.dlog[els - 1] // gamma.index] = f.table[els]
-    rep = kfold_convolve(GroupFn(CyclicGroup(gamma.order), pull), k)
-    return sum(v * v for v in rep.values)
 
 
 def check_tk_characters(gamma: MultSubgroup, f: GroupFn, k: int) -> list[IneqCheck]:
@@ -639,9 +632,9 @@ def check_vinogradov_bounds(gamma: MultSubgroup, a: GroupSet) -> list[IneqCheck]
     E_l(A, Gamma) <= t^(-1/2) E_(2l-1)(Gamma)^(1/2) E^x(A)^(1/2).
     """
     t = gamma.order
-    if any(x not in gamma.as_set for x in a.members):
-        raise ValueError("A must be a subset of the subgroup")
-    em = mult_energy_k_dlog(gamma, indicator(a), 2)
+    ind = indicator(a)
+    _check_on_field(gamma, ind, "A must be a subset of the subgroup")
+    em = mult_energy_k(gamma, ind, 2)
     out = [
         IneqCheck.from_le(
             "subset-size-bound",

@@ -609,6 +609,19 @@ def gamma_invariant_set(gamma, s):
     return True
 
 
+def fn_from_profile(gamma, zero_value, rep_values):
+    """The value list of an invariant function from its profile: every
+    product r g of a representative with a subgroup element written in turn
+    (a later representative of a coset overwrites), None where no coset
+    was given."""
+    p = gamma.field.p
+    vals = [zero_value] + [None] * (p - 1)
+    for r, v in rep_values.items():
+        for g in gamma.elements:
+            vals[(r * g) % p] = v
+    return vals
+
+
 def tk_character_checks(gamma, f, k):
     """The T^x_k character identity with each <f, chi_alpha> a generator sum
     over the subgroup, and the lower bound for indicator f."""

@@ -26,7 +26,6 @@ from addcomb.subgroup import (
     make_field,
     mu_alpha_direct,
     mult_energy_k,
-    mult_energy_k_dlog,
     random_invariant_fn,
     subgroup,
     subgroup_autocorrelation,
@@ -38,7 +37,7 @@ from addcomb.verify import (
     run_inequality_suite,
     run_subgroup_suite,
 )
-from oracle import convex_row_recount
+from oracle import convex_row_recount, mult_tuple_energy
 
 
 # sha256 of `addcomb verify --seed 1 --json`: a report byte may change only
@@ -156,7 +155,7 @@ def test_criterion_5_product_energy_identity():
                     _report("criterion 5: product-energy character identity", False,
                             f"p={p}, t={t}, k={k}")
                 worst = max(worst, float(ident.lhs))
-                assert mult_energy_k_dlog(gamma, f, k) == direct
+                assert mult_tuple_energy(supp, p, k) == direct
                 instances += 1
     # lower bound on 100 random subsets of one subgroup
     fld = make_field(101)
@@ -166,7 +165,8 @@ def test_criterion_5_product_energy_identity():
         supp = [x for x in gamma.elements if rng.random() < 0.5] or [gamma.elements[0]]
         f = GroupFn(fld.group, tuple(1 if x in supp else 0 for x in range(101)))
         for k in (2, 3):
-            tk = mult_energy_k_dlog(gamma, f, k)
+            tk = mult_energy_k(gamma, f, k)
+            assert tk == mult_tuple_energy(supp, 101, k)
             if tk * gamma.order < len(supp) ** (2 * k):
                 bound_ok = False
     _report(

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from addcomb.experiments import (
-    _energy_sums,
     assert_convex,
     autocorrelation_np,
     convex_scan,
@@ -27,6 +26,7 @@ from addcomb.experiments import (
     sumset_size_np,
     write_csv,
 )
+from addcomb.groups import _energy_sums
 from addcomb.subgroup import make_field, subgroup
 from oracle import (
     check_row,

@@ -7,7 +7,6 @@ import random
 import numpy as np
 import pytest
 
-from addcomb.config import MULT_ENERGY_CAP
 from addcomb.groups import CyclicGroup, GroupSet, indicator
 from addcomb.spectral import build_restricted_operator, eigendecompose
 from addcomb.subgroup import (
@@ -27,7 +26,6 @@ from addcomb.subgroup import (
     make_field,
     mu_alpha_direct,
     mult_energy_k,
-    mult_energy_k_dlog,
     orbit_closure,
     random_invariant_fn,
     subgroup,
@@ -79,6 +77,23 @@ def test_make_field_takes_any_generator():
         assert sorted(fld.dlog.tolist()) == list(range(12))
     assert make_field(2, 1).powers.tolist() == [1]
     assert make_field(2, 3).dlog.tolist() == [0]
+
+
+@pytest.mark.parametrize("p", primes_up_to(101))
+def test_make_field_accepts_exactly_the_generators(p):
+    """A root is accepted iff its powers g, ..., g^(p-1) cover F_p*, for
+    every g from -1 to 2p; the check builds no table."""
+    units = set(range(1, p))
+    for g in range(-1, 2 * p + 1):
+        generates = {pow(g, k, p) for k in range(1, p)} == units
+        if generates:
+            assert make_field(p, g).root == g
+        else:
+            with pytest.raises(ValueError, match=f"{g} is not a primitive root mod {p}"):
+                make_field(p, g)
+    fld = make_field(p)
+    assert "powers" not in vars(fld) and "dlog" not in vars(fld)
+    assert fld.root == min(g for g in range(1, p + 1) if {pow(g, k, p) for k in range(1, p)} == units)
 
 
 def test_prime_field_is_its_prime_and_root():
@@ -162,6 +177,81 @@ def test_invariant_profile_roundtrip():
     zero, reps = invariant_profile(g, f)
     back = fn_from_profile(g, zero, reps)
     assert back.values == f.values
+
+
+def test_fn_from_profile_matches_the_loop():
+    """Random profiles with any representative of each coset (some given
+    twice, the later one winning) and int, big-int, float and complex values
+    give the oracle loop's values in the same kind."""
+    rng = random.Random(20)
+    draws = (
+        lambda: rng.randint(-3, 3),
+        lambda: rng.choice((-1, 1)) * 2 ** 70 + rng.randint(0, 9),
+        lambda: rng.uniform(-1, 1),
+        lambda: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+    )
+    for p in (2, 7, 13, 31, 101):
+        fld = make_field(p)
+        for t in divisors(p - 1):
+            gamma = subgroup(fld, t)
+            for draw in draws:
+                reps = {}
+                for j in range(gamma.index):
+                    for _ in range(rng.choice((1, 1, 2))):
+                        r = fld.powers[j] * rng.choice(gamma.elements) + p * rng.randint(-1, 1)
+                        reps[int(r)] = draw()
+                zero = draw()
+                f = fn_from_profile(gamma, zero, reps)
+                want = GroupFn(fld.group, oracle.fn_from_profile(gamma, zero, reps))
+                assert f.values == want.values and f.kind == want.kind, (p, t)
+                assert gamma_invariant_fn(gamma, f, tol=1e-12)
+
+
+def test_fn_from_profile_rejects_zero_and_missing_cosets():
+    g = subgroup(make_field(7), 3)
+    with pytest.raises(ValueError):
+        fn_from_profile(g, 5, {0: 9, 1: 1, 3: 2})
+    with pytest.raises(ValueError):
+        fn_from_profile(g, 5, {14: 9, 1: 1, 3: 2})  # 14 = 0 mod 7
+    with pytest.raises(ValueError, match="every coset"):
+        fn_from_profile(g, 5, {1: 1, 2: 2})  # 1 and 2 share the coset {1, 2, 4}
+    assert fn_from_profile(g, 5, {1: 1, 3: 2}).values == (5, 1, 1, 2, 1, 2, 2)
+
+
+def test_random_invariant_fn_needs_a_nonzero_value():
+    g = subgroup(make_field(13), 4)
+    with pytest.raises(ValueError):
+        random_invariant_fn(g, random.Random(0), 0, 0)
+    for lo, hi in ((0, 1), (-1, 0), (2, 2), (-2, -2)):
+        f = random_invariant_fn(g, random.Random(lo), lo, hi)
+        assert any(f.values[1:]) and all(lo <= v <= hi for v in f.values)
+
+
+@pytest.mark.parametrize("m", [13, 5])
+def test_functions_off_z_p_are_refused(m):
+    """Every subgroup function that reads a table at field elements raises
+    ValueError for a function on Z/m, m != p."""
+    fld = make_field(7)
+    g = subgroup(fld, 3)
+    other = CyclicGroup(m)
+    f = GroupFn.constant(other, 1)
+    one = GroupFn.constant(fld.group, 1)
+    calls = [
+        lambda: gamma_invariant_fn(g, f),
+        lambda: mu_alpha_direct(g, f),
+        lambda: gamma_invariant_set(g, GroupSet.of(other, [1, 2, 4])),
+        lambda: check_eigenbasis(g, f),
+        lambda: check_eigenbasis(g, f, coset=3),
+        lambda: mult_energy_k(g, GroupFn.delta(other, 1), 2),
+        lambda: check_tk_characters(g, GroupFn.delta(other, 1), 2),
+        lambda: check_exact_fourier(g, GroupFn.delta(other, 1), 0, [one]),
+        lambda: check_vinogradov_bounds(g, GroupSet.of(other, [1, 2])),
+        lambda: invariant_profile(g, f),
+        lambda: check_exact_fourier(g, GroupFn.delta(fld.group, 1), 0, [one], v=f),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="wrong modulus"):
+            call()
 
 
 def test_character_orthonormality_and_multiplicativity():
@@ -372,8 +462,7 @@ def test_mult_energy_closure_and_identity():
     fld = make_field(7)
     g = subgroup(fld, 3)
     ind = GroupFn(fld.group, tuple(1 if x in g.as_set else 0 for x in range(7)))
-    assert mult_energy_k(g, ind, 2) == 27
-    assert mult_energy_k_dlog(g, ind, 2) == 27
+    assert mult_energy_k(g, ind, 2) == 27 == mult_tuple_energy(g.elements, 7, 2)
     sub = GroupFn(fld.group, (0, 1, 1, 0, 0, 0, 0))  # {1, 2}
     direct = mult_energy_k(g, sub, 2)
     assert direct == mult_tuple_energy([1, 2], 7, 2) == 6
@@ -390,7 +479,6 @@ def test_mult_energy_matches_oracle_random():
         sub = [x for x in g.elements if rng.random() < 0.7] or [1]
         f = GroupFn(fld.group, tuple(1 if x in sub else 0 for x in range(31)))
         assert mult_energy_k(g, f, k) == mult_tuple_energy(sub, 31, k)
-        assert mult_energy_k_dlog(g, f, k) == mult_tuple_energy(sub, 31, k)
         for c in check_tk_characters(g, f, k):
             assert c.passed
 
@@ -429,12 +517,10 @@ def test_mult_energy_complex_matches_oracle():
         assert abs(direct.imag) <= 1e-12 * max(1.0, abs(want))
 
 
-@pytest.mark.parametrize("p", [7, 13, 31])
-def test_mult_energy_k_matches_product_classes(p):
+def _check_product_classes(p):
     """T^x_k by multiplicative convolution against the product-class oracle
-    on every subgroup, with 0/1, Python-int (near 2^40) and complex weights.
-    Where the whole subgroup is past the cap, it is refused and 20 of its
-    elements are counted instead."""
+    on every whole subgroup of F_p, with 0/1, Python-int (near 2^40) and
+    complex weights; returns the values in turn."""
     rng = random.Random(p)
     fld = make_field(p)
     draws = (
@@ -442,14 +528,11 @@ def test_mult_energy_k_matches_product_classes(p):
         lambda: rng.choice((-1, 1)) * rng.randint(2 ** 40 - 99, 2 ** 40 + 99),
         lambda: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
     )
+    out = []
     for t in divisors(p - 1):
         g = subgroup(fld, t)
         for k in (2, 3):
-            supp = list(g.elements)
-            if t ** (2 * k - 1) > MULT_ENERGY_CAP:
-                with pytest.raises(ValueError, match="cap"):
-                    mult_energy_k(g, indicator(g.as_set), k)
-                supp = rng.sample(supp, 20)
+            supp = g.elements
             for draw in draws:
                 w = {x: draw() for x in supp}
                 f = GroupFn(fld.group, tuple(w.get(x, 0) for x in range(p)))
@@ -459,14 +542,29 @@ def test_mult_energy_k_matches_product_classes(p):
                     assert type(got) is int and got == want, (t, k)
                 else:
                     assert abs(got - want) <= 1e-12 * abs(want), (t, k)
+                out.append(got)
+    return out
 
 
-def test_mult_energy_enumeration_cap():
-    fld = make_field(101)
-    g = subgroup(fld, 100)
-    ind = GroupFn(fld.group, tuple(1 if x in g.as_set else 0 for x in range(101)))
-    with pytest.raises(ValueError):
-        mult_energy_k(g, ind, 3)
+@pytest.mark.parametrize("p", [7, 13, 31])
+def test_mult_energy_k_matches_product_classes(p):
+    _check_product_classes(p)
+
+
+@pytest.mark.parametrize("p", [7, 13, 31])
+def test_mult_energy_k_row_blocks_match_product_classes(p, monkeypatch):
+    """Row blocks of about 50 pairs (1 to 8 rows of the convolution here)
+    give the oracle's values, and the unblocked values bit for bit."""
+    whole = _check_product_classes(p)
+    monkeypatch.setattr(importlib.import_module("addcomb.subgroup"), "_PAIR_BLOCK", 50)
+    assert _check_product_classes(p) == whole
+
+
+def test_mult_energy_counts_whole_subgroups_without_a_cap():
+    """T^x_3 of a whole subgroup of order t is t^5."""
+    for p, t in ((101, 100), (1009, 504)):
+        g = subgroup(make_field(p), t)
+        assert mult_energy_k(g, indicator(g.as_set), 3) == t ** 5
 
 
 def test_vinogradov_bounds():
