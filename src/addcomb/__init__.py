@@ -9,8 +9,6 @@ from .groups import (
     GroupSet,
     indicator,
     intersect_shifts,
-    make_group,
-    shift_set,
     sumset,
     tuple_sumset_with_diagonal,
 )
@@ -22,7 +20,6 @@ from .transform import (
     gen_convolution,
     idft,
     kfold_convolve,
-    kfold_correlate,
 )
 from .energy import (
     check_ap_bound,
@@ -36,7 +33,6 @@ from .energy import (
     check_weight_inequality,
     energy,
     energy_k,
-    sigma_k,
     t_k,
 )
 from .spectral import (
@@ -59,11 +55,9 @@ from .subgroup import (
     check_mu_convolution,
     check_tk_characters,
     check_vinogradov_bounds,
-    gamma_invariant_set,
     make_field,
     mu_alpha_direct,
     mult_energy_k,
-    orbit_closure,
     subgroup,
 )
 

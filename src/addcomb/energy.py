@@ -85,13 +85,6 @@ def t_k(a: GroupSet, k: int) -> int:
     return sum(v * v for v in rep.values)
 
 
-def sigma_k(a: GroupSet, k: int) -> int:
-    """Number of k-tuples summing to zero."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return kfold_convolve(indicator(a), k).values[0]
-
-
 # ---------------------------------------------------------------------------
 # shifted-intersection inequalities
 # ---------------------------------------------------------------------------

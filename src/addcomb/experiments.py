@@ -529,13 +529,6 @@ def longest_progression(gamma: MultSubgroup) -> tuple[int, int, int]:
     return best
 
 
-def progression_scan(p: int, t: int) -> ProgressionRow:
-    """Longest progression inside the subgroup plus its energy statistics."""
-    if p > SCAN_PRIME_CAP:
-        raise ValueError(f"exact progression search capped at p <= {SCAN_PRIME_CAP}")
-    return _progression_row(make_field(p), t)
-
-
 def _progression_row(fld: PrimeField, t: int) -> ProgressionRow:
     p = fld.p
     gamma = subgroup(fld, t)

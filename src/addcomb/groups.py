@@ -42,10 +42,6 @@ class CyclicGroup:
         return f"Z/{self.modulus}"
 
 
-def make_group(n: int) -> CyclicGroup:
-    return CyclicGroup(n)
-
-
 @dataclass(frozen=True)
 class GroupSet:
     """Subset of Z/N: unique sorted residues, frozen after construction."""
@@ -172,11 +168,6 @@ def intersect_shifts(
             check_sign(sg)
             keep &= member[(s - bm) % n]
     return GroupSet(g, tuple(bm[keep].tolist()))
-
-
-def shift_set(a: GroupSet, x: int) -> GroupSet:
-    """A_x = A ∩ (A - x)."""
-    return intersect_shifts(a, a, (x,))
 
 
 def sumset(a: GroupSet, b: GroupSet, sign: str = "+") -> GroupSet:

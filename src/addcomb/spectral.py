@@ -375,11 +375,3 @@ def first_eigenfunction_bounds(a: GroupSet, h: GroupFn) -> EigBoundReport:
             )
         )
     return EigBoundReport(mu0, g, checks, degenerate)
-
-
-def embed_full_operator(a: GroupSet, psi: GroupFn) -> np.ndarray:
-    """The N x N operator psi(x-y) A(x) A(y); same nonzero spectrum."""
-    n = a.group.modulus
-    mat = np.zeros((n, n))
-    mat[np.ix_(a.members, a.members)] = restricted_matrix(a, psi.table)
-    return mat

@@ -1,5 +1,5 @@
 """Multiplicative subgroups of F_p*: characters, closed-form eigenvalues,
-multiplicative energies, and invariant-set utilities.
+multiplicative energies, and invariant-function utilities.
 
 Only prime fields are implemented; the additive structure of F_p is the
 cyclic group Z/p from ``groups``, so every additive tool applies directly.
@@ -18,7 +18,7 @@ import numpy as np
 
 from .checks import IneqCheck
 from .config import FIELD_PRIME_CAP, TOL
-from .energy import correlation_counts, energy_k
+from .energy import energy_k
 from .groups import (
     CyclicGroup,
     GroupFn,
@@ -209,18 +209,6 @@ def _check_on_field(gamma: MultSubgroup, f: GroupFn, off_gamma: str | None = Non
         raise ValueError(off_gamma)
 
 
-def gamma_invariant_set(gamma: MultSubgroup, s: GroupSet) -> bool:
-    """Is S fixed by multiplication with every subgroup element? (0 is fixed)."""
-    return gamma_invariant_fn(gamma, indicator(s))
-
-
-def orbit_closure(gamma: MultSubgroup, s: GroupSet) -> GroupSet:
-    """Smallest invariant superset: union of the orbits x * Gamma."""
-    members = np.asarray(s.members, dtype=np.int64)
-    orbits = np.multiply.outer(members, gamma.elements) % gamma.field.p
-    return GroupSet.of(gamma.field.group, orbits.ravel().tolist())
-
-
 def gamma_invariant_fn(gamma: MultSubgroup, f: GroupFn, tol: float = 0.0) -> bool:
     """Is |f(x g) - f(x)| <= tol for every x != 0 and g in Gamma?  Compared a
     block of x at a time; int differences are exact (int64 behind the bound
@@ -239,14 +227,6 @@ def gamma_invariant_fn(gamma: MultSubgroup, f: GroupFn, tol: float = 0.0) -> boo
         if (dist > tol).any():
             return False
     return True
-
-
-def invariant_profile(gamma: MultSubgroup, f: GroupFn):
-    """Compact storage of an invariant function: value at 0 plus one value
-    per multiplicative coset, keyed by coset representative g^j, j < index."""
-    _check_on_field(gamma, f)
-    reps = gamma.field.powers[:gamma.index].tolist()
-    return f.values[0], {r: f.values[r] for r in reps}
 
 
 def fn_from_profile(gamma: MultSubgroup, zero_value, rep_values: dict) -> GroupFn:
@@ -656,32 +636,3 @@ def check_vinogradov_bounds(gamma: MultSubgroup, a: GroupSet) -> list[IneqCheck]
             )
         )
     return out
-
-
-def check_stepanov_sum(
-    gamma: MultSubgroup, q: GroupSet, q1: GroupSet, q2: GroupSet
-) -> dict:
-    """Report row for the invariant triple correlation sum.
-
-    ratio = sum_{x in Q} (Q1 ∘ Q2)(x) / (t^(-1/3) (|Q||Q1||Q2|)^(2/3));
-    hypothesis flags are reported, never asserted (constants unknown).
-    """
-    for s in (q, q1, q2):
-        if not gamma_invariant_set(gamma, s):
-            raise ValueError("all three sets must be invariant")
-    p, t = gamma.field.p, gamma.order
-    corr = correlation_counts(q1, q2)
-    num = sum(corr[x] for x in q.members)
-    size_prod = len(q) * len(q1) * len(q2)
-    denom = (size_prod ** 2) ** (1.0 / 3.0) / t ** (1.0 / 3.0)
-    return {
-        "p": p,
-        "t": t,
-        "q": len(q),
-        "q1": len(q1),
-        "q2": len(q2),
-        "sum": num,
-        "ratio": num / denom if denom else None,
-        "hyp_size": size_prod <= t ** 5,
-        "hyp_field": size_prod * t <= p ** 3,
-    }

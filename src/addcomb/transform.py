@@ -156,13 +156,6 @@ def kfold_convolve(f: GroupFn, k: int) -> GroupFn:
     return out
 
 
-def kfold_correlate(f: GroupFn, k: int) -> GroupFn:
-    """(f ∘_k f)(x) = sum f(y_1)...f(y_k) f(x + y_1 + ... + y_k)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return correlate(kfold_convolve(f, k), f)
-
-
 def gen_convolution(fns: Sequence[GroupFn]) -> GroupFn:
     """C_k(f_0,...,f_{k-1})(x_1,..,x_{k-1}) = sum_z f_0(z) f_1(z+x_1) ...,
     as a table over Gr^(k-1) (k in {2, 3})."""

@@ -19,13 +19,13 @@ from addcomb.energy import (
     energy_k,
     energy_k_shift_sum,
     shift_spread_sizes,
-    sigma_k,
     t_k,
 )
 from addcomb.groups import (
     CyclicGroup,
     GroupSet,
     diag_shift_size,
+    indicator,
     intersect_shifts,
     sumset,
     tuple_sumset_with_diagonal,
@@ -39,7 +39,7 @@ from addcomb.spectral import (
     rayleigh_indicator,
     triangle_sum,
 )
-from addcomb.transform import GroupFn
+from addcomb.transform import GroupFn, kfold_convolve
 import oracle
 from oracle import quadruple_energy, shift_tuple_energy, sigma_k_count, t_k_count
 
@@ -113,10 +113,12 @@ def test_t_k_and_sigma_k():
     a = gset(5, [0, 1])
     assert t_k(a, 2) == energy(a)
     assert t_k(a, 3) == t_k_count(a.members, 5, 3)
+    # sigma_k, the number of k-tuples summing to zero, is r_k(0)
     sym = gset(5, [0, 1, 4])
-    assert sigma_k(sym, 2) == len(sym)
-    assert sigma_k(sym, 4) == t_k(sym, 2)
-    assert sigma_k(sym, 3) == sigma_k_count(sym.members, 5, 3)
+    sigma = {k: kfold_convolve(indicator(sym), k).values[0] for k in (2, 3, 4)}
+    assert sigma[2] == len(sym)
+    assert sigma[4] == t_k(sym, 2)
+    assert sigma[3] == sigma_k_count(sym.members, 5, 3)
 
 
 def test_katz_koester_examples():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from addcomb.experiments import (
+    _progression_row,
     assert_convex,
     autocorrelation_np,
     convex_scan,
@@ -20,7 +21,6 @@ from addcomb.experiments import (
     perturbed_quadratic,
     primes_up_to,
     progression_batch,
-    progression_scan,
     squares_sequence,
     subgroup_scan,
     sumset_size_np,
@@ -356,7 +356,7 @@ def test_longest_progression_examples():
 def test_progression_shape_guard_near_full_subgroup():
     # delta -> 0 makes the reported shape exceed float range; it must be
     # dropped, not overflow
-    row = progression_scan(1009, 1008)
+    row = _progression_row(make_field(1009), 1008)
     assert row.ap_len == 1008
     assert row.vinogradov_shape is None
 
@@ -374,7 +374,7 @@ def test_autocorrelation_chunking_matches_dict_count():
 
 
 def test_progression_scan_row():
-    row = progression_scan(7, 3)
+    row = _progression_row(make_field(7), 3)
     assert row.ap_len == 2
     prog = [(row.start + i * row.step) % 7 for i in range(row.ap_len)]
     assert set(prog) <= {1, 2, 4}

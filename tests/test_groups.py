@@ -18,8 +18,6 @@ from addcomb.groups import (
     diag_shift_size,
     indicator,
     intersect_shifts,
-    make_group,
-    shift_set,
     sumset,
     tuple_sumset_with_diagonal,
 )
@@ -29,15 +27,16 @@ def gset(n, elems):
     return GroupSet.of(CyclicGroup(n), elems)
 
 
-def test_make_group():
-    assert make_group(5).modulus == 5
-    assert make_group(1).modulus == 1
-    with pytest.raises(ValueError):
-        make_group(0)
+def test_cyclic_group():
+    assert CyclicGroup(5).modulus == 5
+    assert list(CyclicGroup(1).elements()) == [0]
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="modulus must be >= 1"):
+            CyclicGroup(n)
 
 
 def test_trivial_group_sets():
-    g = make_group(1)
+    g = CyclicGroup(1)
     assert GroupSet.of(g, [0, 0, 0]).members == (0,)
 
 
@@ -53,7 +52,6 @@ def test_intersect_shifts_examples():
     assert intersect_shifts(a, a, (1,)).members == (0,)
     assert intersect_shifts(a, a, (4,)).members == (1,)
     assert intersect_shifts(a, a, ()).members == a.members
-    assert shift_set(a, 1).members == (0,)
 
 
 def test_intersect_shifts_signs():

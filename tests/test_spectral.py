@@ -16,7 +16,6 @@ from addcomb.spectral import (
     correlation_kernel,
     cycle_sums,
     eigendecompose,
-    embed_full_operator,
     first_eigenfunction_bounds,
     jacobi_eigh,
     rayleigh_indicator,
@@ -196,6 +195,15 @@ def test_traces_delta_kernel():
     spectrum = eigendecompose(op)
     assert abs(spectrum.power_sum(1) - len(a)) < 1e-10
     assert abs(spectrum.power_sum(2) - len(a)) < 1e-10
+
+
+def embed_full_operator(a, psi):
+    """The N x N operator psi(x-y) A(x) A(y): zero off A x A, so it has the
+    restricted operator's nonzero spectrum."""
+    n = a.group.modulus
+    mat = np.zeros((n, n))
+    mat[np.ix_(a.members, a.members)] = restricted_matrix(a, psi.table)
+    return mat
 
 
 def test_restriction_embedding_same_nonzero_spectrum():

@@ -15,18 +15,14 @@ from addcomb.subgroup import (
     check_exact_fourier,
     check_mu_convolution,
     check_mu_vs_jacobi,
-    check_stepanov_sum,
     check_tk_characters,
     check_vinogradov_bounds,
     fn_from_profile,
     gamma_invariant_fn,
-    gamma_invariant_set,
-    invariant_profile,
     PrimeField,
     make_field,
     mu_alpha_direct,
     mult_energy_k,
-    orbit_closure,
     random_invariant_fn,
     subgroup,
     subgroup_autocorrelation,
@@ -133,39 +129,32 @@ def test_subgroup_closed_under_multiplication():
 def test_invariance_and_orbit():
     fld = make_field(7)
     g = subgroup(fld, 3)
-    assert gamma_invariant_set(g, g.as_set)
-    assert gamma_invariant_set(g, GroupSet.of(fld.group, []))
-    closure = orbit_closure(g, GroupSet.of(fld.group, [3]))
-    assert closure.members == (3, 5, 6)
-    assert gamma_invariant_set(g, closure)
-    assert not gamma_invariant_set(g, GroupSet.of(fld.group, [3, 6]))
 
+    def invariant(members):
+        return gamma_invariant_fn(g, indicator(GroupSet.of(fld.group, members)))
 
-def test_orbit_closure_matches_the_set_of_products():
-    rng = random.Random(4)
-    for p in (7, 13, 31):
-        fld = make_field(p)
-        for t in divisors(p - 1):
-            gamma = subgroup(fld, t)
-            for density in (0.0, 0.1, 0.5):
-                s = GroupSet.of(fld.group, [x for x in range(p) if rng.random() < density])
-                want = {x * e % p for x in s.members for e in gamma.elements}
-                assert orbit_closure(gamma, s).members == tuple(sorted(want))
+    assert invariant(g.elements)
+    assert invariant([])
+    assert invariant([3, 5, 6])  # the orbit 3 Gamma
+    assert not invariant([3, 6])
 
 
 def test_gamma_invariant_set_matches_the_loop():
+    """A set is invariant when its indicator is: gamma_invariant_fn on
+    indicators agrees with the membership loop of the oracle."""
     rng = random.Random(9)
     for p, t in ((7, 3), (13, 4), (31, 5), (101, 20)):
         fld = make_field(p)
         gamma = subgroup(fld, t)
         for _ in range(20):
             s = GroupSet.of(fld.group, [x for x in range(p) if rng.random() < 0.2])
-            closure = orbit_closure(gamma, s)
+            closure = GroupSet.of(fld.group, [x * e % p for x in s.members for e in gamma.elements])
             bent = GroupSet.of(fld.group, closure.members[1:])
             for cand in (s, closure, bent):
-                assert gamma_invariant_set(gamma, cand) == oracle.gamma_invariant_set(gamma, cand)
+                got = gamma_invariant_fn(gamma, indicator(cand))
+                assert got == oracle.gamma_invariant_set(gamma, cand)
         with pytest.raises(ValueError, match="wrong modulus"):
-            gamma_invariant_set(gamma, GroupSet.of(CyclicGroup(p + 1), [1]))
+            gamma_invariant_fn(gamma, indicator(GroupSet.of(CyclicGroup(p + 1), [1])))
 
 
 def test_invariant_profile_roundtrip():
@@ -174,8 +163,8 @@ def test_invariant_profile_roundtrip():
     g = subgroup(fld, 4)
     f = random_invariant_fn(g, rng, 0, 5)
     assert gamma_invariant_fn(g, f)
-    zero, reps = invariant_profile(g, f)
-    back = fn_from_profile(g, zero, reps)
+    reps = {r: f.values[r] for r in fld.powers[:g.index].tolist()}
+    back = fn_from_profile(g, f.values[0], reps)
     assert back.values == f.values
 
 
@@ -239,14 +228,12 @@ def test_functions_off_z_p_are_refused(m):
     calls = [
         lambda: gamma_invariant_fn(g, f),
         lambda: mu_alpha_direct(g, f),
-        lambda: gamma_invariant_set(g, GroupSet.of(other, [1, 2, 4])),
         lambda: check_eigenbasis(g, f),
         lambda: check_eigenbasis(g, f, coset=3),
         lambda: mult_energy_k(g, GroupFn.delta(other, 1), 2),
         lambda: check_tk_characters(g, GroupFn.delta(other, 1), 2),
         lambda: check_exact_fourier(g, GroupFn.delta(other, 1), 0, [one]),
         lambda: check_vinogradov_bounds(g, GroupSet.of(other, [1, 2])),
-        lambda: invariant_profile(g, f),
         lambda: check_exact_fourier(g, GroupFn.delta(fld.group, 1), 0, [one], v=f),
     ]
     for call in calls:
@@ -586,30 +573,6 @@ def test_vinogradov_full_subgroup_equality():
     checks = {c.name: c for c in check_vinogradov_bounds(g, g.as_set)}
     c = checks["subset-size-bound"]
     assert abs(c.lhs - c.rhs) < 1e-9  # |G| = t^(1/4) (t^3)^(1/4)
-
-
-def test_stepanov_report():
-    fld = make_field(7)
-    g = subgroup(fld, 3)
-    row = check_stepanov_sum(g, g.as_set, g.as_set, g.as_set)
-    assert row["sum"] == 3
-    assert row["hyp_size"] and row["hyp_field"]
-    full = subgroup(fld, 6)
-    row = check_stepanov_sum(full, full.as_set, full.as_set, full.as_set)
-    assert not row["hyp_field"]
-    with pytest.raises(ValueError):
-        check_stepanov_sum(g, GroupSet.of(fld.group, [3, 6]), g.as_set, g.as_set)
-
-
-def test_stepanov_batch_all_divisors():
-    fld = make_field(101)
-    rows = []
-    for t in (1, 2, 4, 5, 10, 20, 25, 50, 100):
-        g = subgroup(fld, t)
-        q = orbit_closure(g, GroupSet.of(fld.group, [3]))
-        rows.append(check_stepanov_sum(g, q, g.as_set, g.as_set))
-    assert len(rows) == 9
-    assert all(r["ratio"] is not None and r["ratio"] >= 0 for r in rows)
 
 
 def test_root_independence():

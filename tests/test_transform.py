@@ -16,7 +16,6 @@ from addcomb.transform import (
     gen_convolution,
     idft,
     kfold_convolve,
-    kfold_correlate,
 )
 from oracle import convolve_fn, correlate_fn, sigma_k_count
 
@@ -94,28 +93,12 @@ def test_kfold_base_cases():
     g = CyclicGroup(5)
     f = GroupFn(g, (1, 2, 0, -1, 3))
     assert kfold_convolve(f, 1).values == f.values
-    assert kfold_correlate(f, 1).values == correlate(f, f).values
 
 
 def test_kfold_delta_shifts():
     g = CyclicGroup(5)
     d1 = GroupFn.delta(g, 1)
     assert kfold_convolve(d1, 3).values == GroupFn.delta(g, 3).values
-
-
-def test_kfold_correlate_definition():
-    # (f ∘_2 f)(x) = sum_{y1,y2} f(y1) f(y2) f(x + y1 + y2)
-    rng = random.Random(9)
-    g = CyclicGroup(5)
-    f = GroupFn(g, tuple(rng.randint(-2, 2) for _ in range(5)))
-    got = kfold_correlate(f, 2).values
-    for x in range(5):
-        direct = sum(
-            f.values[y1] * f.values[y2] * f.values[(x + y1 + y2) % 5]
-            for y1 in range(5)
-            for y2 in range(5)
-        )
-        assert got[x] == direct
 
 
 def test_sigma_2_matches_pair_count():
