@@ -16,11 +16,13 @@ from fractions import Fraction
 import numpy as np
 
 from .checks import IneqCheck
-from .config import TOL, TUPLE_CELL_CAP
+from .config import TOL
 from .groups import (
     GroupFn,
     GroupSet,
+    _check_cell_cap,
     _exact_operands,
+    _require_same_group,
     check_nonempty,
     check_sign,
     diag_shift_size,
@@ -36,7 +38,8 @@ from .transform import kfold_convolve
 
 def correlation_counts(a: GroupSet, b: GroupSet) -> tuple[int, ...]:
     """(A ∘ B)(x) = |A ∩ (B - x)| for every x."""
-    return tuple(difference_counts(a.members, b.members, a.group.modulus).tolist())
+    n = _require_same_group(a, b).modulus
+    return tuple(difference_counts(a.members, b.members, n).tolist())
 
 
 def shift_spread_sizes(a: GroupSet, sign: str = "-") -> tuple[int, ...]:
@@ -51,14 +54,13 @@ def energy(a: GroupSet, b: GroupSet | None = None) -> int:
     """Additive energy: quadruples with a1 + b1 = a2 + b2, as sum_x (A∘B)(x)^2."""
     if b is None:
         return sum(v * v for v in a.autocorrelation.values)
-    if a.group != b.group:
-        raise ValueError("sets live on different moduli")
     return sum(v * v for v in correlation_counts(a, b))
 
 
 def energy_k(a: GroupSet, b: GroupSet | None = None, k: float = 2):
     """Higher energy: sum_x (A∘A)(x) (B∘B)(x)^(k-1); exact for integer k."""
     b = a if b is None else b
+    _require_same_group(a, b)
     if k < 1:
         raise ValueError("k must be >= 1")
     aa, bb = a.autocorrelation.values, b.autocorrelation.values
@@ -71,6 +73,7 @@ def energy_k(a: GroupSet, b: GroupSet | None = None, k: float = 2):
 def energy_k_shift_sum(a: GroupSet, b: GroupSet | None = None, k: int = 2) -> int:
     """Dual route for integer k: sum over (k-1)-tuples s of |B^A_s|^2."""
     b = a if b is None else b
+    _require_same_group(a, b)
     if k == 1:
         return len(a) ** 2
     _, cells = _shift_cells(b, a, k - 1)
@@ -160,9 +163,10 @@ def _shift_cells(a: GroupSet, b: GroupSet, k: int) -> tuple[np.ndarray, np.ndarr
     by |A| and |B|, not by N: row d is R[d, j] = 1_A(b_j + d), and a cell is
     the AND of the rows x_1, ..., x_k.
     """
-    n = a.group.modulus
-    if k < 1 or n ** k > TUPLE_CELL_CAP:
+    n = _require_same_group(a, b).modulus
+    if k < 1:
         raise ValueError("k out of range")
+    _check_cell_cap(n, k)
     bm = np.asarray(b.members, dtype=np.int64)
     shifts = np.flatnonzero(difference_counts(bm, a.members, n))
     rows = indicator_vector(a.members, n)[(bm[None, :] + shifts[:, None]) % n]
@@ -232,7 +236,7 @@ def check_weight_inequality(
     check_nonempty(a)
     if k not in (1, 2) or l not in (1, 2):
         raise ValueError("k, l must be 1 or 2")
-    qt = _weight_table(q, a.group, k)
+    qt = _weight_table(q, a, k)
     index, counts, spreads = _weight_cells(a, b, k, l, sign)
     qx = qt.table.ravel()[index].tolist()
     lin = sum(v * c for v, c in zip(qx, counts))
@@ -246,11 +250,12 @@ def check_weight_inequality(
     )
 
 
-def _weight_table(q, group, k: int) -> GroupFn:
-    """The weight as a table over Gr^k: a GroupFn or row-major values."""
+def _weight_table(q, a: GroupSet, k: int) -> GroupFn:
+    """The weight as a table over Gr^k, A's group: a GroupFn or row-major values."""
     if not isinstance(q, GroupFn):
-        q = GroupFn.of(group, q, k)
-    if q.group != group or q.arity != k:
+        q = GroupFn.of(a.group, q, k)
+    _require_same_group(a, q)
+    if q.arity != k:
         raise ValueError("weight must be a table over Gr^k")
     return q
 
@@ -348,9 +353,10 @@ def check_membership_identity(
     (2) sum_{s in Gr^l} E(A^k, Δ(A^B_s)) = E_(k+l+1)(B,A).
     """
     check_nonempty(a)
-    n = a.group.modulus
-    if min(k, l) < 1 or n ** (k + l) > TUPLE_CELL_CAP:
+    n = _require_same_group(a, b).modulus
+    if min(k, l) < 1:
         raise ValueError("k, l out of range for direct enumeration")
+    _check_cell_cap(n, k + l)
     # one build of the higher level: the level-j cell at (x_1, ..., x_j) is
     # the level-m cell at (x_1, ..., x_j, x_j, ..., x_j)
     m = max(k, l)

@@ -257,21 +257,17 @@ def coverage_scan(p_max: int, cap: int = 12) -> list[CoverageRow]:
     rows = []
     for fld, t in orders:
         gamma = subgroup(fld, t)
-        cur = indicator_vector(gamma.elements, fld.p)
-        ind = cur.astype(float)
+        ind = indicator_vector(gamma.elements, fld.p).astype(float)
         m_found = None
-        if cur.all():
-            m_found = 1
-        else:
-            support = ind
-            for m in range(2, cap + 1):
-                grown = _support_convolve(support, ind).astype(float)
-                if grown.all():
-                    m_found = m
-                    break
-                if grown.sum() == support.sum():
-                    break
-                support = grown
+        support = ind
+        for m in range(2, cap + 1):
+            grown = _support_convolve(support, ind).astype(float)
+            if grown.all():
+                m_found = m
+                break
+            if grown.sum() == support.sum():
+                break
+            support = grown
         rows.append(
             CoverageRow(
                 p=fld.p,
@@ -508,25 +504,19 @@ def longest_progression(gamma: MultSubgroup) -> tuple[int, int, int]:
                 if length > best[0]:
                     best = (length, x, d)
         return best
-    best = (1, gamma.elements[0], 1)
-    for xi in gamma.field.powers[:n].tolist():
-        coset = sorted((xi * e) % p for e in gamma.elements)
-        inset = bytearray(p)
-        for x in coset:
-            inset[x] = 1
-        run = 0
-        run_start = 0
-        for x in range(1, p):
-            if inset[x]:
-                if run == 0:
-                    run_start = x
-                run += 1
-                if run > best[0]:
-                    xi_inv = gamma.field.inv(xi)
-                    best = (run, (run_start * xi_inv) % p, xi_inv)
-            else:
-                run = 0
-    return best
+    # x lies in the coset g^i Gamma for i = dlog x mod n; a run of consecutive
+    # residues in that coset, times g^-i, is a progression of step g^-i in
+    # Gamma, and the first (coset, x) to reach the longest run gives it.  Some
+    # run has length 2: x = 1 / (c - 1) and x + 1 share a coset for c != 1 in Gamma.
+    fld = gamma.field
+    coset = fld.dlog % n  # entry x - 1: the coset of x
+    pos = np.arange(p - 1)
+    run = pos + 1 - np.maximum.accumulate(np.where(np.diff(coset, prepend=-1) != 0, pos, 0))
+    length = int(run.max())
+    ends = np.flatnonzero(run == length)
+    end = int(ends[np.argmin(coset[ends])])
+    step = fld.inv(int(fld.powers[coset[end]]))
+    return length, (end + 2 - length) * step % p, step
 
 
 def _progression_row(fld: PrimeField, t: int) -> ProgressionRow:

@@ -131,11 +131,12 @@ def check_nonempty(a: GroupSet) -> None:
         raise ValueError("A must be nonempty")
 
 
-def _require_same_group(*sets: GroupSet) -> CyclicGroup:
-    g = sets[0].group
-    for s in sets[1:]:
-        if s.group != g:
-            raise ValueError("sets live on different moduli")
+def _require_same_group(*operands) -> CyclicGroup:
+    """The one Z/N that every operand, a ``GroupSet`` or a ``GroupFn``,
+    lives on: the package's only same-modulus check."""
+    g = operands[0].group
+    if any(x.group != g for x in operands[1:]):
+        raise ValueError("operands live on different moduli")
     return g
 
 
@@ -188,6 +189,11 @@ INT64_MAX = 2 ** 63 - 1
 def _check_grid(n: int, k: int) -> None:
     if not 1 <= k <= 3:
         raise ValueError("arity must be in 1..3")
+    _check_cell_cap(n, k)
+
+
+def _check_cell_cap(n: int, k: int) -> None:
+    """Raise ValueError if Gr^k, for Gr = Z/n, has more than TUPLE_CELL_CAP points."""
     if n ** k > TUPLE_CELL_CAP:
         raise ValueError("N^k exceeds the dense tuple cap")
 
@@ -341,6 +347,7 @@ class GroupFn:
     def dot(self, *others: "GroupFn"):
         """sum over x in Gr^k of f(x) g_1(x) ... g_m(x), exact on integers;
         with no others, the sum of the table."""
+        _require_same_group(self, *others)
         if any(o.table.shape != self.table.shape for o in others):
             raise ValueError("tables live on different grids")
         arrays = _exact_operands([f.table for f in (self, *others)], self.table.size)
@@ -351,6 +358,7 @@ class GroupFn:
 
     def outer(self, other: "GroupFn") -> "GroupFn":
         """(x, y) -> f(x) g(y) on Gr^(k + k')."""
+        _require_same_group(self, other)
         f, g = _exact_operands((self.table, other.table), 1)
         return GroupFn(self.group, np.multiply.outer(f, g))
 

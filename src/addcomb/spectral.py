@@ -29,6 +29,7 @@ from .groups import (
     GroupFn,
     GroupSet,
     _exact_operands,
+    _require_same_group,
     check_nonempty,
     indicator,
     restricted_matrix,
@@ -68,8 +69,7 @@ def correlation_kernel(h: GroupFn) -> GroupFn:
 
 
 def build_restricted_operator(a: GroupSet, psi: GroupFn) -> SpectralOperator:
-    if a.group != psi.group:
-        raise ValueError("kernel and set live on different moduli")
+    _require_same_group(a, psi)
     check_nonempty(a)
     table = psi.table
     real = psi.kind != "complex"
@@ -190,14 +190,14 @@ def check_traces(op: SpectralOperator, spectrum: Spectrum) -> list[IneqCheck]:
 
 def triangle_sum(a: GroupSet, psi: GroupFn) -> int | float:
     """sum_{x,y,z in A} psi(x-y) psi(x-z) psi(y-z), exact for integer psi."""
-    if a.group != psi.group:
-        raise ValueError("kernel and set live on different moduli")
+    _require_same_group(a, psi)
     check_nonempty(a)
     return triple_product_sum(a, psi.table)
 
 
 def rayleigh_indicator(a: GroupSet, psi: GroupFn):
     """<T 1_A, 1_A> / |A| = |A|^-1 sum_x psi(x)(A∘A)(x), a lower bound for mu_0."""
+    _require_same_group(a, psi)
     check_nonempty(a)
     aa = a.autocorrelation.values
     s = sum(p * c for p, c in zip(psi.values, aa))
@@ -208,6 +208,7 @@ def rayleigh_indicator(a: GroupSet, psi: GroupFn):
 
 def check_triangle_inequality(a: GroupSet, h: GroupFn) -> IneqCheck:
     """Triple-product lower bounds for kernels psi = h ∘ h."""
+    _require_same_group(a, h)
     check_nonempty(a)
     psi = correlation_kernel(h)
     aa = a.autocorrelation.values
@@ -243,6 +244,7 @@ def cycle_sums(a: GroupSet, psi: GroupFn, ks) -> dict:
     of |A|^(K-1) products of K entries of M, and the traces, which add |A|
     more terms, are summed in Python ints.
     """
+    _require_same_group(a, psi)
     ks = sorted(set(ks))
     if not ks or ks[0] < 1:
         raise ValueError("cycle lengths must be >= 1")
@@ -262,6 +264,7 @@ def check_cycle_sums(
 ) -> list[IneqCheck]:
     """Closed-cycle sums for k = 3, 4, 5 from one ``cycle_sums`` chain: each
     at least Rayleigh^k and, given the spectrum, equal to sum_j mu_j^k."""
+    _require_same_group(a, h)
     psi = correlation_kernel(h)
     ray = rayleigh_indicator(a, psi)
     out = []
@@ -332,7 +335,8 @@ def first_eigenfunction_bounds(a: GroupSet, h: GroupFn) -> EigBoundReport:
     can be taken nonnegative.  A zero top eigenvalue skips the bounds that
     divide by it and flags the report as degenerate.
     """
-    psi = correlation_kernel(h)  # rejects a complex h first
+    _require_same_group(a, h)
+    psi = correlation_kernel(h)  # rejects a complex h next
     if any(v < 0 for v in h.values):
         raise ValueError("kernel factor must be nonnegative")
     op = build_restricted_operator(a, psi)

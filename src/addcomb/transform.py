@@ -25,19 +25,15 @@ import numpy as np
 
 from .checks import IneqCheck
 from .config import TOL
-from .groups import CyclicGroup, GroupFn, _exact_operands
+from .groups import CyclicGroup, GroupFn, _exact_operands, _require_same_group
 
 
 def _same_group(*fns) -> CyclicGroup:
     """The one Z/N that every function lives on; tables over Gr^k, k > 1,
     are refused."""
-    g = fns[0].group
-    for f in fns:
-        if f.arity != 1:
-            raise ValueError("expected functions on Z/N, got a table over Gr^k")
-        if f.group != g:
-            raise ValueError("functions live on different moduli")
-    return g
+    if any(f.arity != 1 for f in fns):
+        raise ValueError("expected functions on Z/N, got a table over Gr^k")
+    return _require_same_group(*fns)
 
 
 def dft(f: GroupFn) -> GroupFn:

@@ -202,12 +202,7 @@ def random_complex_fn(rng: random.Random, group: CyclicGroup) -> GroupFn:
 
 
 def additive_subgroups(group: CyclicGroup) -> list[GroupSet]:
-    n = group.modulus
-    out = []
-    for d in range(1, n + 1):
-        if n % d == 0:
-            out.append(GroupSet.of(group, range(0, n, d)))
-    return out
+    return [GroupSet.of(group, range(0, group.modulus, d)) for d in divisors(group.modulus)]
 
 
 def _fn_payload(f: GroupFn):

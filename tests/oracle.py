@@ -151,6 +151,57 @@ def longest_ap_naive(members, p):
     return best
 
 
+def longest_progression_loop(gamma):
+    """(length, start, step) of the longest progression inside the subgroup,
+    by the direct loops: every start/step pair for tiny subgroups, else a
+    walk over all p residues of each coset rebuilt as a set."""
+    p = gamma.field.p
+    t = gamma.order
+    n = gamma.index
+    if t == 1:
+        return 1, gamma.elements[0], 1
+    if t == p - 1:
+        return p - 1, 1, 1
+    mem = gamma.as_set.member_set
+    if t * t * max(4, t // 2) < n * p:
+        best = (1, gamma.elements[0], 1)
+        for x in gamma.elements:
+            for y in gamma.elements:
+                if x == y:
+                    continue
+                d = (y - x) % p
+                # extend forward from x; skip non-maximal starts
+                if (x - d) % p in mem:
+                    continue
+                length = 1
+                cur = x
+                while (cur + d) % p in mem:
+                    cur = (cur + d) % p
+                    length += 1
+                if length > best[0]:
+                    best = (length, x, d)
+        return best
+    best = (1, gamma.elements[0], 1)
+    for xi in gamma.field.powers[:n].tolist():
+        coset = sorted((xi * e) % p for e in gamma.elements)
+        inset = bytearray(p)
+        for x in coset:
+            inset[x] = 1
+        run = 0
+        run_start = 0
+        for x in range(1, p):
+            if inset[x]:
+                if run == 0:
+                    run_start = x
+                run += 1
+                if run > best[0]:
+                    xi_inv = gamma.field.inv(xi)
+                    best = (run, (run_start * xi_inv) % p, xi_inv)
+            else:
+                run = 0
+    return best
+
+
 # --- set-enumeration oracles for the counting kernels ----------------------
 # Each works on plain Python sets of residues; the pair-difference forms cost
 # O(|A|^2) or so, so they stay cheap for sparse sets at large moduli.

@@ -35,6 +35,7 @@ from oracle import (
     fourier_max_fft,
     fourier_max_fsum,
     longest_ap_naive,
+    longest_progression_loop,
     mult_tuple_energy,
     quadruple_energy,
     subgroup_row_recount,
@@ -351,6 +352,16 @@ def test_longest_progression_examples():
         g = subgroup(fld, t)
         got = longest_progression(g)[0]
         assert got == longest_ap_naive(list(g.elements), 31)
+
+
+def test_longest_progression_matches_the_loop():
+    """The one-pass coset scan returns the direct loops' (length, start,
+    step), tie-break included, on every subgroup of every p <= 600."""
+    for p in primes_up_to(600)[1:]:
+        fld = make_field(p)
+        for t in divisors(p - 1):
+            g = subgroup(fld, t)
+            assert longest_progression(g) == longest_progression_loop(g), (p, t)
 
 
 def test_progression_shape_guard_near_full_subgroup():

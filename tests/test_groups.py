@@ -376,6 +376,24 @@ def test_one_int64_rule_lives_in_groups():
     assert offenders == []
 
 
+def test_one_modulus_rule_lives_in_groups():
+    """groups._require_same_group is the only same-modulus check and
+    groups._check_cell_cap the only comparison with the Gr^k cell cap: no
+    other module compares the groups of two operands, and only config
+    and groups name the cap."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "addcomb"
+    modules = sorted(src.glob("*.py"))
+    assert any(p.name == "groups.py" for p in modules)
+    offenders = [
+        f"{p.name}: {mark}"
+        for p in modules
+        for mark, home in ((".group !=", {"groups.py"}), (".group ==", {"groups.py"}),
+                           ("TUPLE_CELL_CAP", {"config.py", "groups.py"}))
+        if p.name not in home and mark in p.read_text()
+    ]
+    assert offenders == []
+
+
 def test_value_kind_is_decided_only_in_groups():
     """groups._value_table is the only place that decides whether values
     are int, real or complex: every other module reads ``.kind`` or
