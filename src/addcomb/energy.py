@@ -1,7 +1,9 @@
 """Additive energies, higher moments, and shifted-intersection inequalities.
 
-All counts are exact integers; quotient inequalities use exact rationals,
-each sum of quotients one Fraction over the lcm of its denominators.
+E(A, B) = sum_x (A∘A)(x) (B∘B)(x), and E_k(A, B) raises the B factor to
+the power k - 1 for integer k >= 1.  All counts are exact integers;
+quotient inequalities use exact rationals, each sum of quotients one
+Fraction over the lcm of its denominators.
 Terms indexed by an empty intersection A_x = ∅ are dropped: their
 numerators vanish, so they contribute nothing to either side.  A set's
 shift profile for each k (its nonempty cells A_x, x in Gr^k, their sizes
@@ -20,7 +22,8 @@ from .config import TOL
 from .groups import (
     GroupFn,
     GroupSet,
-    _check_cell_cap,
+    _check_cells,
+    _check_grid,
     _exact_operands,
     _require_same_group,
     check_nonempty,
@@ -44,30 +47,26 @@ def correlation_counts(a: GroupSet, b: GroupSet) -> tuple[int, ...]:
 
 def shift_spread_sizes(a: GroupSet, sign: str = "-") -> tuple[int, ...]:
     """|A ∓ A_x| for every x (0 where A_x is empty), from A's shift profile."""
-    index, _, spreads = _weight_cells(a, a, 1, 1, sign)
+    coords, _, spreads = _weight_cells(a, a, 1, 1, sign)
     out = np.zeros(a.group.modulus, dtype=np.int64)
-    out[index] = spreads
+    out[coords[:, 0]] = spreads
     return tuple(out.tolist())
 
 
 def energy(a: GroupSet, b: GroupSet | None = None) -> int:
-    """Additive energy: quadruples with a1 + b1 = a2 + b2, as sum_x (A∘B)(x)^2."""
-    if b is None:
-        return sum(v * v for v in a.autocorrelation.values)
-    return sum(v * v for v in correlation_counts(a, b))
+    """Additive energy E(A, B): quadruples with a1 + b1 = a2 + b2, which
+    is E_2(A, B) = sum_x (A∘A)(x) (B∘B)(x)."""
+    return energy_k(a, b, 2)
 
 
-def energy_k(a: GroupSet, b: GroupSet | None = None, k: float = 2):
-    """Higher energy: sum_x (A∘A)(x) (B∘B)(x)^(k-1); exact for integer k."""
+def energy_k(a: GroupSet, b: GroupSet | None = None, k: int = 2) -> int:
+    """Higher energy E_k(A, B) = sum_x (A∘A)(x) (B∘B)(x)^(k-1), integer k >= 1."""
     b = a if b is None else b
     _require_same_group(a, b)
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not isinstance(k, int) or k < 1:
+        raise ValueError("k must be an integer >= 1")
     aa, bb = a.autocorrelation.values, b.autocorrelation.values
-    if isinstance(k, int) or float(k).is_integer():
-        k = int(k)
-        return sum(u * v ** (k - 1) for u, v in zip(aa, bb))
-    return float(sum(u * float(v) ** (k - 1) for u, v in zip(aa, bb) if v))
+    return sum(u * v ** (k - 1) for u, v in zip(aa, bb))
 
 
 def energy_k_shift_sum(a: GroupSet, b: GroupSet | None = None, k: int = 2) -> int:
@@ -97,10 +96,10 @@ def check_katz_koester(a: GroupSet, sign: str = "+") -> list[IneqCheck]:
     """|(A±A) ∩ (A±A - x)| >= |A ± A_x| for every x with A_x nonempty."""
     check_nonempty(a)
     lhs = sumset(a, a, sign).autocorrelation.values
-    index, _, spreads = _weight_cells(a, a, 1, 1, sign)
+    coords, _, spreads = _weight_cells(a, a, 1, 1, sign)
     return [
         IneqCheck.from_ge(f"katz-koester{sign}", lhs[x], d, 0.0, {"x": x})
-        for x, d in zip(index, spreads)
+        for x, d in zip(coords[:, 0].tolist(), spreads)
     ]
 
 
@@ -130,10 +129,12 @@ def check_heart_triple(a: GroupSet) -> IneqCheck:
 
 def weight_counts(a: GroupSet, b: GroupSet, k: int) -> GroupFn:
     """|A^B_x| = |B ∩ (A-x_1) ∩ ... ∩ (A-x_k)| for every x in Gr^k."""
-    index, cells = _shift_cells(a, b, k)
-    out = np.zeros(a.group.modulus ** k, dtype=np.int64)
-    out[index] = cells.sum(1)
-    return GroupFn(a.group, out.reshape((a.group.modulus,) * k))
+    n = a.group.modulus
+    _check_grid(n, k)
+    coords, cells = _shift_cells(a, b, k)
+    out = np.zeros((n,) * k, dtype=np.int64)
+    out[tuple(coords.T)] = cells.sum(1)
+    return GroupFn(a.group, out)
 
 
 _HIT_BLOCK = 1 << 18  # entries of x @ y per float64 block in _hits
@@ -155,27 +156,28 @@ def _hits(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _shift_cells(a: GroupSet, b: GroupSet, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The nonempty cells A^B_x, x in Gr^k, as (index, cells): ``index``
-    holds the row-major flat index of each such x, ascending, and row i of
-    the boolean matrix ``cells`` is the cell at ``index[i]`` over B's members.
+    """The nonempty cells A^B_x, x in Gr^k, as (coords, cells): row i of
+    the int64 array ``coords`` is the i-th such x in row-major order, and
+    row i of the boolean matrix ``cells`` is its cell over B's members.
 
     Only d in A - B gives a nonempty B ∩ (A - d), so the matrices are sized
-    by |A| and |B|, not by N: row d is R[d, j] = 1_A(b_j + d), and a cell is
-    the AND of the rows x_1, ..., x_k.
+    by |A| and |B|, not by N: row d is R[d, j] = 1_A(b_j + d), a cell is
+    the AND of the rows x_1, ..., x_k, and the cap counts the |A - B|^k
+    candidate cells.
     """
     n = _require_same_group(a, b).modulus
     if k < 1:
         raise ValueError("k out of range")
-    _check_cell_cap(n, k)
     bm = np.asarray(b.members, dtype=np.int64)
     shifts = np.flatnonzero(difference_counts(bm, a.members, n))
+    _check_cells(len(shifts) ** k)
     rows = indicator_vector(a.members, n)[(bm[None, :] + shifts[:, None]) % n]
-    index, cells = shifts, rows
+    coords, cells = shifts[:, None], rows
     for _ in range(k - 1):
         i, j = np.nonzero(_hits(cells, rows.T))
-        index = index[i] * n + shifts[j]
+        coords = np.column_stack((coords[i], shifts[j]))
         cells = cells[i] & rows[j]
-    return index, cells
+    return coords, cells
 
 
 def _spreads(a: GroupSet, b: GroupSet, cells: np.ndarray, l: int, sign: str) -> list[int]:
@@ -198,8 +200,8 @@ def _spreads(a: GroupSet, b: GroupSet, cells: np.ndarray, l: int, sign: str) -> 
 
 
 def _weight_cells(a: GroupSet, b: GroupSet, k: int, l: int, sign: str):
-    """Lists of i, |A^B_x| and |A^l ∓ Δ_l(A^B_x)| for the i-th x of Gr^k
-    in row-major order, over each x with A^B_x nonempty.
+    """The x of Gr^k with A^B_x nonempty, as the rows of an int64 array
+    in row-major order, and the lists of |A^B_x| and |A^l ∓ Δ_l(A^B_x)|.
 
     Empty cells are skipped: every sum over x in the weight bounds has a
     factor |A^B_x| or |A^l ∓ Δ_l(A^B_x)| that vanishes there.  For B = A
@@ -210,12 +212,12 @@ def _weight_cells(a: GroupSet, b: GroupSet, k: int, l: int, sign: str):
     if l == 1 and b == a:
         profiles = a._shift_profiles
         if k not in profiles:
-            index, cells = _shift_cells(a, a, k)
-            index, counts = index.tolist(), cells.sum(1).tolist()
-            profiles[k] = {s: (index, counts, _spreads(a, a, cells, 1, s)) for s in "+-"}
+            coords, cells = _shift_cells(a, a, k)
+            counts = cells.sum(1).tolist()
+            profiles[k] = {s: (coords, counts, _spreads(a, a, cells, 1, s)) for s in "+-"}
         return profiles[k][sign]
-    index, cells = _shift_cells(a, b, k)
-    return index.tolist(), cells.sum(1).tolist(), _spreads(a, b, cells, l, sign)
+    coords, cells = _shift_cells(a, b, k)
+    return coords, cells.sum(1).tolist(), _spreads(a, b, cells, l, sign)
 
 
 def check_weight_inequality(
@@ -231,14 +233,15 @@ def check_weight_inequality(
     |A|^(2l) |sum_x q(x) |A^B_x||^2
         <= E_(k+l+1)(B,A) * sum_x |A^l ∓ Δ_l(A^B_x)| |q(x)|^2,
 
-    with x ranging over Gr^k.  Exact when q is integer-valued.
+    with x ranging over Gr^k and q a GroupFn over Gr^k.  Exact when q is
+    integer-valued.
     """
     check_nonempty(a)
     if k not in (1, 2) or l not in (1, 2):
         raise ValueError("k, l must be 1 or 2")
     qt = _weight_table(q, a, k)
-    index, counts, spreads = _weight_cells(a, b, k, l, sign)
-    qx = qt.table.ravel()[index].tolist()
+    coords, counts, spreads = _weight_cells(a, b, k, l, sign)
+    qx = qt.table[tuple(coords.T)].tolist()
     lin = sum(v * c for v, c in zip(qx, counts))
     quad = sum(d * abs(v) ** 2 for v, d in zip(qx, spreads))
     lhs = len(a) ** (2 * l) * abs(lin) ** 2
@@ -251,9 +254,9 @@ def check_weight_inequality(
 
 
 def _weight_table(q, a: GroupSet, k: int) -> GroupFn:
-    """The weight as a table over Gr^k, A's group: a GroupFn or row-major values."""
+    """The weight, a GroupFn over Gr^k on A's group."""
     if not isinstance(q, GroupFn):
-        q = GroupFn.of(a.group, q, k)
+        raise TypeError("weight must be a GroupFn")
     _require_same_group(a, q)
     if q.arity != k:
         raise ValueError("weight must be a table over Gr^k")
@@ -353,17 +356,14 @@ def check_membership_identity(
     (2) sum_{s in Gr^l} E(A^k, Δ(A^B_s)) = E_(k+l+1)(B,A).
     """
     check_nonempty(a)
-    n = _require_same_group(a, b).modulus
     if min(k, l) < 1:
         raise ValueError("k, l out of range for direct enumeration")
-    _check_cell_cap(n, k + l)
     # one build of the higher level: the level-j cell at (x_1, ..., x_j) is
     # the level-m cell at (x_1, ..., x_j, x_j, ..., x_j)
-    m = max(k, l)
-    index, cells = _shift_cells(a, b, m)
-    x = np.unravel_index(index, (n,) * m)
-    cells_k, cells_l = (cells[np.ptp(x[j - 1:], axis=0) == 0] for j in (k, l))
+    coords, cells = _shift_cells(a, b, max(k, l))
+    cells_k, cells_l = (cells[np.ptp(coords[:, j - 1:], axis=1) == 0] for j in (k, l))
     # empty cells have count 0 and size 0: only the nonempty ones can differ
+    _check_cells(len(cells_k) * len(cells_l))
     counts = _hits(cells_k, cells_l.T).sum(1)
     sizes = np.asarray(_spreads(a, b, cells_k, l, "-"), dtype=np.int64)
     worst = int(np.abs(counts - sizes).max(initial=0))

@@ -38,9 +38,6 @@ class CyclicGroup:
     def elements(self) -> range:
         return range(self.modulus)
 
-    def __repr__(self) -> str:
-        return f"Z/{self.modulus}"
-
 
 @dataclass(frozen=True)
 class GroupSet:
@@ -187,15 +184,17 @@ INT64_MAX = 2 ** 63 - 1
 
 
 def _check_grid(n: int, k: int) -> None:
+    """Raise ValueError unless a dense table over (Z/n)^k, 1 <= k <= 3, fits the cap."""
     if not 1 <= k <= 3:
         raise ValueError("arity must be in 1..3")
-    _check_cell_cap(n, k)
+    _check_cells(n ** k)
 
 
-def _check_cell_cap(n: int, k: int) -> None:
-    """Raise ValueError if Gr^k, for Gr = Z/n, has more than TUPLE_CELL_CAP points."""
-    if n ** k > TUPLE_CELL_CAP:
-        raise ValueError("N^k exceeds the dense tuple cap")
+def _check_cells(count: int) -> None:
+    """Raise ValueError if a table or enumeration would build more than
+    TUPLE_CELL_CAP cells."""
+    if count > TUPLE_CELL_CAP:
+        raise ValueError("cell count exceeds the dense tuple cap")
 
 
 def _exact_operands(tables: Sequence[np.ndarray], terms: int) -> list[np.ndarray]:
@@ -266,8 +265,9 @@ class GroupFn:
     array read-only: the caller gives it up, and the table cannot drift from
     the cached ``values``.  Anything else (nested values, or an array of
     another dtype) goes through ``_value_table``.  Everything handed out
-    (``values``, ``__call__``, ``dot``) is a Python scalar.  Equality is
-    identity; compare ``values`` to compare functions.
+    (``values``, ``dot``) is a Python scalar; read one value as
+    ``table.item(x)``.  Equality is identity; compare ``values`` to compare
+    functions.
     """
 
     group: CyclicGroup
@@ -282,11 +282,6 @@ class GroupFn:
             raise ValueError("table shape must be (N,)*k")
         t.flags.writeable = False
         object.__setattr__(self, "table", t)
-
-    @classmethod
-    def of(cls, group: CyclicGroup, values, arity: int) -> "GroupFn":
-        """Table from row-major flat values of the given arity."""
-        return cls(group, _value_table(values).reshape((group.modulus,) * arity))
 
     @classmethod
     def delta(cls, group: CyclicGroup, at: int = 0, height=1) -> "GroupFn":
@@ -323,12 +318,6 @@ class GroupFn:
         from .transform import correlate
 
         return correlate(self, self)
-
-    def __call__(self, *xs: int):
-        if len(xs) != self.arity:
-            raise ValueError("wrong number of arguments")
-        n = self.group.modulus
-        return self.table.item(tuple(x % n for x in xs))
 
     def __len__(self) -> int:
         return self.group.modulus

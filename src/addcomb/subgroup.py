@@ -187,9 +187,6 @@ class MultSubgroup:
         table.flags.writeable = False
         return table
 
-    def __len__(self) -> int:
-        return self.order
-
 
 def subgroup(field: PrimeField, t: int) -> MultSubgroup:
     return MultSubgroup(field, t)
@@ -312,9 +309,6 @@ class MuTable:
 
     kernel: GroupFn
     values: tuple  # mu_alpha for alpha in [t]
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def mu_alpha_direct(gamma: MultSubgroup, g: GroupFn) -> MuTable:

@@ -28,6 +28,8 @@ from .energy import (
     check_level_thresholds,
     check_membership_identity,
     check_weight_inequality,
+    energy,
+    energy_k,
 )
 from .experiments import divisors
 from .groups import CyclicGroup, GroupFn, GroupSet
@@ -38,6 +40,7 @@ from .spectral import (
     correlation_kernel,
     eigendecompose,
     first_eigenfunction_bounds,
+    triangle_sum,
 )
 from .subgroup import (
     MultSubgroup,
@@ -216,6 +219,7 @@ def _fn_payload(f: GroupFn):
 # ---------------------------------------------------------------------------
 
 _IDENTITY_SIZES = (5, 7, 16)
+_INEQUALITY_MODULUS = 32  # the inequality suite's Z/N
 
 
 def _rel_err(approx, exact) -> float:
@@ -380,17 +384,17 @@ def _conv_power_discrepancy(fs, l: int) -> int:
 _SPECTRAL_EVERY = 20  # every this many random trials also diagonalize h ∘ h on A
 
 
-def run_inequality_suite(seed: int = 1, trials: int = 1000, modulus: int = 32) -> CheckSuite:
+def run_inequality_suite(seed: int = 1, trials: int = 1000) -> CheckSuite:
     """Shifted-intersection and kernel inequalities on random subsets plus
     additive-subgroup equality cases (those must have exactly zero slack on
     every exact-arithmetic check)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     suite = CheckSuite(
-        "inequalities", {"seed": seed, "trials": trials, "modulus": modulus}
+        "inequalities", {"seed": seed, "trials": trials, "modulus": _INEQUALITY_MODULUS}
     )
     rng = random.Random(seed)
-    group = CyclicGroup(modulus)
+    group = CyclicGroup(_INEQUALITY_MODULUS)
     t0 = time.monotonic()
     densities = [0.1 + 0.8 * i / 8 for i in range(9)]
     try:
@@ -569,8 +573,6 @@ def run_subgroup_suite(p_list, seed: int = 1) -> CheckSuite:
 
 
 def _golden_instance(suite, gamma, g, inst) -> None:
-    from .energy import energy, energy_k
-
     gs = gamma.as_set
     suite.record(
         IneqCheck.from_identity("golden-energy", energy(gs) - 15), inst
@@ -584,8 +586,6 @@ def _golden_instance(suite, gamma, g, inst) -> None:
     eigs = sorted(eigendecompose(build_restricted_operator(gs, g)).eigenvalues)
     err = max(abs(a - b) for a, b in zip(eigs, [2.0, 2.0, 5.0]))
     suite.record(IneqCheck.from_identity("golden-spectrum", err, TOL.spectrum_rel), inst)
-    from .spectral import triangle_sum
-
     suite.record(
         IneqCheck.from_identity("golden-triangle", triangle_sum(gs, g) - 141), inst
     )

@@ -310,11 +310,12 @@ def weight_inequality_sides(a, b, q, n, sign):
     return len(a) ** 2 * lin * lin, sum(u * v * v for u, v in zip(rb, ra)) * quad
 
 
-def weight_cells_naive(a, b, k, n, sign):
-    """{x: (|A^B_x|, |A ∓ A^B_x|)} over x in (Z/n)^k, keys in row-major
-    order, with A^B_x = B ∩ (A - x_1) ∩ ... ∩ (A - x_k)."""
+def weight_cells_naive(a, b, k, n, sign, shifts=None):
+    """{x: (|A^B_x|, |A ∓ A^B_x|)} over x in (Z/n)^k, or over x in
+    shifts^k when shifts is given, keys in row-major order, with
+    A^B_x = B ∩ (A - x_1) ∩ ... ∩ (A - x_k)."""
     out = {}
-    for xs in itertools.product(range(n), repeat=k):
+    for xs in itertools.product(range(n) if shifts is None else shifts, repeat=k):
         cell = shifted_intersection(a, b, xs, "-" * k, n)
         out[xs] = (len(cell), len(sumset_naive(a, cell, n, sign)))
     return out

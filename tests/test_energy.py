@@ -2,6 +2,7 @@ import importlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from addcomb.energy import (
@@ -101,12 +102,12 @@ def test_energy_k_cross_set():
     assert energy_k(a, b, 2) == energy_k_shift_sum(a, b, 2)
 
 
-def test_energy_k_float_exponent():
+def test_energy_k_refuses_non_integer_k():
     a = gset(7, [1, 2, 4])
-    val = energy_k(a, k=2.5)
-    aa = correlation_counts(a, a)
-    expect = sum(u * float(v) ** 1.5 for u, v in zip(aa, aa) if v)
-    assert abs(val - expect) <= 1e-12 * expect
+    for k in (2.5, 3.0, 0, -1):
+        with pytest.raises(ValueError, match="^k must be an integer >= 1$"):
+            energy_k(a, k=k)
+    assert energy(a, a) == energy_k(a, a, 2) == 15
 
 
 def test_t_k_and_sigma_k():
@@ -169,7 +170,7 @@ def test_heart_triple_matches_definition():
 
 def test_weight_inequality_zero_weight():
     a = gset(5, [0, 1])
-    c = check_weight_inequality(a, a, [0] * 5, 1, 1, "-")
+    c = check_weight_inequality(a, a, GroupFn(a.group, [0] * 5), 1, 1, "-")
     assert c.lhs == 0 and c.passed
 
 
@@ -179,14 +180,14 @@ def test_weight_inequality_random():
     for _ in range(30):
         a = rand_set(rng, 16)
         b = rand_set(rng, 16)
-        q = [rng.randint(-3, 3) for _ in range(16)]
+        q = GroupFn(g, [rng.randint(-3, 3) for _ in range(16)])
         for sign in "+-":
             assert check_weight_inequality(a, b, q, 1, 1, sign).passed
     for _ in range(5):
         a = rand_set(rng, 16)
         b = rand_set(rng, 16)
-        q2 = [rng.randint(-2, 2) for _ in range(16 * 16)]
-        q1 = [rng.randint(-2, 2) for _ in range(16)]
+        q2 = GroupFn(g, np.array([rng.randint(-2, 2) for _ in range(16 * 16)]).reshape(16, 16))
+        q1 = GroupFn(g, [rng.randint(-2, 2) for _ in range(16)])
         for sign in "+-":
             assert check_weight_inequality(a, b, q2, 2, 1, sign).passed
             assert check_weight_inequality(a, b, q1, 1, 2, sign).passed
@@ -195,23 +196,25 @@ def test_weight_inequality_random():
 def test_weight_inequality_complex_weight():
     rng = random.Random(7)
     a = rand_set(rng, 12)
-    q = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(12)]
+    q = GroupFn(a.group, [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(12)])
     assert check_weight_inequality(a, a, q, 1, 1, "-").passed
 
 
 def test_weight_inequality_real_weight_keeps_a_tolerance():
     """A real, non-integer weight is a float64 table, not an exact one: the
     check keeps a nonzero tolerance, as for a complex weight.  An integer
-    weight, given as values or as a GroupFn, stays exact with tol 0."""
+    weight stays exact with tol 0.  A weight must be a GroupFn: plain
+    values are refused."""
     rng = random.Random(8)
     a = rand_set(rng, 12)
-    q = [rng.choice((0.5, 0.25, -0.75)) for _ in range(12)]
+    q = GroupFn(a.group, [rng.choice((0.5, 0.25, -0.75)) for _ in range(12)])
     c = check_weight_inequality(a, a, q, 1, 1, "-")
     assert c.passed and c.tol > 0 and isinstance(c.lhs, float)
     qi = GroupFn(a.group, tuple(rng.randint(-3, 3) for _ in range(12)))
-    for weight in (qi, list(qi.values)):
-        c = check_weight_inequality(a, a, weight, 1, 1, "+")
-        assert c.passed and c.tol == 0 and isinstance(c.lhs, int)
+    c = check_weight_inequality(a, a, qi, 1, 1, "+")
+    assert c.passed and c.tol == 0 and isinstance(c.lhs, int)
+    with pytest.raises(TypeError, match="^weight must be a GroupFn$"):
+        check_weight_inequality(a, a, list(qi.values), 1, 1, "+")
 
 
 def test_energy_weight_specializations():
@@ -263,8 +266,8 @@ def test_level_thresholds_at_equality():
     a = gset(32, range(0, 32, 4))
     planted = [0] * 32
     planted[::4] = [4, 3, 5, 4, 4, 3, 6, 4]
-    index = list(a.members)
-    a._shift_profiles[1] = {s: (index, [8] * 8, planted[::4]) for s in "+-"}
+    coords = np.array(a.members)[:, None]
+    a._shift_profiles[1] = {s: (coords, [8] * 8, planted[::4]) for s in "+-"}
     for sign in "+-":
         levels = {c.name: c for c in check_level_thresholds(a, sign)}
         big = oracle.level_threshold_sums(a.members, 32, sign, planted)
@@ -343,8 +346,8 @@ def test_bad_signs_rejected_before_any_work(sign):
         lambda: check_ap_bound(a, 2, 2, sign),
         lambda: check_energy_weight_a(a, None, 1, 1, sign),
         lambda: check_energy_weight_b(a, None, 1, 1, sign),
-        lambda: check_weight_inequality(a, a, [1] * 11, 1, 1, sign),
-        lambda: check_weight_inequality(a, a, [1] * 121, 2, 1, sign),
+        lambda: check_weight_inequality(a, a, GroupFn(a.group, [1] * 11), 1, 1, sign),
+        lambda: check_weight_inequality(a, a, GroupFn(a.group, np.ones((11, 11), dtype=np.int64)), 2, 1, sign),
         lambda: sumset(a, a, sign),
         lambda: diag_shift_size(a, a, 2, sign),
         lambda: tuple_sumset_with_diagonal([a, a], a, sign),
@@ -361,7 +364,7 @@ EMPTY_A_CHECKS = {
     "check_katz_koester": lambda e, b, h, psi: check_katz_koester(e, "+"),
     "check_heart": lambda e, b, h, psi: check_heart(e, "-"),
     "check_heart_triple": lambda e, b, h, psi: check_heart_triple(e),
-    "check_weight_inequality": lambda e, b, h, psi: check_weight_inequality(e, b, [1] * 8),
+    "check_weight_inequality": lambda e, b, h, psi: check_weight_inequality(e, b, h),
     "check_energy_weight_a": lambda e, b, h, psi: check_energy_weight_a(e, b),
     "check_energy_weight_b": lambda e, b, h, psi: check_energy_weight_b(e, b),
     "check_level_thresholds": lambda e, b, h, psi: check_level_thresholds(e, "-"),
@@ -406,7 +409,7 @@ def test_spread_cache_interleaved_signs_and_moduli():
         n = rng.choice((8, 13, 32))
         a = rand_set(rng, n, rng.uniform(0.1, 0.9))
         copy = GroupSet.of(a.group, a.members)
-        q = [rng.randint(-3, 3) for _ in range(n)]
+        q = GroupFn(a.group, [rng.randint(-3, 3) for _ in range(n)])
         for sign in "+-+":
             assert (check_heart(a, sign).lhs, check_heart(a, sign).rhs) == oracle.heart_sides(
                 a.members, n, sign
@@ -420,7 +423,7 @@ def test_spread_cache_interleaved_signs_and_moduli():
                 assert (wb.lhs, wb.rhs) == oracle.energy_weight_b_sides(a.members, b.members, n, sign)
                 wq = check_weight_inequality(a, b, q, 1, 1, sign)
                 assert (wq.lhs, wq.rhs) == oracle.weight_inequality_sides(
-                    a.members, b.members, q, n, sign
+                    a.members, b.members, q.values, n, sign
                 )
                 assert all(type(v) in (int, Fraction) for v in (wb.lhs, wb.rhs, wq.lhs, wq.rhs))
         assert copy._shift_profiles == {}  # an equal B reads A's cache
@@ -436,6 +439,7 @@ def test_k2_shift_profile_signs_and_zero_weights(monkeypatch):
     a = rand_set(rng, n)
     copy = GroupSet.of(a.group, a.members)
     q = [rng.randint(-2, 2) for _ in range(n * n)]
+    weight = GroupFn(a.group, np.array(q).reshape(n, n))
     cells = {s: list(oracle.weight_cells_naive(a.members, a.members, 2, n, s).values())
              for s in "+-"}
     assert any(c and not w for w, (c, _) in zip(q, cells["-"]))
@@ -449,7 +453,7 @@ def test_k2_shift_profile_signs_and_zero_weights(monkeypatch):
         lin = sum(w * c for w, (c, _) in zip(q, cells[sign]))
         quad = sum(w * w * d for w, (_, d) in zip(q, cells[sign]))
         for b in (a, copy):
-            c = check_weight_inequality(a, b, q, 2, 1, sign)
+            c = check_weight_inequality(a, b, weight, 2, 1, sign)
             assert (c.lhs, c.rhs) == (len(a) ** 2 * lin * lin, e4 * quad)
     assert builds == [(a, a, 2)]
     assert list(a._shift_profiles) == [2] and sorted(a._shift_profiles[2]) == ["+", "-"]

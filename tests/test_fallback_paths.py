@@ -13,6 +13,8 @@ several row blocks of the pair-count kernel.
 import importlib
 import random
 
+import numpy as np
+
 from addcomb import groups
 from addcomb.energy import (
     correlation_counts,
@@ -21,7 +23,7 @@ from addcomb.energy import (
     weight_counts,
 )
 from addcomb.experiments import autocorrelation_np, sumset_size_np
-from addcomb.groups import CyclicGroup, GroupSet, intersect_shifts, sumset
+from addcomb.groups import CyclicGroup, GroupFn, GroupSet, intersect_shifts, sumset
 
 import oracle
 
@@ -138,11 +140,11 @@ def test_fast_and_slow_checks_match():
     qrng = random.Random(5)
     for n, a, b, _ in instances(4, 3):
         # about a fifth of the weights are 0: those cells must be skipped
-        q = [qrng.randint(-2, 2) for _ in range(n)]
+        q = GroupFn(a.group, [qrng.randint(-2, 2) for _ in range(n)])
         for sign in "+-":
             wq = energy_mod.check_weight_inequality(a, b, q, 1, 1, sign)
             assert (wq.lhs, wq.rhs) == oracle.weight_inequality_sides(
-                a.members, b.members, q, n, sign
+                a.members, b.members, q.values, n, sign
             )
             heart = energy_mod.check_heart(a, sign)
             assert (heart.lhs, heart.rhs) == oracle.heart_sides(a.members, n, sign)
@@ -183,11 +185,12 @@ def test_weight_cells_match_set_enumeration():
         for x, y in pairs:
             q = [rng.randint(-2, 2) for _ in range(n ** k)]
             assert 0 in q
+            weight = GroupFn(g, np.array(q).reshape((n,) * k))
             for sign in "+-":
                 cells = oracle.weight_cells_naive(x.members, y.members, k, n, sign)
                 assert weight_counts(x, y, k).flat == tuple(c for c, _ in cells.values())
                 want_q, want_a = weight_sides(x, y, q, k, n, sign)
-                wq = energy_mod.check_weight_inequality(x, y, q, k, 1, sign)
+                wq = energy_mod.check_weight_inequality(x, y, weight, k, 1, sign)
                 assert (wq.lhs, wq.rhs) == want_q
                 wa = energy_mod.check_energy_weight_a(x, y, k, 1, sign)
                 assert (wa.lhs, wa.rhs) == want_a
@@ -200,9 +203,9 @@ def test_shift_duality_counts_match_enumeration():
     for n, k, l in ((11, 1, 1), (16, 1, 1), (7, 1, 2), (7, 2, 1), (8, 2, 1)):
         a, b = rand_set(rng, n), rand_set(rng, n)
         want = oracle.shift_duality_counts(a.members, b.members, k, l, n)
-        index, cells_k = energy_mod._shift_cells(a, b, k)
+        coords, cells_k = energy_mod._shift_cells(a, b, k)
         _, cells_l = energy_mod._shift_cells(a, b, l)
         counts = energy_mod._hits(cells_k, cells_l.T).sum(1)
-        got = dict(zip(index.tolist(), counts.tolist()))
-        assert [got.get(i, 0) for i in range(n ** k)] == list(want.values())
+        got = dict(zip(map(tuple, coords.tolist()), counts.tolist()))
+        assert [got.get(x, 0) for x in want] == list(want.values())
         assert all(c.passed for c in energy_mod.check_membership_identity(a, b, k, l))

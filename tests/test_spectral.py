@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from addcomb import spectral as spectral_module
 from addcomb.config import TOL
 from addcomb.energy import correlation_counts
 from addcomb.groups import CyclicGroup, GroupSet, _exact_operands, indicator, restricted_matrix
@@ -142,7 +143,7 @@ def test_real_kernel_gives_a_real_symmetric_operator():
     scale = max(1.0, abs(ref).max())
     assert np.allclose(spectrum.eigenvalues, ref, rtol=0, atol=TOL.spectrum_rel * scale)
     assert abs(report.mu0 - ref[0]) <= TOL.spectrum_rel * max(1.0, ref[0])
-    assert report.passed and tri.passed and tri.tol > 0
+    assert all(c.passed for c in report.checks) and tri.passed and tri.tol > 0
     assert abs(tri.rhs - triangle_enumeration(a.members, psi.values, 8)) <= 1e-12 * tri.rhs
     assert len(cycles) == 6 and all(c.passed for c in cycles)
     for k, v in sums.items():
@@ -266,7 +267,7 @@ def test_triangle_sum_non_even_kernels():
         psi = GroupFn(g, tuple(rng.randint(-5, 5) for _ in range(n)))
         want = triangle_enumeration(a.members, psi.values, n)
         assert triangle_sum(a, psi) == want
-        m = np.array([[psi(x - y) for y in a] for x in a], dtype=np.int64)
+        m = np.array([[psi.values[(x - y) % n] for y in a] for x in a], dtype=np.int64)
         traces_differ |= int(np.trace(m @ m @ m)) != want
     assert traces_differ
     g = CyclicGroup(31)
@@ -356,12 +357,34 @@ def test_check_cycle_sums_one_chain_matches_enumeration():
         assert all(c.passed for c in checks)
 
 
+def test_exact_kernel_bounds_compare_without_tolerance(monkeypatch):
+    """An integer kernel gives exact sides to the cycle bounds and to the
+    triangle bound where an exact bound wins, and those compare with tol 0.
+    For h = 1 on Z/64 and A = [0, 8), psi = 64 everywhere and every bound
+    is an equality, with Rayleigh quotient 512: a relative tolerance would
+    let a sum one below its bound pass, by up to 3.5e6 at k = 5."""
+    g = CyclicGroup(64)
+    a = GroupSet.of(g, range(8))
+    h = GroupFn.constant(g, 1)
+    ray = rayleigh_indicator(a, correlation_kernel(h))
+    assert ray == 512 and ray ** 5 > 10 ** 8
+    exact = [*check_cycle_sums(a, h), check_triangle_inequality(a, h)]
+    assert all(c.passed and c.slack == 0 and c.tol == 0 for c in exact)
+    below = check_triangle_inequality(a, h).lhs - 1  # from_ge keeps the bound as lhs
+    monkeypatch.setattr(spectral_module, "triangle_sum", lambda a, psi: below)
+    monkeypatch.setattr(
+        spectral_module, "cycle_sums", lambda a, psi, ks: {k: math.ceil(ray ** k) - 1 for k in ks}
+    )
+    assert not check_triangle_inequality(a, h).passed
+    assert [c.passed for c in check_cycle_sums(a, h)] == [False] * 3
+
+
 def test_first_eigenfunction_subgroup_equality():
     g = CyclicGroup(12)
     a = GroupSet.of(g, range(0, 12, 3))
     h = GroupFn(g, tuple(indicator(a).values))
     rep = first_eigenfunction_bounds(a, h)
-    assert rep.passed and not rep.degenerate
+    assert all(c.passed for c in rep.checks) and not rep.degenerate
     assert abs(rep.vector_sum ** 2 - len(a)) < 1e-8
 
 
@@ -370,7 +393,7 @@ def test_first_eigenfunction_golden():
     h = GroupFn(gamma.group, tuple(indicator(gamma).values))
     rep = first_eigenfunction_bounds(gamma, h)
     assert abs(rep.mu0 - 5) < 1e-8
-    assert rep.passed
+    assert all(c.passed for c in rep.checks)
     # explicit chain: 3 >= (sum f0)^2 = 3 >= 25/9
     assert rep.vector_sum ** 2 >= 25 / 9 - 1e-8
 
@@ -380,7 +403,7 @@ def test_first_eigenfunction_random():
     for _ in range(100):
         a, h = rand_instance(rng, 32, rng.uniform(0.1, 0.9))
         rep = first_eigenfunction_bounds(a, h)
-        assert rep.passed
+        assert all(c.passed for c in rep.checks)
 
 
 def test_first_eigenfunction_degenerate_kernel():

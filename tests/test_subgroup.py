@@ -657,7 +657,7 @@ def test_mu_tables_memoized_per_kernel(monkeypatch):
     assert made == [psi, delta]
     xi = 2  # not in the subgroup {1, 3, 9}
     assert check_eigenbasis(g, psi, coset=xi).passed
-    assert [f.values for f in made[2:]] == [tuple(psi((xi * z) % 13) for z in range(13))]
+    assert [f.values for f in made[2:]] == [tuple(psi.values[(xi * z) % 13] for z in range(13))]
     assert made[2].values != psi.values and len(g._mu_tables) == 3
     mu_alpha_direct(subgroup(fld, 3), psi)  # another subgroup object: its own table
     assert len(made) == 4

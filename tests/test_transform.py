@@ -120,8 +120,8 @@ def test_gen_convolution_c3_example():
     g = CyclicGroup(5)
     a = indicator(GroupSet.of(g, [0, 1]))
     table = gen_convolution([a, a, a])
-    assert table(0, 0) == 2
-    assert table(1, 1) == 1
+    assert table.table.item(0, 0) == 2
+    assert table.table.item(1, 1) == 1
     zero = GroupFn.constant(g, 0)
     assert all(v == 0 for v in gen_convolution([zero, a, a]).flat)
 
@@ -230,7 +230,7 @@ def test_transforms_refuse_tables_over_grids():
     """dft, idft and the circulant products take functions on Z/N only: a
     table over Gr^2 is refused, not read as N rows."""
     g = CyclicGroup(3)
-    grid = GroupFn.of(g, range(9), 2)
+    grid = GroupFn(g, np.arange(9).reshape(3, 3))
     line = GroupFn(g, (1, 2, 3))
     for call in (lambda: dft(grid), lambda: idft(grid), lambda: convolve(grid, line),
                  lambda: correlate(line, grid), lambda: gen_convolution([line, grid])):
