@@ -15,7 +15,6 @@ or Python ints from ``_exact_operands``.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -67,8 +66,8 @@ class GroupSet:
 
     @cached_property
     def _shift_profiles(self) -> dict:
-        """The set's shift profile by k and sign: ``energy._weight_cells``
-        fills both signs of a k at once."""
+        """The set's shift profile by k and sign: ``energy.build_shift_profiles``
+        fills both signs of a k at once, for a batch of sets."""
         return {}
 
     @cached_property
@@ -207,17 +206,26 @@ def _exact_operands(tables: Sequence[np.ndarray], terms: int) -> list[np.ndarray
     A repeated table counts once per occurrence but is reduced and cast
     once; a maximum below 1 counts as 1, so every int64 entry fits.
     """
-    by_id = {id(t): t for t in tables}
-    kinds = {t.dtype.kind for t in by_id.values()}
+    kinds = {t.dtype.kind for t in tables}
     if "c" in kinds:
         dtype = np.complex128
     elif "f" in kinds:
         dtype = np.float64
     else:
-        peak = {i: max(1, int(t.max(initial=0)), -int(t.min(initial=0))) for i, t in by_id.items()}
-        bound = terms * math.prod(peak[id(t)] for t in tables)
+        bound = terms
+        peaks = {}  # id -> max(1, max |entry|) of each distinct table
+        for t in tables:
+            peak = peaks.get(id(t))
+            if peak is None:
+                peak = peaks[id(t)] = max(1, int(t.max(initial=0)), -int(t.min(initial=0)))
+            bound *= peak
         dtype = np.int64 if bound <= INT64_MAX else object
-    cast = {i: t.astype(dtype, copy=False) for i, t in by_id.items()}
+    if all(t.dtype == dtype for t in tables):
+        return list(tables)
+    cast = {}
+    for t in tables:
+        if id(t) not in cast:
+            cast[id(t)] = t.astype(dtype, copy=False)
     return [cast[id(t)] for t in tables]
 
 

@@ -9,6 +9,7 @@ runtime is printed, never serialized.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import time
@@ -20,6 +21,7 @@ from . import __version__ as _version
 from .checks import IneqCheck, _json_number
 from .config import SCAN_PRIME_CAP, TOL
 from .energy import (
+    build_shift_profiles,
     check_energy_weight_a,
     check_energy_weight_b,
     check_heart,
@@ -382,12 +384,17 @@ def _conv_power_discrepancy(fs, l: int) -> int:
 
 
 _SPECTRAL_EVERY = 20  # every this many random trials also diagonalize h ∘ h on A
+_BLOCK = 8  # instances whose shift profiles are built by one kernel call per level
 
 
 def run_inequality_suite(seed: int = 1, trials: int = 1000) -> CheckSuite:
     """Shifted-intersection and kernel inequalities on random subsets plus
     additive-subgroup equality cases (those must have exactly zero slack on
-    every exact-arithmetic check)."""
+    every exact-arithmetic check).
+
+    Instances run in blocks of ``_BLOCK``: each block's sets, weights and
+    kernel factors are drawn in instance order, its k = 1 and k = 2 shift
+    profiles are built together, and then its instances run in order."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     suite = CheckSuite(
@@ -397,27 +404,44 @@ def run_inequality_suite(seed: int = 1, trials: int = 1000) -> CheckSuite:
     group = CyclicGroup(_INEQUALITY_MODULUS)
     t0 = time.monotonic()
     densities = [0.1 + 0.8 * i / 8 for i in range(9)]
+    # (A, trial, spectral, equality_case), A drawn lazily in instance order
+    sets = itertools.chain(
+        ((a, idx, True, True) for idx, a in enumerate(additive_subgroups(group))),
+        (
+            (random_subset(rng, group, densities[trial % len(densities)]), trial,
+             trial % _SPECTRAL_EVERY == 0, False)
+            for trial in range(trials)
+        ),
+    )
     try:
-        for idx, a in enumerate(additive_subgroups(group)):
-            _inequality_instance(
-                suite, rng, a, idx, spectral=True, equality_case=True
-            )
-        for trial in range(trials):
-            a = random_subset(rng, group, densities[trial % len(densities)])
-            _inequality_instance(
-                suite, rng, a, trial, spectral=(trial % _SPECTRAL_EVERY == 0)
-            )
+        while block := [(*inst, *_draw_weights(rng, group))
+                        for inst in itertools.islice(sets, _BLOCK)]:
+            for k in (1, 2):
+                build_shift_profiles([inst[0] for inst in block], k)
+            for a, trial, spectral, equality_case, q, h in block:
+                _inequality_instance(suite, a, trial, q, h, spectral, equality_case)
     except CheckFailure:
         pass
     suite.runtime = time.monotonic() - t0
     return suite
 
 
+def _draw_weights(rng: random.Random, group: CyclicGroup) -> tuple[GroupFn, GroupFn]:
+    """An instance's weight q and kernel factor h, in this draw order."""
+    q = random_int_fn(rng, group, -3, 3)
+    draws = [1 if rng.random() < 0.5 else 0 for _ in group.elements()]
+    h = GroupFn(group, np.array(draws, dtype=np.int64))
+    if not any(h.values):
+        h = GroupFn.delta(group, 0)
+    return q, h
+
+
 def _inequality_instance(
     suite: CheckSuite,
-    rng: random.Random,
     a: GroupSet,
     trial: int,
+    q: GroupFn,
+    h: GroupFn,
     spectral: bool = False,
     equality_case: bool = False,
 ) -> None:
@@ -437,7 +461,6 @@ def _inequality_instance(
     if equality_case:
         _record_zero_slack(suite, triple, inst)
 
-    q = random_int_fn(rng, group, -3, 3)
     for k, weight in ((1, q), (2, q.outer(q))):
         for sign in "+-":
             suite.record(
@@ -453,10 +476,6 @@ def _inequality_instance(
         for c in check_level_thresholds(a, sign):
             suite.record(c, inst)
 
-    draws = [1 if rng.random() < 0.5 else 0 for _ in group.elements()]
-    h = GroupFn(group, np.array(draws, dtype=np.int64))
-    if not any(h.values):
-        h = GroupFn.delta(group, 0)
     suite.record(check_triangle_inequality(a, h), {**inst, "h": list(h.values)})
     spectrum = None
     if spectral:

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -267,7 +268,8 @@ def test_level_thresholds_at_equality():
     planted = [0] * 32
     planted[::4] = [4, 3, 5, 4, 4, 3, 6, 4]
     coords = np.array(a.members)[:, None]
-    a._shift_profiles[1] = {s: (coords, [8] * 8, planted[::4]) for s in "+-"}
+    sizes, spreads = np.full(8, 8), np.array(planted[::4])
+    a._shift_profiles[1] = {s: (coords, sizes, spreads) for s in "+-"}
     for sign in "+-":
         levels = {c.name: c for c in check_level_thresholds(a, sign)}
         big = oracle.level_threshold_sums(a.members, 32, sign, planted)
@@ -447,7 +449,8 @@ def test_k2_shift_profile_signs_and_zero_weights(monkeypatch):
     builds = []
     real = energy_module._shift_cells
     monkeypatch.setattr(
-        energy_module, "_shift_cells", lambda *args: builds.append(args) or real(*args)
+        energy_module, "_shift_cells",
+        lambda batch, k: builds.append((batch.pairs, k)) or real(batch, k),
     )
     for sign in "+-+":
         lin = sum(w * c for w, (c, _) in zip(q, cells[sign]))
@@ -455,6 +458,70 @@ def test_k2_shift_profile_signs_and_zero_weights(monkeypatch):
         for b in (a, copy):
             c = check_weight_inequality(a, b, weight, 2, 1, sign)
             assert (c.lhs, c.rhs) == (len(a) ** 2 * lin * lin, e4 * quad)
-    assert builds == [(a, a, 2)]
+    assert builds == [([(a, a)], 2)]
     assert list(a._shift_profiles) == [2] and sorted(a._shift_profiles[2]) == ["+", "-"]
     assert copy._shift_profiles == {}
+
+
+def _kernel_pairs(rng, n, count):
+    """``count`` (A, B) pairs on Z/n: a singleton, the full set, then random
+    sets (sparse at n = 101, so the oracle stays quick); B = A on even
+    positions and another set on odd ones."""
+    lo, hi = (0.05, 0.2) if n > 32 else (0.1, 0.9)
+
+    def draw(i):
+        if i % 8 == 0:
+            return gset(n, [rng.randrange(n)])
+        if i % 8 == 1:
+            return gset(n, range(n))
+        return rand_set(rng, n, rng.uniform(lo, hi))
+
+    pairs = []
+    for i in range(count):
+        a = draw(i)
+        pairs.append((a, a if i % 2 == 0 else draw(i + 1)))
+    return pairs
+
+
+def _oracle_rows(a, b, k, n):
+    """[(x, cell, size, spread+, spread-)] for every x with a nonempty cell,
+    by set enumeration over the shifts of A - B in row-major order; each
+    distinct cell's sumsets are taken once."""
+    shifts = sorted({(x - y) % n for x in a.members for y in b.members})
+    spreads, rows = {}, []
+    for xs in itertools.product(shifts, repeat=k):
+        cell = frozenset(oracle.shifted_intersection(a.members, b.members, xs, "-" * k, n))
+        if cell:
+            if cell not in spreads:
+                spreads[cell] = [len(oracle.sumset_naive(a.members, cell, n, s)) for s in "+-"]
+            rows.append((xs, cell, len(cell), *spreads[cell]))
+    return rows
+
+
+@pytest.mark.parametrize("n", [7, 13, 32, 101])
+@pytest.mark.parametrize("k", [1, 2])
+def test_batched_shift_kernel_matches_the_oracle(n, k):
+    """The batched cell kernel, on a batch of 8 pairs and on each pair as a
+    batch of one, gives every pair the oracle's nonempty cells in row-major
+    order, with their members, sizes and spreads of both signs."""
+    rng = random.Random(100 * n + k)
+    pairs = _kernel_pairs(rng, n, 8)
+    assert any(a == b for a, b in pairs) and any(a != b for a, b in pairs)
+    got = {p: [] for p in range(len(pairs))}
+    batches = [(pairs, range(len(pairs)))] + [([pair], [p]) for p, pair in enumerate(pairs)]
+    for batch, owners in batches:
+        coords, cells, _, inv, bounds = energy_module._shift_cells(
+            energy_module._pair_batch(batch), k
+        )
+        _, sizes, spreads, _ = energy_module._cell_profiles(batch, k, 1, "+-")
+        flat = cells.reshape(-1, cells.shape[-1])
+        for p, ((_, b), owner) in enumerate(zip(batch, owners)):
+            got[owner].append([
+                (tuple(coords[r].tolist()),
+                 frozenset(np.asarray(b.members)[flat[inv[r], :len(b)]].tolist()),
+                 int(sizes[r]), int(spreads["+"][r]), int(spreads["-"][r]))
+                for r in range(bounds[p], bounds[p + 1])
+            ])
+    for p, (a, b) in enumerate(pairs):
+        want = _oracle_rows(a, b, k, n)
+        assert got[p] == [want, want]

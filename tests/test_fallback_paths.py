@@ -196,6 +196,12 @@ def test_weight_cells_match_set_enumeration():
                 assert (wa.lhs, wa.rhs) == want_a
 
 
+def _cells_by_row(a, b, k):
+    """The kernel's coordinate rows and, on each row, its cell over B."""
+    coords, cells, _, inv, _ = energy_mod._shift_cells(energy_mod._pair_batch([(a, b)]), k)
+    return coords, cells[0][inv]
+
+
 def test_shift_duality_counts_match_enumeration():
     """Per-x counts of check_membership_identity: the k-cells met by some
     nonempty l-cell, against tuple enumeration."""
@@ -203,8 +209,8 @@ def test_shift_duality_counts_match_enumeration():
     for n, k, l in ((11, 1, 1), (16, 1, 1), (7, 1, 2), (7, 2, 1), (8, 2, 1)):
         a, b = rand_set(rng, n), rand_set(rng, n)
         want = oracle.shift_duality_counts(a.members, b.members, k, l, n)
-        coords, cells_k = energy_mod._shift_cells(a, b, k)
-        _, cells_l = energy_mod._shift_cells(a, b, l)
+        coords, cells_k = _cells_by_row(a, b, k)
+        _, cells_l = _cells_by_row(a, b, l)
         counts = energy_mod._hits(cells_k, cells_l.T).sum(1)
         got = dict(zip(map(tuple, coords.tolist()), counts.tolist()))
         assert [got.get(x, 0) for x in want] == list(want.values())

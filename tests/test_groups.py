@@ -346,6 +346,45 @@ def test_exact_operands_bound_at_int64_max():
     assert _exact_operands((np.array([2 ** 62, 1], dtype=object),), 1)[0].dtype == np.int64
 
 
+_SEVEN = np.array([7, -3, 0])
+_PEAK_21 = np.array([-(2 ** 21), 5])
+_INT64_MIN = np.array([-(2 ** 63), 0], dtype=np.int64)
+
+# (operands, terms, dtype of each returned table): the dtypes at the commit
+# before the call cost of _exact_operands was cut
+EXACT_OPERAND_CASES = {
+    "bound-int64-max": ((_SEVEN, _SEVEN), INT64_MAX // 49, ["int64"] * 2),
+    "bound-int64-max-plus-1": ((_PEAK_21,) * 3, 1, ["object"] * 3),
+    "bound-just-below-plus-1": ((_PEAK_21, _PEAK_21, np.array([2 ** 21 - 1])), 1, ["int64"] * 3),
+    "peak-int64-max": ((np.array([INT64_MAX, 1]),), 1, ["int64"]),
+    "peak-int64-min": ((_INT64_MIN,), 1, ["object"]),
+    "peak-int64-max-plus-1-object": ((np.array([INT64_MAX + 1], dtype=object),), 1, ["object"]),
+    "object-small": ((np.array([3, -4], dtype=object), _SEVEN), 2, ["int64"] * 2),
+    "bool": ((np.array([True, False]), _SEVEN), 4, ["int64"] * 2),
+    "bool-alone": ((np.array([True, True]),) * 2, 1, ["int64"] * 2),
+    "empty": ((np.zeros(0, dtype=np.int64),), 5, ["int64"]),
+    "float": ((np.array([0.5, 2.0]), _SEVEN), 2, ["float64"] * 2),
+    "complex": ((_SEVEN, np.array([1j, 2])), 2, ["complex128"] * 2),
+    "complex-and-float": ((np.array([0.5]), np.array([1j])), 1, ["complex128"] * 2),
+    "repeated-among-others": ((_SEVEN, _PEAK_21, _SEVEN), 2 ** 15, ["int64"] * 3),
+    "repeated-past-the-bound": ((_SEVEN, _PEAK_21, _SEVEN), 2 ** 37, ["object"] * 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_OPERAND_CASES))
+def test_exact_operands_dtype_table(name):
+    """Each case gets the dtype it got before the call cost was cut; a
+    repeated table comes back as one array, and every value is kept."""
+    tables, terms, dtypes = EXACT_OPERAND_CASES[name]
+    out = _exact_operands(tables, terms)
+    assert [str(o.dtype) for o in out] == dtypes
+    for t, o in zip(tables, out):
+        assert o.tolist() == t.tolist()
+    for i, j in itertools.combinations(range(len(tables)), 2):
+        if tables[i] is tables[j]:
+            assert out[i] is out[j]
+
+
 def test_exact_operands_keeps_real_and_complex_tables():
     """Non-integer tables are never truncated to int64."""
     real = np.array([0.5, 2.25])

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -152,3 +154,37 @@ def test_report_rows_carry_python_scalars():
             for v in (st.worst.lhs, st.worst.rhs, st.worst.slack):
                 kinds[type(v)] += 1
     assert kinds == {int: 103, Fraction: 42, float: 104}, kinds
+
+
+# sha256 of Report([run_inequality_suite(2, t)]).to_json(), computed before
+# the battery ran in blocks of 8: t = 1, 7, 8 and 9 fall before, at and past
+# the first block edge (the six subgroups come first), 17 past the third
+BLOCK_PINS = {
+    1: "4619db7e18eb122549aa7f2fc49fa1a45b3977d296b943c0e1892a5f599e3c33",
+    7: "3761aef543521180f13a309652cbe0fd1d33189c88bce47e83744452e219b6cd",
+    8: "c0c5f8495bc29b70bb3089be9e89d5723e22d96ce7ddf22689899a34ea5ab6c9",
+    9: "84bf0e8cf6446a62dedcc5f10a3be1c1b985e3cb955eba29bf75e67d2fed8347",
+    17: "689ce1cbe4b28d036d7f5558545a1ba6936dd52ac042c032a1f237c6739b259a",
+}
+
+
+@pytest.mark.parametrize("trials", sorted(BLOCK_PINS))
+def test_inequality_battery_bytes_at_block_edges(trials):
+    """The blocked battery draws every instance in the order and at the
+    place it always did: its report bytes are pinned around block edges."""
+    digest = hashlib.sha256(Report([run_inequality_suite(2, trials)]).to_json().encode())
+    assert digest.hexdigest() == BLOCK_PINS[trials]
+
+
+def test_inequality_battery_memory_stays_small():
+    """Profiles are built a block at a time, not for all instances up
+    front: after one warm-up run, the traced peak (numpy reports its
+    buffers to tracemalloc) of a 64-trial battery stays at most 2.5 MB."""
+    run_inequality_suite(1, 64)
+    tracemalloc.start()
+    try:
+        run_inequality_suite(1, 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5e6, peak
