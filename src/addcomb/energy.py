@@ -14,16 +14,26 @@ its sorted coordinates and shared by their permutations.  A set's shift
 profile for each k (its nonempty cells A_x, x in Gr^k, their sizes and
 both l = 1 spreads |A ∓ A_x|) is cached on the set as read-only int64
 arrays; ``build_shift_profiles`` fills it for many sets with one kernel
-call, which is how ``verify`` runs its inequality battery, in blocks of 8
-sets.  A single-set call is a batch of one.
+call and returns their profiles laid end to end.  A single-set call is a
+batch of one.
+
+``verify`` runs its inequality battery in blocks of 8 sets through
+``block_families``: each exact family is one reduction over the block's
+profile rows (``np.add.reduceat`` per set, in the dtype
+``_exact_operands`` picks), its autocorrelation rows and E_2, E_3, E_4 of
+each set, taken once.  A family returns every set's exact decision, by
+cross-multiplication with no Fraction, and its float slack, bit for bit
+the per-set check's; the per-set check builds only the row that is
+recorded.  The per-set checks sum through the same helpers, on one set.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,6 +46,7 @@ from .groups import (
     _check_grid,
     _exact_operands,
     _require_same_group,
+    _value_table,
     check_nonempty,
     check_sign,
     diag_shift_size,
@@ -74,8 +85,8 @@ def energy_k(a: GroupSet, b: GroupSet | None = None, k: int = 2) -> int:
     _require_same_group(a, b)
     if not isinstance(k, int) or k < 1:
         raise ValueError("k must be an integer >= 1")
-    aa, bb = a.autocorrelation.values, b.autocorrelation.values
-    return sum(u * v ** (k - 1) for u, v in zip(aa, bb))
+    aa, bb = a.autocorrelation.table, b.autocorrelation.table
+    return _segment_sums([0, len(aa)], aa, *(bb,) * (k - 1))[0]
 
 
 def energy_k_shift_sum(a: GroupSet, b: GroupSet | None = None, k: int = 2) -> int:
@@ -116,17 +127,12 @@ def check_heart(a: GroupSet, sign: str = "-") -> IneqCheck:
     """sum_x |A_x|^2 / |A ± A_x|  <=  |A|^-2 sum_x |A_x|^3, exact rationals."""
     check_nonempty(a)
     _, counts, spreads = _weight_cells(a, a, 1, 1, sign)
-    counts = counts.tolist()
-    lhs = _quotient_sum([c * c for c in counts], spreads.tolist())
-    rhs = Fraction(sum(c ** 3 for c in counts), len(a) ** 2)
-    return IneqCheck.from_le(f"shift-quotient-bound{sign}", lhs, rhs)
-
-
-def _quotient_sum(nums, dens) -> Fraction:
-    """sum_i nums[i] / dens[i] for ints, as one Fraction over the lcm of
-    the (positive) dens."""
-    lcm = math.lcm(*dens)
-    return Fraction(sum(x * (lcm // d) for x, d in zip(nums, dens)), lcm)
+    rows = [0, len(counts)]
+    (lhs,), lcm = _quotient_sums(rows, spreads, counts, counts)
+    (cubes,) = _segment_sums(rows, counts, counts, counts)
+    return IneqCheck.from_le(
+        f"shift-quotient-bound{sign}", Fraction(lhs, lcm), Fraction(cubes, len(a) ** 2)
+    )
 
 
 def check_heart_triple(a: GroupSet) -> IneqCheck:
@@ -135,6 +141,71 @@ def check_heart_triple(a: GroupSet) -> IneqCheck:
     lhs = triple_product_sum(a, a.autocorrelation.table)
     rhs = Fraction(energy(a) ** 3, len(a) ** 3)
     return IneqCheck.from_ge("triple-shift-product-bound", Fraction(lhs), rhs)
+
+
+def _product(factors, terms: int = 1) -> np.ndarray:
+    """The entrywise product of integer arrays in the dtype that
+    ``_exact_operands`` picks for a sum of ``terms`` such products."""
+    return functools.reduce(np.multiply, _exact_operands(factors, terms))
+
+
+def _segment_sums(bounds, *factors) -> list:
+    """For each run of rows bounds[i] to bounds[i + 1], the exact sum of
+    the products of the integer arrays ``factors`` on those rows, as Python
+    ints: one ``np.add.reduceat`` when no run is empty."""
+    lens = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+    prod = _product(factors, max(1, *lens))
+    if min(lens):
+        return np.add.reduceat(prod, bounds[:-1]).tolist()
+    return [int(prod[lo:hi].sum()) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _quotient_sums(bounds, dens, *factors) -> tuple[list, int]:
+    """For each run of rows, sum prod(factors) / dens over it exactly: the
+    numerators over one denominator, the lcm of the positive ``dens``."""
+    present = np.bincount(dens).tolist()
+    lcm = math.lcm(*(d for d, c in enumerate(present) if c))
+    scale = _value_table([lcm // d if c else 0 for d, c in enumerate(present)])[dens]
+    return _segment_sums(bounds, *factors, scale), lcm
+
+
+def _float_sums(bounds, *factors) -> list:
+    """For each run of rows, Python's ``sum`` in row order of the products
+    of float(x_r) ** e over the (x, e) in ``factors``, for arrays x of
+    positive integers, each power Python's own, taken once per value
+    present.  When every power is an integer and every sum is below 2**53,
+    no term or partial sum rounds, so one numpy reduction gives the sums."""
+    terms, integral = 1.0, True
+    for x, e in factors:
+        present = np.flatnonzero(np.bincount(x)).tolist()
+        table = np.zeros(present[-1] + 1)
+        table[present] = powers = [float(v) ** e for v in present]
+        terms, integral = terms * table[x], integral and all(v.is_integer() for v in powers)
+    sums = np.add.reduceat(terms, bounds[:-1])
+    if integral and sums.max() < 2 ** 53:
+        return sums.tolist()
+    return [sum(terms[lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _level_sums(bounds, owner, counts, spreads, e2, e3, sizes) -> tuple[list, list]:
+    """For each run of k = 1 rows of one set, the sums of |A_x|^2 over x
+    with 2 E3 d_x >= |A|^2 E2 and of |A_x| over x with 2 E3 d_x >= |A_x| |A|^4,
+    every side an exact integer."""
+    reach = _product((_value_table(e3)[owner], spreads), 2) * 2
+    floor1 = _value_table([s * s * e for s, e in zip(sizes, e2)])[owner]
+    floor2 = _product((counts, _value_table([s ** 4 for s in sizes])[owner]))
+    return (_segment_sums(bounds, counts, counts, reach >= floor1),
+            _segment_sums(bounds, counts, reach >= floor2))
+
+
+def _holder_sides(bounds, counts, spreads, e3, sizes, alpha, p) -> tuple[list, list]:
+    """For each run of k = 1 rows of one set, both float sides of the
+    Hölder-interpolated shift-moment bound, each term and sum as the
+    Python expressions of the bound take them."""
+    lhs = _float_sums(bounds, (counts, alpha))
+    inner = _float_sums(bounds, (spreads, 1.0 / (p - 1)), (counts, (alpha * p - 2) / (p - 1)))
+    rhs = [(e / s ** 2) ** (1.0 / p) * i ** ((p - 1) / p) for e, s, i in zip(e3, sizes, inner)]
+    return lhs, rhs
 
 
 def weight_counts(a: GroupSet, b: GroupSet, k: int) -> GroupFn:
@@ -338,21 +409,29 @@ def _cell_profiles(pairs, k: int, l: int, signs: str):
     return coords, sizes, spreads, bounds
 
 
-def build_shift_profiles(sets, k: int) -> None:
+def build_shift_profiles(sets, k: int):
     """Cache on each set of ``sets`` (one modulus) that lacks it its shift
     profile at k, from one kernel call for all of them: the x of Gr^k with
     A_x nonempty as the rows of an int64 array in row-major order, the
-    sizes |A_x| and both l = 1 spreads |A ∓ A_x|, all read-only int64."""
+    sizes |A_x| and both l = 1 spreads |A ∓ A_x|, all read-only int64.
+
+    Returns the profiles of ``sets`` laid end to end: (coords, sizes,
+    {sign: spreads}, bounds, owner), the rows of set i running from
+    bounds[i] to bounds[i + 1] and owner[r] the set of row r."""
     todo = [a for a in sets if k not in a._shift_profiles]
-    if not todo:
-        return
-    coords, sizes, spreads, bounds = _cell_profiles([(a, a) for a in todo], k, 1, "+-")
-    for arr in (coords, sizes, *spreads.values()):
-        arr.flags.writeable = False
-    for a, lo, hi in zip(todo, bounds, bounds[1:]):
-        a._shift_profiles[k] = {
-            s: (coords[lo:hi], sizes[lo:hi], spreads[s][lo:hi]) for s in "+-"
-        }
+    if todo:
+        coords, sizes, spreads, bounds = _cell_profiles([(a, a) for a in todo], k, 1, "+-")
+        for arr in (coords, sizes, *spreads.values()):
+            arr.flags.writeable = False
+        for a, lo, hi in zip(todo, bounds, bounds[1:]):
+            a._shift_profiles[k] = {
+                s: (coords[lo:hi], sizes[lo:hi], spreads[s][lo:hi]) for s in "+-"
+            }
+    parts = [a._shift_profiles[k] for a in sets]
+    lens = [len(part["+"][1]) for part in parts]
+    coords, sizes = (np.concatenate([part["+"][j] for part in parts]) for j in (0, 1))
+    spreads = {s: np.concatenate([part[s][2] for part in parts]) for s in "+-"}
+    return coords, sizes, spreads, np.cumsum([0, *lens]).tolist(), np.repeat(np.arange(len(sets)), lens)
 
 
 def _weight_cells(a: GroupSet, b: GroupSet, k: int, l: int, sign: str):
@@ -397,14 +476,9 @@ def check_weight_inequality(
     coords, counts, spreads = _weight_cells(a, b, k, l, sign)
     qx = qt.table[tuple(coords.T)]
     exact = qt.kind == "int"
-    if exact and k == 2:
-        # two dots in the dtype _exact_operands picks for their terms; over
-        # the k = 1 cells (about 28 in the battery) numpy's fixed cost
-        # outweighs the Python sums below
-        qv, cv = _exact_operands((qx, counts), len(qx))
-        lin = int(qv @ cv)
-        qv, _, dv = _exact_operands((qx, qx, spreads), len(qx))
-        quad = int((qv * qv) @ dv)
+    if exact:
+        rows = [0, len(qx)]
+        (lin,), (quad,) = _segment_sums(rows, qx, counts), _segment_sums(rows, qx, qx, spreads)
     else:
         qx = qx.tolist()
         lin = sum(v * c for v, c in zip(qx, counts.tolist()))
@@ -437,7 +511,7 @@ def check_energy_weight_a(
     check_nonempty(a)
     b = a if b is None else b
     _, counts, spreads = _weight_cells(a, b, k, l, sign)
-    s = sum(spread * cnt * cnt for cnt, spread in zip(counts.tolist(), spreads.tolist()))
+    (s,) = _segment_sums([0, len(counts)], spreads, counts, counts)
     lhs = len(a) ** (2 * l) * energy_k(b, a, k + 1) ** 2
     rhs = energy_k(b, a, k + l + 1) * s
     return IneqCheck.from_le(f"shift-energy-bound-a-k{k}l{l}{sign}", lhs, rhs)
@@ -453,7 +527,8 @@ def check_energy_weight_b(
     check_nonempty(a)
     b = a if b is None else b
     _, counts, spreads = _weight_cells(a, b, k, l, sign)
-    lhs = len(a) ** (2 * l) * _quotient_sum([c * c for c in counts.tolist()], spreads.tolist())
+    (q,), lcm = _quotient_sums([0, len(counts)], spreads, counts, counts)
+    lhs = len(a) ** (2 * l) * Fraction(q, lcm)
     e_high = energy_k(b, a, k + l + 1)
     return IneqCheck.from_le(f"shift-energy-bound-b-k{k}l{l}{sign}", lhs, Fraction(e_high))
 
@@ -466,50 +541,157 @@ def check_level_thresholds(a: GroupSet, sign: str = "-") -> list[IneqCheck]:
     """
     check_nonempty(a)
     _, counts, spreads = _weight_cells(a, a, 1, 1, sign)
-    counts, spreads = counts.tolist(), spreads.tolist()
-    e2 = sum(c * c for c in counts)
-    e3 = sum(c ** 3 for c in counts)
-    na = len(a)
-
-    thr1 = na ** 2 * e2
-    big1 = sum(c * c for c, d in zip(counts, spreads) if 2 * e3 * d >= thr1)
-    out = [
-        IneqCheck.from_ge(
-            f"level-threshold-energy{sign}", Fraction(big1), Fraction(e2, 2)
-        )
+    rows, na = [0, len(counts)], len(a)
+    e2, e3 = (_segment_sums(rows, *(counts,) * j) for j in (2, 3))
+    (big1,), (big2,) = _level_sums(rows, [0], counts, spreads, e2, e3, [na])
+    return [
+        IneqCheck.from_ge(f"level-threshold-energy{sign}", Fraction(big1), Fraction(e2[0], 2)),
+        IneqCheck.from_ge(f"level-threshold-count{sign}", Fraction(big2), Fraction(na ** 2, 2)),
+        *(check_ap_bound(a, alpha, p, sign) for alpha, p in ((2, 2), (3, 2), (2, 3))),
     ]
-
-    thr2 = na ** 4
-    big2 = sum(c for c, d in zip(counts, spreads) if 2 * e3 * d >= c * thr2)
-    out.append(
-        IneqCheck.from_ge(
-            f"level-threshold-count{sign}", Fraction(big2), Fraction(na ** 2, 2)
-        )
-    )
-
-    for alpha, p in ((2, 2), (3, 2), (2, 3)):
-        out.append(check_ap_bound(a, alpha, p, sign))
-    return out
 
 
 def check_ap_bound(a: GroupSet, alpha: float, p: float, sign: str = "-") -> IneqCheck:
     """Hölder-interpolated shift-moment bound for real alpha and p > 1."""
     check_nonempty(a)
     _, counts, spreads = _weight_cells(a, a, 1, 1, sign)
-    counts, spreads = counts.tolist(), spreads.tolist()
-    e3 = sum(c ** 3 for c in counts)
-    lhs = sum(float(c) ** alpha for c in counts)
-    inner = sum(
-        float(d) ** (1.0 / (p - 1)) * float(c) ** ((alpha * p - 2) / (p - 1))
-        for c, d in zip(counts, spreads)
-    )
-    rhs = (e3 / len(a) ** 2) ** (1.0 / p) * inner ** ((p - 1) / p)
+    rows = [0, len(counts)]
+    e3 = _segment_sums(rows, counts, counts, counts)
+    (lhs,), (rhs,) = _holder_sides(rows, counts, spreads, e3, [len(a)], alpha, p)
     return IneqCheck.from_le(
-        f"holder-shift-bound-a{alpha}p{p}{sign}",
-        lhs,
-        rhs,
-        TOL.dft_rel * max(1.0, rhs),
+        f"holder-shift-bound-a{alpha}p{p}{sign}", lhs, rhs, TOL.dft_rel * max(1.0, rhs)
     )
+
+
+def _autocorrelation_rows(member: np.ndarray) -> np.ndarray:
+    """(S ∘ S)(x) for each boolean row S of the (P, n) ``member``, laid end
+    to end as one (P * n,) int64 vector: a bincount of the differences of
+    each row's members."""
+    count, n = member.shape
+    p, y = np.nonzero(member)
+    ys, real = _regroup(p, count, y, np.ones(len(p), dtype=bool))
+    diffs = (ys[:, None, :] - ys[:, :, None]) % n + n * np.arange(count)[:, None, None]
+    return np.bincount(diffs[real[:, :, None] & real[:, None, :]], minlength=count * n)
+
+
+class Family(NamedTuple):
+    """One family of the inequality battery over a block of sets:
+    ``passed[i]`` and ``slacks[i]`` are set i's exact decision and its
+    ``slack_float()``, and ``row(i)`` builds set i's record with the
+    family's per-set check.  ``weight`` is the arity of the weight the
+    family reads (0 for none); an ``equality`` family is recorded for the
+    equality cases only."""
+
+    name: str
+    passed: list
+    slacks: list
+    row: Callable
+    weight: int = 0
+    equality: bool = False
+
+
+def block_families(sets, weights) -> list[Family]:
+    """The exact families of ``verify``'s inequality battery over a block of
+    nonempty sets on one modulus, with one integer weight q over Gr per set
+    (read as q at k = 1 and q ⊗ q at k = 2), in the order ``verify``
+    records them.  Each family is one reduction over the block's shift
+    profiles, autocorrelation rows and energies E_2, E_3, E_4.  An exact
+    slack num / den (den > 0) passes iff num >= 0, and num / den rounds it
+    once, as ``float`` of the Fraction does.  A family whose slack an
+    equality case must make exactly 0 has an ``-equality`` family, placed
+    where ``verify`` records it.
+    """
+    n = _require_same_group(*sets, *weights).modulus
+    for a in sets:
+        check_nonempty(a)
+    if any(q.kind != "int" or q.arity != 1 for q in weights):
+        raise TypeError("block weights must be integer tables over Gr")
+    count, sizes, out = len(sets), [len(a) for a in sets], []
+
+    def family(name, nums, dens, row, weight=0):
+        out.append(Family(name, [v >= 0 for v in nums], [v / d for v, d in zip(nums, dens)],
+                          row, weight))
+
+    def equality(*fams):
+        for f in fams:
+            name = f.name + "-equality"
+            out.append(Family(
+                name, [v == 0 for v in f.slacks], [-abs(v) for v in f.slacks],
+                lambda i, f=f, name=name: IneqCheck.from_identity(name, f.row(i).slack_float()),
+                equality=True,
+            ))
+
+    am, amask = _padded([a.members for a in sets])
+    pair = amask[:, :, None] & amask[:, None, :]
+    offset = n * np.arange(count)[:, None, None]
+    member = np.zeros(count * n, dtype=bool)
+    member[(am + offset[:, 0])[amask]] = True
+    auto = _autocorrelation_rows(member.reshape(count, n))
+    e2, e3, e4 = (_segment_sums(list(range(0, count * n + 1, n)), *(auto,) * j) for j in (2, 3, 4))
+    profiles = {k: build_shift_profiles(sets, k) for k in (1, 2)}
+    coords, counts, spreads, bounds, owner = profiles[1]
+    quotients = {}  # sum_x |A_x|^2 / d_x = q / lcm, the lhs of both quotient bounds
+
+    for sign in "+-":
+        d, s = spreads[sign], 1 if sign == "+" else -1
+        q, lcm = quotients[sign] = _quotient_sums(bounds, d, counts, counts)
+        family(f"shift-quotient-bound{sign}",
+               [e * lcm - z * z * v for e, z, v in zip(e3, sizes, q)],
+               [z * z * lcm for z in sizes], lambda i, sign=sign: check_heart(sets[i], sign))
+        sums = np.zeros(count * n, dtype=bool)
+        sums[((am[:, :, None] + s * am[:, None, :]) % n + offset)[pair]] = True
+        gaps = _autocorrelation_rows(sums.reshape(count, n))[owner * n + coords[:, 0]] - d
+        family(f"katz-koester{sign}", np.minimum.reduceat(gaps, bounds[:-1]).tolist(), [1] * count,
+               lambda i, sign=sign: min(check_katz_koester(sets[i], sign), key=IneqCheck.slack_float))
+        equality(*out[-2:])
+
+    m = auto[(am[:, :, None] - am[:, None, :]) % n + offset] * pair
+    m = _exact_operands((m,) * 3, am.shape[1] ** 3)[0]
+    cubes = [z ** 3 for z in sizes]
+    family("triple-shift-product-bound",
+           [t * c - e ** 3 for t, c, e in zip(((m @ m) * m).sum((1, 2)).tolist(), cubes, e2)],
+           cubes, lambda i: check_heart_triple(sets[i]))
+    equality(out[-1])
+
+    qs = np.concatenate([q.table for q in weights])
+    for k, e_high in ((1, e3), (2, e4)):
+        kcoords, kcounts, kspreads, kbounds, kowner = profiles[k]
+        qx = _product([qs[kowner * n + kcoords[:, j]] for j in range(k)])
+        lin = _segment_sums(kbounds, qx, kcounts)
+        for sign in "+-":
+            quad = _segment_sums(kbounds, qx, qx, kspreads[sign])
+            family(f"weighted-shift-bound-k{k}l1{sign}",
+                   [e * v - z * z * w * w for e, v, z, w in zip(e_high, quad, sizes, lin)],
+                   [1] * count,
+                   lambda i, k=k, sign=sign: check_weight_inequality(
+                       sets[i], sets[i], weights[i] if k == 1 else weights[i].outer(weights[i]),
+                       k, 1, sign),
+                   k)
+
+    for sign in "+-":
+        d, (q, lcm) = spreads[sign], quotients[sign]
+        spread_sums = _segment_sums(bounds, d, counts, counts)
+        family(f"shift-energy-bound-a-k1l1{sign}",
+               [e * t - z * z * f * f for e, t, z, f in zip(e3, spread_sums, sizes, e2)],
+               [1] * count, lambda i, sign=sign: check_energy_weight_a(sets[i], None, 1, 1, sign))
+        family(f"shift-energy-bound-b-k1l1{sign}",
+               [e * lcm - z * z * v for e, z, v in zip(e3, sizes, q)], [lcm] * count,
+               lambda i, sign=sign: check_energy_weight_b(sets[i], None, 1, 1, sign))
+        equality(*out[-2:])
+        big1, big2 = _level_sums(bounds, owner, counts, d, e2, e3, sizes)
+        for j, (what, nums) in enumerate((("energy", [2 * b - e for b, e in zip(big1, e2)]),
+                                          ("count", [2 * b - z * z for b, z in zip(big2, sizes)]))):
+            family(f"level-threshold-{what}{sign}", nums, [2] * count,
+                   lambda i, j=j, sign=sign: check_level_thresholds(sets[i], sign)[j])
+        for alpha, p in ((2, 2), (3, 2), (2, 3)):
+            lhs, rhs = _holder_sides(bounds, counts, d, e3, sizes, alpha, p)
+            slacks = [r - v for v, r in zip(lhs, rhs)]
+            out.append(Family(
+                f"holder-shift-bound-a{alpha}p{p}{sign}",
+                [v >= -TOL.dft_rel * max(1.0, r) for v, r in zip(slacks, rhs)], slacks,
+                lambda i, alpha=alpha, p=p, sign=sign: check_ap_bound(sets[i], alpha, p, sign),
+            ))
+    return out
 
 
 def check_membership_identity(

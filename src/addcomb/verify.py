@@ -5,6 +5,12 @@ A failing check halts its suite and serializes the full instance (modulus,
 sets, function tables, seed) so the counterexample can be replayed.
 Reports are reproducible byte-for-byte from (version, seed): wall-clock
 runtime is printed, never serialized.
+
+The inequality battery decides its exact families a block of 8 instances
+at a time (``energy.block_families``).  When every row of a block passes,
+each family adds the block's trial count and builds its worst row only;
+a block with a failing row is replayed instance by instance in the
+battery's row order, so a halted report is the one recorded row by row.
 """
 
 from __future__ import annotations
@@ -21,15 +27,8 @@ from . import __version__ as _version
 from .checks import IneqCheck, _json_number
 from .config import SCAN_PRIME_CAP, TOL
 from .energy import (
-    build_shift_profiles,
-    check_energy_weight_a,
-    check_energy_weight_b,
-    check_heart,
-    check_heart_triple,
-    check_katz_koester,
-    check_level_thresholds,
+    block_families,
     check_membership_identity,
-    check_weight_inequality,
     energy,
     energy_k,
 )
@@ -93,6 +92,19 @@ class EqStats:
         if self.worst_slack is None or s < self.worst_slack:
             self.worst_slack = s
             self.worst = check
+
+    def add_block(self, slacks: list[float], row) -> None:
+        """Add passing rows, in order, by their ``slack_float()`` values:
+        ``row(i)`` builds row i, and only the row that ends up the worst of
+        the block, if it is worse than every earlier one, is built."""
+        self.trials += len(slacks)
+        worst = None
+        for i, s in enumerate(slacks):
+            if self.worst_slack is None or s < self.worst_slack:
+                self.worst_slack, worst = s, i
+        if worst is not None:
+            self.worst = row(worst)
+            assert self.worst.passed and self.worst.slack_float() == self.worst_slack
 
 
 @dataclass
@@ -393,8 +405,8 @@ def run_inequality_suite(seed: int = 1, trials: int = 1000) -> CheckSuite:
     every exact-arithmetic check).
 
     Instances run in blocks of ``_BLOCK``: each block's sets, weights and
-    kernel factors are drawn in instance order, its k = 1 and k = 2 shift
-    profiles are built together, and then its instances run in order."""
+    kernel factors are drawn in instance order, and its k = 1 and k = 2
+    shift profiles are built together (see ``_inequality_block``)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     suite = CheckSuite(
@@ -416,10 +428,7 @@ def run_inequality_suite(seed: int = 1, trials: int = 1000) -> CheckSuite:
     try:
         while block := [(*inst, *_draw_weights(rng, group))
                         for inst in itertools.islice(sets, _BLOCK)]:
-            for k in (1, 2):
-                build_shift_profiles([inst[0] for inst in block], k)
-            for a, trial, spectral, equality_case, q, h in block:
-                _inequality_instance(suite, a, trial, q, h, spectral, equality_case)
+            _inequality_block(suite, block)
     except CheckFailure:
         pass
     suite.runtime = time.monotonic() - t0
@@ -436,63 +445,51 @@ def _draw_weights(rng: random.Random, group: CyclicGroup) -> tuple[GroupFn, Grou
     return q, h
 
 
-def _inequality_instance(
-    suite: CheckSuite,
-    a: GroupSet,
-    trial: int,
-    q: GroupFn,
-    h: GroupFn,
-    spectral: bool = False,
-    equality_case: bool = False,
-) -> None:
-    group = a.group
-    inst = {"N": group.modulus, "A": list(a.members), "trial": trial,
-            "equality_case": equality_case}
+def _inequality_block(suite: CheckSuite, block: list) -> None:
+    """Record a block of instances (A, trial, spectral, equality_case, q, h).
 
-    for sign in "+-":
-        heart = suite.record(check_heart(a, sign), inst)
-        kk = check_katz_koester(a, sign)
-        worst = min(kk, key=lambda c: c.slack_float())
-        suite.record(worst, inst)
-        if equality_case:
-            _record_zero_slack(suite, heart, inst)
-            _record_zero_slack(suite, worst, inst)
-    triple = suite.record(check_heart_triple(a), inst)
-    if equality_case:
-        _record_zero_slack(suite, triple, inst)
+    Every exact family is decided for the whole block by one reduction
+    (``energy.block_families``) and every spectral row is computed.  When
+    all of them pass, each family adds its trial count and builds only its
+    worst row, with the per-set check, which gives the stats of recording
+    every row in order.  Otherwise the block is replayed one instance at a
+    time in that order, so the suite halts where, and records what, it
+    would row by row."""
+    families = block_families([inst[0] for inst in block], [inst[4] for inst in block])
+    spectral = [_spectral_rows(a, h, sp) for a, _, sp, _, _, h in block]
+    # the instances each family records: its equality rows the equality cases only
+    takes = [[i for i, inst in enumerate(block) if inst[3] or not f.equality] for f in families]
+    if (all(f.passed[i] for f, take in zip(families, takes) for i in take)
+            and all(c.passed for c in itertools.chain.from_iterable(spectral))):
+        for f, take in zip(families, takes):
+            if take:
+                suite.stats.setdefault(f.name, EqStats()).add_block(
+                    [f.slacks[i] for i in take], lambda j, f=f, take=take: f.row(take[j]))
+        for c in itertools.chain.from_iterable(spectral):
+            suite.record(c)
+        return
+    for i, (a, trial, _, equality_case, q, h) in enumerate(block):
+        inst = {"N": a.group.modulus, "A": list(a.members), "trial": trial,
+                "equality_case": equality_case}
+        # payloads built once per instance, read only when a row fails
+        q_inst = {k: {**inst, "q": list(q.values), "k": k} for k in (1, 2)}
+        for f, take in zip(families, takes):
+            if i in take:
+                suite.record(f.row(i), q_inst[f.weight] if f.weight else inst)
+        h_inst = {**inst, "h": list(h.values)}
+        for c in spectral[i]:
+            suite.record(c, h_inst)
 
-    for k, weight in ((1, q), (2, q.outer(q))):
-        for sign in "+-":
-            suite.record(
-                check_weight_inequality(a, a, weight, k, 1, sign),
-                {**inst, "q": list(q.values), "k": k},
-            )
-    for sign in "+-":
-        wa = suite.record(check_energy_weight_a(a, None, 1, 1, sign), inst)
-        wb = suite.record(check_energy_weight_b(a, None, 1, 1, sign), inst)
-        if equality_case:
-            _record_zero_slack(suite, wa, inst)
-            _record_zero_slack(suite, wb, inst)
-        for c in check_level_thresholds(a, sign):
-            suite.record(c, inst)
 
-    suite.record(check_triangle_inequality(a, h), {**inst, "h": list(h.values)})
+def _spectral_rows(a: GroupSet, h: GroupFn, spectral: bool) -> list[IneqCheck]:
+    """The kernel rows of an instance: the triangle bound, the cycle sums
+    (against the spectrum of h ∘ h on A when ``spectral``) and the top
+    eigenvector bounds."""
     spectrum = None
     if spectral:
         spectrum = eigendecompose(build_restricted_operator(a, correlation_kernel(h)))
-    for c in check_cycle_sums(a, h, spectrum):
-        suite.record(c, {**inst, "h": list(h.values)})
-    report = first_eigenfunction_bounds(a, h)
-    for c in report.checks:
-        suite.record(c, {**inst, "h": list(h.values)})
-
-
-def _record_zero_slack(suite: CheckSuite, check: IneqCheck, inst) -> None:
-    """Equality-case instances of exact checks must land exactly on the bound."""
-    suite.record(
-        IneqCheck.from_identity(check.name + "-equality", check.slack_float()),
-        inst,
-    )
+    return [check_triangle_inequality(a, h), *check_cycle_sums(a, h, spectrum),
+            *first_eigenfunction_bounds(a, h).checks]
 
 
 # ---------------------------------------------------------------------------

@@ -310,6 +310,50 @@ def weight_inequality_sides(a, b, q, n, sign):
     return len(a) ** 2 * lin * lin, sum(u * v * v for u, v in zip(rb, ra)) * quad
 
 
+def battery_slacks(a, q, n):
+    """{family: slack} for every family of the inequality battery on A with
+    the integer weight q (q ⊗ q at k = 2), by set enumeration: exact ints
+    and Fractions, and the Hölder rows' float slacks from the formula's
+    own Python float expressions."""
+    na = len(a)
+    r = correlation(a, a, n)
+    e2, e3, e4 = (sum(v ** j for v in r) for j in (2, 3, 4))
+    out = {"triple-shift-product-bound": Fraction(triangle_enumeration(a, r, n))
+           - Fraction(e2 ** 3, na ** 3)}
+    pairs = [(x1, x2) for x1 in range(n) for x2 in range(n)]
+    for sign in "+-":
+        d = shift_spreads(a, n, sign)
+        xs = [x for x in range(n) if r[x]]
+        lhs, rhs = heart_sides(a, n, sign)
+        out[f"shift-quotient-bound{sign}"] = rhs - lhs
+        out[f"shift-energy-bound-b-k1l1{sign}"] = e3 - na ** 2 * lhs
+        out[f"shift-energy-bound-a-k1l1{sign}"] = (
+            e3 * sum(d[x] * r[x] ** 2 for x in xs) - na ** 2 * e2 ** 2
+        )
+        s = sumset_naive(a, a, n, sign)
+        rs = correlation(s, s, n)
+        out[f"katz-koester{sign}"] = min(rs[x] - d[x] for x in xs)
+        big1, big2 = level_threshold_sums(a, n, sign)
+        out[f"level-threshold-energy{sign}"] = Fraction(big1) - Fraction(e2, 2)
+        out[f"level-threshold-count{sign}"] = Fraction(big2) - Fraction(na ** 2, 2)
+        for alpha, p in ((2, 2), (3, 2), (2, 3)):
+            lhs = sum(float(r[x]) ** alpha for x in xs)
+            inner = sum(float(d[x]) ** (1.0 / (p - 1)) * float(r[x]) ** ((alpha * p - 2) / (p - 1))
+                        for x in xs)
+            rhs = (e3 / na ** 2) ** (1.0 / p) * inner ** ((p - 1) / p)
+            out[f"holder-shift-bound-a{alpha}p{p}{sign}"] = rhs - lhs
+        lin = sum(q[x] * r[x] for x in xs)
+        out[f"weighted-shift-bound-k1l1{sign}"] = e3 * sum(q[x] ** 2 * d[x] for x in xs) - na ** 2 * lin ** 2
+        lin = quad = 0
+        for x1, x2 in pairs:
+            cell = shifted_intersection(a, a, (x1, x2), "--", n)
+            if cell:
+                lin += q[x1] * q[x2] * len(cell)
+                quad += (q[x1] * q[x2]) ** 2 * len(sumset_naive(a, cell, n, sign))
+        out[f"weighted-shift-bound-k2l1{sign}"] = e4 * quad - na ** 2 * lin ** 2
+    return out
+
+
 def weight_cells_naive(a, b, k, n, sign, shifts=None):
     """{x: (|A^B_x|, |A ∓ A^B_x|)} over x in (Z/n)^k, or over x in
     shifts^k when shifts is given, keys in row-major order, with

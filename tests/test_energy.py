@@ -6,7 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from addcomb.checks import IneqCheck
 from addcomb.energy import (
+    block_families,
     check_ap_bound,
     check_energy_weight_a,
     check_energy_weight_b,
@@ -47,6 +49,8 @@ from oracle import quadruple_energy, shift_tuple_energy, sigma_k_count, t_k_coun
 
 
 energy_module = importlib.import_module("addcomb.energy")
+verify_module = importlib.import_module("addcomb.verify")
+EqStats = verify_module.EqStats
 
 
 def gset(n, elems):
@@ -525,3 +529,175 @@ def test_batched_shift_kernel_matches_the_oracle(n, k):
     for p, (a, b) in enumerate(pairs):
         want = _oracle_rows(a, b, k, n)
         assert got[p] == [want, want]
+
+
+# --- the battery's families a block at a time --------------------------------
+
+
+_EQUALITY_FAMILIES = ("shift-quotient-bound", "katz-koester", "triple-shift-product-bound",
+                      "shift-energy-bound-a-k1l1", "shift-energy-bound-b-k1l1")
+
+
+def _per_set_rows(a, q):
+    """{family: row} for set A and weight q from the public per-set checks,
+    each family's row as verify records it."""
+    rows = {"triple-shift-product-bound": check_heart_triple(a)}
+    for sign in "+-":
+        rows[f"shift-quotient-bound{sign}"] = check_heart(a, sign)
+        rows[f"katz-koester{sign}"] = min(check_katz_koester(a, sign), key=lambda c: c.slack_float())
+        rows[f"shift-energy-bound-a-k1l1{sign}"] = check_energy_weight_a(a, None, 1, 1, sign)
+        rows[f"shift-energy-bound-b-k1l1{sign}"] = check_energy_weight_b(a, None, 1, 1, sign)
+        for k, weight in ((1, q), (2, q.outer(q))):
+            rows[f"weighted-shift-bound-k{k}l1{sign}"] = check_weight_inequality(a, a, weight, k, 1, sign)
+        rows.update((c.name, c) for c in check_level_thresholds(a, sign))
+    for name in list(rows):
+        if name.rstrip("+-") in _EQUALITY_FAMILIES:
+            rows[name + "-equality"] = IneqCheck.from_identity(name + "-equality", rows[name].slack_float())
+    return rows
+
+
+def _battery_blocks(seed, trials=1000):
+    """The inequality battery's (sets, weights) blocks of 8 for ``seed``,
+    drawn as verify draws them."""
+    rng, group = random.Random(seed), CyclicGroup(32)
+    densities = [0.1 + 0.8 * i / 8 for i in range(9)]
+    sets = itertools.chain(
+        verify_module.additive_subgroups(group),
+        (verify_module.random_subset(rng, group, densities[t % 9]) for t in range(trials)),
+    )
+    insts = [(a, verify_module._draw_weights(rng, group)[0]) for a in sets]
+    return [tuple(zip(*insts[lo:lo + 8])) for lo in range(0, len(insts), 8)]
+
+
+def _assert_block_matches(families, rows_by_set):
+    """Every family's block decision and float slack are each set's per-set
+    row's, and the row a passing block records is the first minimum by
+    float.  (An equality family fails off the equality cases.)"""
+    assert {f.name for f in families} == set(rows_by_set[0])
+    for f in families:
+        rows = [r[f.name] for r in rows_by_set]
+        assert f.passed == [r.passed for r in rows], f.name
+        assert f.slacks == [r.slack_float() for r in rows], f.name
+        if not all(f.passed):
+            assert f.equality
+            continue
+        worst = min(rows, key=lambda c: c.slack_float())
+        stats = EqStats()
+        stats.add_block(f.slacks, f.row)
+        assert (stats.trials, stats.worst_slack) == (len(rows), worst.slack_float())
+        assert (stats.worst.name, stats.worst.lhs, stats.worst.rhs, stats.worst.detail) == (
+            worst.name, worst.lhs, worst.rhs, worst.detail)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_block_families_match_the_per_set_checks(seed):
+    """Over every block of the seed's battery, each family's exact decision
+    and float slack is the per-set check's, set by set, and the row the
+    block records is min(rows, key=slack_float)."""
+    for sets, weights in _battery_blocks(seed):
+        families = block_families(list(sets), list(weights))
+        _assert_block_matches(families, [_per_set_rows(a, q) for a, q in zip(sets, weights)])
+
+
+def _hand_blocks():
+    """Blocks on Z/32: a singleton alone, the full group alone, and a mix
+    with a weight of entries ±2^40, whose k = 2 weight q ⊗ q and sums pass
+    the int64 bound."""
+    rng = random.Random(26)
+    g = CyclicGroup(32)
+
+    def small():
+        return GroupFn(g, [rng.randint(-3, 3) for _ in range(32)])
+
+    huge = GroupFn(g, [rng.choice((-1, 1)) * 2 ** 40 for _ in range(32)])
+    mixed = [gset(32, [0]), gset(32, range(32)), rand_set(rng, 32, 0.3), rand_set(rng, 32, 0.6)]
+    return [
+        ([gset(32, [5])], [small()]),
+        ([gset(32, range(32))], [small()]),
+        (mixed, [huge, small(), huge, small()]),
+    ]
+
+
+@pytest.mark.parametrize("block", range(3))
+def test_block_families_match_the_oracle(block):
+    """On hand-made blocks every family's decision and float slack agree
+    with the set-enumeration oracle's exact slack and with the per-set
+    checks, on the Python-int path where a weight passes the int64 bound."""
+    sets, weights = _hand_blocks()[block]
+    families = block_families(sets, weights)
+    _assert_block_matches(families, [_per_set_rows(a, q) for a, q in zip(sets, weights)])
+    for i, (a, q) in enumerate(zip(sets, weights)):
+        want = oracle.battery_slacks(a.members, q.values, 32)
+        for f in families:
+            if not f.equality:
+                assert f.slacks[i] == float(want[f.name]), (f.name, i)
+                assert f.passed[i] == (want[f.name] >= (-1e-9 if "holder" in f.name else 0))
+    if block == 2:
+        weighted = {f.name: f for f in families}["weighted-shift-bound-k2l1+"]
+        assert abs(weighted.row(0).lhs) > 2 ** 63
+
+
+def test_block_worst_row_is_the_first_minimum_by_float():
+    """Two exact slacks that differ but round to the same float: the block
+    keeps the first, as adding the rows one by one does."""
+    s = Fraction(1, 3)
+    rows = [IneqCheck.from_le("x", 0, s), IneqCheck.from_le("x", 0, s + Fraction(1, 10 ** 30)),
+            IneqCheck.from_le("x", 0, Fraction(1, 2))]
+    assert rows[0].slack != rows[1].slack and rows[0].slack_float() == rows[1].slack_float()
+    one_by_one, block = EqStats(), EqStats()
+    for r in rows:
+        one_by_one.add(r)
+    block.add_block([r.slack_float() for r in rows], rows.__getitem__)
+    assert one_by_one.worst is block.worst is rows[0]
+    assert (one_by_one.trials, one_by_one.worst_slack) == (block.trials, block.worst_slack)
+    # a later block adds trials but keeps the earlier worst on a float tie
+    block.add_block([r.slack_float() for r in rows[1:]], rows[1:].__getitem__)
+    assert block.worst is rows[0] and block.trials == 5
+
+
+def test_block_families_read_every_cell_size():
+    """Flipping one cell size of one set's cached k = 1 and k = 2 profiles
+    moves that set's slack in every family that reads cell sizes, and no
+    other: Katz–Koester reads the spreads and the triple bound the
+    autocorrelation rows."""
+    rng = random.Random(27)
+    sets = [rand_set(rng, 32, 0.5) for _ in range(3)]
+    weights = [GroupFn(CyclicGroup(32), [rng.randint(1, 3) for _ in range(32)]) for _ in sets]
+    clean = block_families(sets, weights)
+    for k in (1, 2):
+        profile = sets[1]._shift_profiles[k]
+        for s in "+-":
+            coords, sizes, spreads = profile[s]
+            profile[s] = (coords, sizes + (np.arange(len(sizes)) == 0), spreads)
+    moved = {f.name for f, g in zip(clean, block_families(sets, weights))
+             if f.slacks[1] != g.slacks[1]}
+    for f, g in zip(clean, block_families(sets, weights)):
+        assert (f.slacks[0], f.slacks[2]) == (g.slacks[0], g.slacks[2])
+    assert moved == {f.name for f in clean
+                     if not f.name.startswith(("katz-koester", "triple-shift-product-bound"))}
+
+
+@pytest.mark.parametrize("n", [32, 1000, 4200])
+def test_perfbench_facing_results_are_python_scalars(n):
+    """The per-set results perfbench hashes by repr hold Python ints and
+    Fractions only: a numpy scalar would print as np.int64(5)."""
+    rng = random.Random(n)
+    a = GroupSet.of(CyclicGroup(n), rng.sample(range(n), 20))
+    assert type(energy(a)) is int and type(energy_k(a, k=3)) is int
+    for sign in "+-":
+        assert all(type(v) is int for v in shift_spread_sizes(a, sign))
+        for c in check_katz_koester(a, sign):
+            assert type(c.lhs) is type(c.rhs) is type(c.slack) is int
+            assert type(c.detail["x"]) is int
+        c = check_heart(a, sign)
+        assert type(c.lhs) is type(c.rhs) is type(c.slack) is Fraction
+
+
+def test_weighted_bounds_with_an_empty_base_have_zero_sides():
+    """An empty B has no cells: the per-set sums over its (empty) rows are
+    0, as the Python sums they replace gave."""
+    g = CyclicGroup(8)
+    a, empty = gset(8, [0, 1, 3]), GroupSet(g, ())
+    rows = [check_energy_weight_a(a, empty), check_energy_weight_b(a, empty),
+            check_weight_inequality(a, empty, GroupFn(g, [1] * 8))]
+    assert [(c.lhs, c.rhs, c.passed) for c in rows] == [(0, 0, True)] * 3

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import random
 import tracemalloc
@@ -188,3 +189,87 @@ def test_inequality_battery_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5e6, peak
+
+
+# Halted batteries.  Seed 2, trial 11 is the second instance of the third
+# block of 8 (the six subgroups come first).  A planted fault there halts
+# the suite; the sha256 of Report([run_inequality_suite(2, 20)]).to_json()
+# was computed with the same fault before the battery's families were
+# decided a block at a time.
+HALT_TRIAL = 11
+HALT_PINS = {
+    "spreads": "b2cd57fc70b2a8dce7de4009652dcb02567688229418db63026580342701f2f1",
+    "spectral": "c763a2f4ae267c8ae4752227ad31db800e68981268b03fed06e776f4abaa0617",
+}
+# the rows the faulty instance records before it halts, in battery order
+HALT_ROWS = {
+    "spreads": ("shift-quotient-bound+", "katz-koester+", "shift-quotient-bound-"),
+    "spectral": None,  # every exact family, then the triangle bound
+}
+
+
+def _plant_fault(monkeypatch, fault):
+    """Plant ``fault`` on the set of trial HALT_TRIAL; return its members.
+
+    "spreads": every |A - A_x| of its k = 1 shift profile reads 1, which
+    breaks shift-quotient-bound- (the first row that reads them).
+    "spectral": its triangle-bound row reads lhs = rhs + 1."""
+    from addcomb.checks import IneqCheck
+
+    energy_mod = importlib.import_module("addcomb.energy")
+    verify_mod = importlib.import_module("addcomb.verify")
+
+    drawn = []
+    real_subset = verify_mod.random_subset
+
+    def subset(rng, group, density):
+        a = real_subset(rng, group, density)
+        drawn.append(a)
+        if fault == "spreads" and len(drawn) == HALT_TRIAL + 1:
+            energy_mod.build_shift_profiles([a], 1)
+            profile = a._shift_profiles[1]
+            coords, sizes, spreads = profile["-"]
+            profile["-"] = (coords, sizes, spreads * 0 + 1)
+        return a
+
+    monkeypatch.setattr(verify_mod, "random_subset", subset)
+    if fault == "spectral":
+        real_triangle = verify_mod.check_triangle_inequality
+
+        def triangle(a, h):
+            c = real_triangle(a, h)
+            if len(drawn) > HALT_TRIAL and a is drawn[HALT_TRIAL]:
+                return IneqCheck.from_le(c.name, c.rhs + 1, c.rhs, c.tol)
+            return c
+
+        monkeypatch.setattr(verify_mod, "check_triangle_inequality", triangle)
+    return drawn
+
+
+@pytest.mark.parametrize("fault", sorted(HALT_PINS))
+def test_halted_battery_matches_the_row_by_row_report(monkeypatch, fault):
+    """A block with a failing row is replayed one instance at a time: the
+    halted report is byte for byte the one recorded row by row, it halts
+    at the first failing row of the faulty instance, and every family
+    counts the instances before it plus the rows the faulty one recorded."""
+    complete = run_inequality_suite(2, HALT_TRIAL)  # the instances before the fault
+    drawn = _plant_fault(monkeypatch, fault)
+    suite = run_inequality_suite(2, 20)
+    digest = hashlib.sha256(Report([suite]).to_json().encode()).hexdigest()
+    assert digest == HALT_PINS[fault]
+
+    halted = suite.stats[suite.halted]
+    expected_halt = HALT_ROWS[fault][-1] if HALT_ROWS[fault] else "kernel-triangle-bound"
+    assert suite.halted == expected_halt
+    assert (halted.failures, suite.n_failed) == (1, 1)
+    detail = halted.worst.detail
+    assert (detail["trial"], detail["A"]) == (HALT_TRIAL, list(drawn[HALT_TRIAL].members))
+    assert not detail["equality_case"]
+    recorded = HALT_ROWS[fault] or [n for n in complete.stats
+                                     if not n.endswith("-equality")
+                                     and not n.startswith(("kernel-", "top-vector-"))]
+    recorded = set(recorded) | ({"kernel-triangle-bound"} if fault == "spectral" else set())
+    assert set(suite.stats) == set(complete.stats)
+    for name, st in suite.stats.items():
+        assert st.trials == complete.stats[name].trials + (name in recorded), name
+        assert st.failures == (name == suite.halted), name
