@@ -20,8 +20,10 @@ batch of one.
 ``verify`` runs its inequality battery in blocks of 8 sets through
 ``block_families``: each exact family is one reduction over the block's
 profile rows (``np.add.reduceat`` per set, in the dtype
-``_exact_operands`` picks), its autocorrelation rows and E_2, E_3, E_4 of
-each set, taken once.  A family returns every set's exact decision, by
+``_exact_operands`` picks).  Every other quantity comes from the kernel
+the per-set checks read: each set's cached A ∘ A (its E_2, E_3, E_4 and
+``groups.triple_product_sum``) and ``_sumset_autocorrelation`` for
+Katz–Koester.  A family returns every set's exact decision, by
 cross-multiplication with no Fraction, and its float slack, bit for bit
 the per-set check's; the per-set check builds only the row that is
 recorded.  The per-set checks sum through the same helpers, on one set.
@@ -112,14 +114,21 @@ def t_k(a: GroupSet, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _sumset_autocorrelation(a: GroupSet, sign: str) -> np.ndarray:
+    """(S ∘ S)(x) for every x, S = A ± A, as an int64 vector over Z/N."""
+    s = sumset(a, a, sign).members
+    return difference_counts(s, s, a.group.modulus)
+
+
 def check_katz_koester(a: GroupSet, sign: str = "+") -> list[IneqCheck]:
     """|(A±A) ∩ (A±A - x)| >= |A ± A_x| for every x with A_x nonempty."""
     check_nonempty(a)
-    lhs = sumset(a, a, sign).autocorrelation.values
     coords, _, spreads = _weight_cells(a, a, 1, 1, sign)
+    lhs = _sumset_autocorrelation(a, sign)
+    xs = coords[:, 0]
     return [
-        IneqCheck.from_ge(f"katz-koester{sign}", lhs[x], d, 0.0, {"x": x})
-        for x, d in zip(coords[:, 0].tolist(), spreads.tolist())
+        IneqCheck.from_ge(f"katz-koester{sign}", v, d, 0.0, {"x": x})
+        for x, v, d in zip(xs.tolist(), lhs[xs].tolist(), spreads.tolist())
     ]
 
 
@@ -563,17 +572,6 @@ def check_ap_bound(a: GroupSet, alpha: float, p: float, sign: str = "-") -> Ineq
     )
 
 
-def _autocorrelation_rows(member: np.ndarray) -> np.ndarray:
-    """(S ∘ S)(x) for each boolean row S of the (P, n) ``member``, laid end
-    to end as one (P * n,) int64 vector: a bincount of the differences of
-    each row's members."""
-    count, n = member.shape
-    p, y = np.nonzero(member)
-    ys, real = _regroup(p, count, y, np.ones(len(p), dtype=bool))
-    diffs = (ys[:, None, :] - ys[:, :, None]) % n + n * np.arange(count)[:, None, None]
-    return np.bincount(diffs[real[:, :, None] & real[:, None, :]], minlength=count * n)
-
-
 class Family(NamedTuple):
     """One family of the inequality battery over a block of sets:
     ``passed[i]`` and ``slacks[i]`` are set i's exact decision and its
@@ -595,11 +593,13 @@ def block_families(sets, weights) -> list[Family]:
     nonempty sets on one modulus, with one integer weight q over Gr per set
     (read as q at k = 1 and q ⊗ q at k = 2), in the order ``verify``
     records them.  Each family is one reduction over the block's shift
-    profiles, autocorrelation rows and energies E_2, E_3, E_4.  An exact
-    slack num / den (den > 0) passes iff num >= 0, and num / den rounds it
-    once, as ``float`` of the Fraction does.  A family whose slack an
-    equality case must make exactly 0 has an ``-equality`` family, placed
-    where ``verify`` records it.
+    profiles, with each set's cached A ∘ A, its energies E_2, E_3, E_4 and
+    its triple sum, and (S ∘ S) for S = A ± A, from the kernels the
+    per-set checks call.  An exact slack num / den (den > 0) passes iff
+    num >= 0, and num / den rounds it once, as ``float`` of the Fraction
+    does.  A family whose slack an equality case must make exactly 0 has
+    an ``-equality`` family, placed where ``verify`` records it, whose row
+    is built from the family's float slack.
     """
     n = _require_same_group(*sets, *weights).modulus
     for a in sets:
@@ -617,39 +617,32 @@ def block_families(sets, weights) -> list[Family]:
             name = f.name + "-equality"
             out.append(Family(
                 name, [v == 0 for v in f.slacks], [-abs(v) for v in f.slacks],
-                lambda i, f=f, name=name: IneqCheck.from_identity(name, f.row(i).slack_float()),
+                lambda i, f=f, name=name: IneqCheck.from_identity(name, f.slacks[i]),
                 equality=True,
             ))
 
-    am, amask = _padded([a.members for a in sets])
-    pair = amask[:, :, None] & amask[:, None, :]
-    offset = n * np.arange(count)[:, None, None]
-    member = np.zeros(count * n, dtype=bool)
-    member[(am + offset[:, 0])[amask]] = True
-    auto = _autocorrelation_rows(member.reshape(count, n))
+    auto = np.concatenate([a.autocorrelation.table for a in sets])
     e2, e3, e4 = (_segment_sums(list(range(0, count * n + 1, n)), *(auto,) * j) for j in (2, 3, 4))
     profiles = {k: build_shift_profiles(sets, k) for k in (1, 2)}
     coords, counts, spreads, bounds, owner = profiles[1]
     quotients = {}  # sum_x |A_x|^2 / d_x = q / lcm, the lhs of both quotient bounds
 
     for sign in "+-":
-        d, s = spreads[sign], 1 if sign == "+" else -1
+        d = spreads[sign]
         q, lcm = quotients[sign] = _quotient_sums(bounds, d, counts, counts)
         family(f"shift-quotient-bound{sign}",
                [e * lcm - z * z * v for e, z, v in zip(e3, sizes, q)],
                [z * z * lcm for z in sizes], lambda i, sign=sign: check_heart(sets[i], sign))
-        sums = np.zeros(count * n, dtype=bool)
-        sums[((am[:, :, None] + s * am[:, None, :]) % n + offset)[pair]] = True
-        gaps = _autocorrelation_rows(sums.reshape(count, n))[owner * n + coords[:, 0]] - d
+        lhs = np.concatenate([_sumset_autocorrelation(a, sign) for a in sets])
+        gaps = lhs[owner * n + coords[:, 0]] - d
         family(f"katz-koester{sign}", np.minimum.reduceat(gaps, bounds[:-1]).tolist(), [1] * count,
                lambda i, sign=sign: min(check_katz_koester(sets[i], sign), key=IneqCheck.slack_float))
         equality(*out[-2:])
 
-    m = auto[(am[:, :, None] - am[:, None, :]) % n + offset] * pair
-    m = _exact_operands((m,) * 3, am.shape[1] ** 3)[0]
     cubes = [z ** 3 for z in sizes]
+    triples = [triple_product_sum(a, a.autocorrelation.table) for a in sets]
     family("triple-shift-product-bound",
-           [t * c - e ** 3 for t, c, e in zip(((m @ m) * m).sum((1, 2)).tolist(), cubes, e2)],
+           [t * c - e ** 3 for t, c, e in zip(triples, cubes, e2)],
            cubes, lambda i: check_heart_triple(sets[i]))
     equality(out[-1])
 

@@ -158,16 +158,14 @@ def gen_convolution(fns: Sequence[GroupFn]) -> GroupFn:
     k = len(fns)
     if k not in (2, 3):
         raise ValueError("k must be 2 or 3")
+    if k == 2:  # C_2(f_0, f_1) = f_0 ∘ f_1
+        return correlate(*fns)
     group = _same_group(*fns)
     n = group.modulus
-    f0, *rest = _exact_operands([f.table for f in fns], n)
+    f0, f1, f2 = _exact_operands([f.table for f in fns], n)
     r = np.arange(n)
     at = (r[:, None] + r) % n  # at[x, z] = z + x
-    if k == 2:
-        table = rest[0][at] @ f0
-    else:
-        table = (rest[0][at] * f0) @ rest[1][at].T
-    return GroupFn(group, table)
+    return GroupFn(group, (f1[at] * f0) @ f2[at].T)
 
 
 def check_commutation(

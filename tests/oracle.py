@@ -243,6 +243,18 @@ def shift_spreads(a, n, sign):
     return out
 
 
+def katz_koester_rows(a, n, sign):
+    """(|A ± A_x|, |S ∩ (S - x)|, x) for every x with A_x nonempty,
+    ascending, where S = A ± A: the Katz–Koester rows, smaller side first."""
+    mem = set(a)
+    s = sumset_naive(a, a, n, sign)
+    rows = []
+    for x in sorted({(z - y) % n for y in a for z in a}):
+        ax = {y for y in a if (y + x) % n in mem}
+        rows.append((len(sumset_naive(a, ax, n, sign)), len(s & {(v - x) % n for v in s}), x))
+    return rows
+
+
 def heart_sides(a, n, sign):
     """(sum_x |A_x|^2 / |A ∓ A_x|, sum_x |A_x|^3 / |A|^2) as Fractions."""
     from fractions import Fraction

@@ -1,9 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from addcomb.cli import main
+from addcomb.config import FIELD_PRIME_CAP, SCAN_PRIME_CAP
 
 
 def test_verify_cli_writes_report(tmp_path, capsys):
@@ -191,3 +196,73 @@ def test_scan_csv_bytes_pinned(tmp_path, capsys):
         assert raw.count(b"\n") >= 3, f"{name}: fewer than two rows"
         assert capsys.readouterr().out.encode() == raw, f"{name}: stdout differs from --csv"
         assert hashlib.sha256(raw).hexdigest() == want, name
+
+
+# edge integers for the CLI: signs, 0 and 1, non-primes, small random
+# values, and primes past the scan and field caps
+PAST_CAPS = (10007, 1000003)
+assert PAST_CAPS[0] > SCAN_PRIME_CAP and PAST_CAPS[1] > FIELD_PRIME_CAP
+EDGE = st.one_of(st.sampled_from([-7, -1, 0, 1, 2, 4, 9, 15, *PAST_CAPS]), st.integers(-8, 40))
+# trial counts stay small: each trial is work, and --trials 0 selects verify's
+# full default battery, which the report pins run already
+TRIALS = st.integers(-8, 6)
+
+
+@st.composite
+def cli_argv(draw):
+    """One subcommand with every numeric option drawn from EDGE (trial
+    counts from TRIALS), and the text of a doubling-stats file, or None."""
+    def opt(name, values=EDGE):
+        return [name, str(draw(values))]
+
+    cmd = draw(st.sampled_from(["verify", "subgroup-scan", "level-profile", "coverage-6gamma",
+                                "expansion-scan", "convex-scan", "doubling-stats", "ap-scan"]))
+    text = None
+    if cmd == "verify":
+        primes = ",".join(map(str, draw(st.lists(EDGE, min_size=1, max_size=3))))
+        args = [*opt("--seed"), *opt("--trials", TRIALS.filter(bool)), "--primes", primes]
+    elif cmd == "subgroup-scan":
+        args = [*opt("--pmax"), *opt("--tmin"), *opt("--tmax")]
+    elif cmd == "level-profile":
+        args = [*opt("--p"), *opt("--t")]
+    elif cmd == "coverage-6gamma":
+        args = [*opt("--pmax"), *opt("--cap")]
+    elif cmd == "expansion-scan":
+        args = [*opt("--p"), *opt("--t"), *opt("--trials", TRIALS), *opt("--seed")]
+    elif cmd == "convex-scan":
+        args = [*opt("--nmax"), "--generator", draw(st.sampled_from(["squares", "perturbed"])),
+                *opt("--seed")]
+    elif cmd == "doubling-stats":
+        lines = draw(st.lists(st.lists(EDGE, max_size=6), max_size=3))
+        text = "".join(" ".join(map(str, line)) + "\n" for line in lines)
+        args = ["--file", "{file}", *opt("--shift")]
+    else:
+        args = opt("--pmax")
+    return [cmd, *args], text
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=cli_argv())
+def test_every_subcommand_takes_edge_integers_without_a_traceback(case, tmp_path):
+    """Each run exits 0, 1 or 2 and raises nothing else; when ``main``
+    rejects the input, stderr is one ``addcomb: error:`` line.  An
+    argparse rejection (``--primes -1,20`` reads as an option) is a
+    SystemExit(2)."""
+    argv, text = case
+    if text is not None:
+        sets = tmp_path / "sets.txt"
+        sets.write_text(text)
+        argv = [str(sets) if v == "{file}" else v for v in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            return
+    assert rc in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if rc == 2:
+        lines = err.getvalue().strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("addcomb: error: "), (argv, lines)

@@ -677,6 +677,26 @@ def test_block_families_read_every_cell_size():
                      if not f.name.startswith(("katz-koester", "triple-shift-product-bound"))}
 
 
+def test_block_families_read_each_sets_autocorrelation():
+    """A changed (A ∘ A)(1) planted in one set's cache moves that set's
+    triple and quotient bounds, which read A ∘ A, and not its Katz–Koester
+    rows, which read (A ± A) ∘ (A ± A); no other set's slack moves."""
+    rng = random.Random(28)
+    g = CyclicGroup(32)
+    sets = [rand_set(rng, 32, 0.5) for _ in range(3)]
+    weights = [GroupFn(g, [rng.randint(1, 3) for _ in range(32)]) for _ in sets]
+    clean = block_families(sets, weights)
+    planted = np.array(sets[1].autocorrelation.table)
+    planted[1] += 1
+    sets[1].__dict__["autocorrelation"] = GroupFn(g, planted)
+    changed = block_families(sets, weights)
+    for f, c in zip(changed, clean):
+        assert (f.slacks[0], f.slacks[2]) == (c.slacks[0], c.slacks[2]), f.name
+    moved = {f.name for f, c in zip(changed, clean) if f.slacks[1] != c.slacks[1]}
+    assert {"triple-shift-product-bound", "shift-quotient-bound+", "shift-quotient-bound-"} <= moved
+    assert not moved & {"katz-koester+", "katz-koester-"}
+
+
 @pytest.mark.parametrize("n", [32, 1000, 4200])
 def test_perfbench_facing_results_are_python_scalars(n):
     """The per-set results perfbench hashes by repr hold Python ints and

@@ -21,6 +21,7 @@ from addcomb.energy import (
     check_energy_weight_a,
     check_energy_weight_b,
     check_heart,
+    check_katz_koester,
     check_membership_identity,
     check_weight_inequality,
     correlation_counts,
@@ -154,6 +155,7 @@ CAP_CALLS = {
     "groups.diag_shift_size-l2": (N2, lambda g, a, b: diag_shift_size(a, b, 2)),
     "energy.shift_spread_sizes": (N1, lambda g, a, b: shift_spread_sizes(a)),
     "energy.check_heart": (N1, lambda g, a, b: check_heart(a)),
+    "energy.check_katz_koester": (N1, lambda g, a, b: check_katz_koester(a)),
     "energy.weight_counts-k1": (N1, lambda g, a, b: weight_counts(a, b, 1)),
     "energy.weight_counts-k2": (N2, lambda g, a, b: weight_counts(a, b, 2)),
     "energy.energy_k_shift_sum": (N2, lambda g, a, b: energy_k_shift_sum(a, b, 3)),
@@ -208,6 +210,10 @@ CELL_CALLS = {
     "energy.check_heart": (
         N1, lambda a, b: _sides(check_heart(a)),
         lambda a, b, n: oracle.heart_sides(a, n, "-"),
+    ),
+    "energy.check_katz_koester": (
+        N1, lambda a, b: [(*_sides(c), c.detail["x"]) for s in "+-" for c in check_katz_koester(a, s)],
+        lambda a, b, n: [row for s in "+-" for row in oracle.katz_koester_rows(a, n, s)],
     ),
     "energy.energy_k_shift_sum": (
         N2, lambda a, b: energy_k_shift_sum(a, b, 3),
