@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 
 def _as_float(v) -> float:
@@ -70,6 +70,24 @@ class IneqCheck:
 
     def slack_float(self) -> float:
         return _as_float(self.slack)
+
+
+class Family(NamedTuple):
+    """One family of ``verify``'s inequality battery over a block of
+    instances: ``passed[i]`` and ``slacks[i]`` are instance i's exact
+    decision and its ``slack_float()``, both None where instance i has no
+    such row, and ``row(i)`` builds instance i's record with the family's
+    per-set check.  ``reads`` names what a failing row's instance payload
+    adds to the set: "" nothing, "q1" or "q2" the weight at k = 1 or 2, "h"
+    the kernel factor.  An ``equality`` family is recorded for the equality
+    cases only."""
+
+    name: str
+    passed: list
+    slacks: list
+    row: Callable
+    reads: str = ""
+    equality: bool = False
 
 
 def _json_number(v):

@@ -2,16 +2,19 @@
 
 Exit status is 0 when every asserted check passes and 1 when a check fails
 or a scan has no rows; bad input prints one ``addcomb: error:`` line and
-exits 2.  CSV goes to --csv (stdout default); the verify report serializes
-to --json.
+exits 2, whether argparse refuses it (numeric options are range-checked as
+they parse) or the library does.  CSV goes to --csv (stdout default); the
+verify report serializes to --json.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import __version__
+from .config import CONVEX_N_CAP, FIELD_PRIME_CAP, SCAN_PRIME_CAP
 from .experiments import (
     convex_scan,
     coverage_scan,
@@ -48,8 +51,6 @@ def _cmd_verify(args) -> int:
     # reject the list, the trial count and the report path before the long
     # suites run
     primes = validate_suite_primes(primes)
-    if args.trials < 0:
-        raise ValueError(f"--trials must be >= 0, got {args.trials}")
     if args.json:
         open(args.json, "w", encoding="utf-8").close()
     report = run_all(args.seed, args.trials or 200, args.trials or 1000, primes)
@@ -113,7 +114,24 @@ def _cmd_ap_scan(args) -> int:
     return _emit_rows(progression_batch(args.pmax), args.csv, "no subgroups in range")
 
 
+def _int_in(lo=-math.inf, hi=math.inf):
+    """An argparse type: an int in [lo, hi]."""
+    def parse(text: str) -> int:
+        v = int(text)
+        if not lo <= v <= hi:
+            bound = f">= {lo}" if v < lo else f"<= {hi}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {v}")
+        return v
+
+    parse.__name__ = "int"  # argparse's "invalid int value" names the type
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser; every rejection, its own and argparse's, raises
+    ValueError for ``main`` to print as one line."""
+    count, p_max = _int_in(0), _int_in(hi=SCAN_PRIME_CAP)
+    prime, order = _int_in(2, FIELD_PRIME_CAP), _int_in(1)
     parser = argparse.ArgumentParser(
         prog="addcomb",
         description="exact additive-combinatorics checks and experiments",
@@ -123,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the full check battery")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--trials", type=int, default=0,
+    p.add_argument("--trials", type=count, default=0,
                    help="override trial counts (default 200 identity / 1000 inequality)")
     p.add_argument("--json", help="write the machine-readable report here")
     p.add_argument("--primes", default="7,13,31,101",
@@ -131,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("subgroup-scan", help="energy/sumset scan over subgroups")
-    p.add_argument("--pmax", type=int, required=True)
+    p.add_argument("--pmax", type=p_max, required=True)
     p.add_argument("--tmin", type=int, default=1)
     p.add_argument("--tmax", type=int, default=None)
     p.add_argument("--seed", type=int, default=1,
@@ -140,27 +158,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_subgroup_scan)
 
     p = sub.add_parser("level-profile", help="dyadic autocorrelation profile")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--p", type=prime, required=True)
+    p.add_argument("--t", type=order, required=True)
     p.add_argument("--csv")
     p.set_defaults(func=_cmd_level_profile)
 
     p = sub.add_parser("coverage-6gamma", help="iterated-sumset coverage scan")
-    p.add_argument("--pmax", type=int, required=True)
-    p.add_argument("--cap", type=int, default=12)
+    p.add_argument("--pmax", type=p_max, required=True)
+    p.add_argument("--cap", type=_int_in(2), default=12)
     p.add_argument("--csv")
     p.set_defaults(func=_cmd_coverage)
 
     p = sub.add_parser("expansion-scan", help="|A + Gamma| expansion ratios")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--p", type=prime, required=True)
+    p.add_argument("--t", type=order, required=True)
+    p.add_argument("--trials", type=count, default=100)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--csv")
     p.set_defaults(func=_cmd_expansion)
 
     p = sub.add_parser("convex-scan", help="convex sequence energy scan")
-    p.add_argument("--nmax", type=int, required=True)
+    p.add_argument("--nmax", type=_int_in(2, CONVEX_N_CAP), required=True)
     p.add_argument("--generator", choices=("squares", "perturbed"), default="squares")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--csv")
@@ -174,19 +192,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_doubling)
 
     p = sub.add_parser("ap-scan", help="longest progressions inside subgroups")
-    p.add_argument("--pmax", type=int, required=True)
+    p.add_argument("--pmax", type=p_max, required=True)
     p.add_argument("--csv")
     p.set_defaults(func=_cmd_ap_scan)
+
+    def error(message):
+        raise ValueError(message)
+
+    # argparse would print its usage and exit; each parser raises instead
+    for p in (parser, *sub.choices.values()):
+        p.error = error
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
-        # the library raises ValueError only for arguments it rejects;
-        # OSError is an input or output file that cannot be opened
+        # the parser and the library raise ValueError only for arguments
+        # they reject; OSError is an input or output file that cannot be
+        # opened
         print(f"addcomb: error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,15 +7,15 @@ Fraction over the lcm of its denominators.
 Terms indexed by an empty intersection A_x = ∅ are dropped: their
 numerators vanish, so they contribute nothing to either side.
 
-One kernel, ``_shift_cells``, builds the cells of shift systems for a
-batch of (A, B) pairs on one modulus at once, as padded 0/1 matrices.  A
-cell is symmetric in its coordinates, so it is built and spread once for
-its sorted coordinates and shared by their permutations.  A set's shift
-profile for each k (its nonempty cells A_x, x in Gr^k, their sizes and
-both l = 1 spreads |A ∓ A_x|) is cached on the set as read-only int64
-arrays; ``build_shift_profiles`` fills it for many sets with one kernel
-call and returns their profiles laid end to end.  A single-set call is a
-batch of one.
+One kernel, ``_shift_levels``, builds the cells of shift systems for a
+batch of (A, B) pairs on one modulus at once, as padded 0/1 matrices,
+level k from level k - 1.  A cell is symmetric in its coordinates, so it
+is built and spread once for its sorted coordinates and shared by their
+permutations.  A set's shift profile for each k (its nonempty cells A_x,
+x in Gr^k, their sizes and both l = 1 spreads |A ∓ A_x|) is cached on the
+set as read-only int64 arrays; ``build_shift_profiles`` fills levels 1 to
+k for many sets with one kernel pass and returns their profiles at k laid
+end to end.  A single-set call is a batch of one.
 
 ``verify`` runs its inequality battery in blocks of 8 sets through
 ``block_families``: each exact family is one reduction over the block's
@@ -35,11 +35,11 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .checks import IneqCheck
+from .checks import Family, IneqCheck
 from .config import TOL
 from .groups import (
     GroupFn,
@@ -326,15 +326,16 @@ def _targets(pairs, n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     ])
 
 
-def _shift_cells(batch: _Batch, k: int):
-    """The nonempty cells A^B_x, x in Gr^k, of every pair of ``batch``,
-    each cell built once for its sorted coordinates.
+def _shift_levels(batch: _Batch, k: int):
+    """The nonempty cells A^B_x, x in Gr^j, of every pair of ``batch`` at
+    each level j = 1, ..., k in turn, each cell built once for its sorted
+    coordinates and each level's cells from the level before's.
 
-    Returns (coords, cells, sizes, inv, bounds).  Rows bounds[p] to
-    bounds[p + 1] of the int64 array ``coords`` are the x with A^B_x
+    Yields (coords, cells, sizes, inv, bounds) per level.  Rows bounds[p]
+    to bounds[p + 1] of the int64 array ``coords`` are the x with A^B_x
     nonempty for pair p, in row-major order.  ``cells`` is a (P, U, max
     |B|) boolean array: row u of cells[p] is a cell over the members of
-    pair p's B, one for each sorted x_1 <= ... <= x_k with a nonempty
+    pair p's B, one for each sorted x_1 <= ... <= x_j with a nonempty
     cell, and all-zero rows pad; ``sizes`` (P, U) holds their sizes.
     Coordinate row r has the cell cells.reshape(-1, max |B|)[inv[r]] of
     size sizes.ravel()[inv[r]]: a cell is symmetric in its coordinates,
@@ -342,8 +343,8 @@ def _shift_cells(batch: _Batch, k: int):
 
     Only d in A - B gives a nonempty B ∩ (A - d), so the matrices are sized
     by |A| and |B|, not by N: row d is R[d, j] = 1_A(b_j + d), a cell is
-    the AND of the rows x_1, ..., x_k, and the cap counts the |A - B|^k
-    candidate cells of each pair.
+    the AND of the rows x_1, ..., x_j, and the cap, checked before any
+    level is built, counts the |A - B|^k candidate cells of each pair.
     """
     if k < 1:
         raise ValueError("k out of range")
@@ -355,45 +356,44 @@ def _shift_cells(batch: _Batch, k: int):
     rows &= batch.bmask[:, None, :] & batch.smask[:, :, None]
     width = shifts.shape[1]
     cells, tuples = rows, np.broadcast_to(np.arange(width)[:, None], (count, width, 1))
-    for _ in range(k - 1):
-        # extend each sorted tuple by a shift at or after its last one
-        hit = _hits(cells, rows.transpose(0, 2, 1))
-        hit &= np.arange(width) >= tuples[:, :, -1:]
-        p, u, j = np.nonzero(hit)
-        cells, tuples = _regroup(
-            p, count, cells[p, u] & rows[p, j], np.column_stack((tuples[p, u], j))
-        )
-    # scatter each cell's id to every permutation of its sorted tuple, then
-    # read the grid in row-major order
-    grid = np.full((count,) + (width,) * k, -1, dtype=np.int64)
-    sizes = _row_sizes(cells)
-    p, u = np.nonzero(sizes)
-    ids, sorted_x = p * cells.shape[1] + u, tuples[p, u]
-    for perm in itertools.permutations(range(k)):
-        grid[(p, *sorted_x[:, perm].T)] = ids
-    p, *x = np.nonzero(grid >= 0)
-    coords = np.column_stack([shifts[p, xi] for xi in x])
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(p, minlength=count))))
-    return coords, cells, sizes, grid[(p, *x)], bounds.tolist()
+    for level in range(1, k + 1):
+        if level > 1:
+            # extend each sorted tuple by a shift at or after its last one
+            hit = _hits(cells, rows.transpose(0, 2, 1))
+            hit &= np.arange(width) >= tuples[:, :, -1:]
+            p, u, j = np.nonzero(hit)
+            cells, tuples = _regroup(
+                p, count, cells[p, u] & rows[p, j], np.column_stack((tuples[p, u], j))
+            )
+        # scatter each cell's id to every permutation of its sorted tuple,
+        # then read the grid in row-major order
+        grid = np.full((count,) + (width,) * level, -1, dtype=np.int64)
+        sizes = _row_sizes(cells)
+        p, u = np.nonzero(sizes)
+        ids, sorted_x = p * cells.shape[1] + u, tuples[p, u]
+        for perm in itertools.permutations(range(level)):
+            grid[(p, *sorted_x[:, perm].T)] = ids
+        p, *x = np.nonzero(grid >= 0)
+        coords = np.column_stack([shifts[p, xi] for xi in x])
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(p, minlength=count))))
+        yield coords, cells, sizes, grid[(p, *x)], bounds.tolist()
 
 
-def _spreads(batch: _Batch, cells: np.ndarray, l: int, sign: str) -> np.ndarray:
-    """|A^l ∓ Δ_l(C)| for every row C of cells[p], a 0/1 row over the
-    members of the B of pair p of ``batch``, as a (P, U) int64 array; 0 for
-    an all-zero row.
+def _shift_cells(batch: _Batch, k: int):
+    """(coords, cells, sizes, inv, bounds) of the level-k cells of every
+    pair of ``batch``, as ``_shift_levels`` yields them."""
+    *_, top = _shift_levels(batch, k)
+    return top
 
-    For l = 1, A - C lies inside A - B and A + C inside A + B, and a target
+
+def _spread_hits(batch: _Batch, sign: str) -> np.ndarray:
+    """hit[p, j, t] = 1 iff t ± b_j is in A, for b_j a member of the B of
+    pair p and t a target of A ∓ B, as a (P, max |B|, T) boolean array.
+
+    A - C lies inside A - B and A + C inside A + B for C ⊆ B, and a target
     t of those is in A ∓ C iff some c in C has t ± c in A.
     """
     s = 1 if sign == "-" else -1
-    if l > 1:
-        out = np.zeros(cells.shape[:2], dtype=np.int64)
-        for p, (a, b) in enumerate(batch.pairs):
-            bm = np.asarray(b.members, dtype=np.int64)
-            for u in np.flatnonzero(cells[p].any(1)).tolist():
-                c = GroupSet(a.group, tuple(bm[cells[p, u, :len(bm)]].tolist()))
-                out[p, u] = diag_shift_size(a, c, l, sign)
-        return out
     n, bm, bmask = batch.n, batch.bm, batch.bmask
     if s == 1:
         targets, tmask = batch.shifts, batch.smask
@@ -402,40 +402,64 @@ def _spreads(batch: _Batch, cells: np.ndarray, l: int, sign: str) -> np.ndarray:
     owner = np.arange(len(batch.pairs))[:, None, None]
     hit = batch.member[owner, (targets[:, None, :] + s * bm[:, :, None]) % n]
     hit &= bmask[:, :, None] & tmask[:, None, :]
-    return _row_sizes(_hits(cells, hit))
+    return hit
 
 
-def _cell_profiles(pairs, k: int, l: int, signs: str):
+def _spreads(batch: _Batch, cells: np.ndarray, l: int, sign: str, hit=None) -> np.ndarray:
+    """|A^l ∓ Δ_l(C)| for every row C of cells[p], a 0/1 row over the
+    members of the B of pair p of ``batch``, as a (P, U) int64 array; 0 for
+    an all-zero row.  For l = 1, ``hit`` is ``_spread_hits(batch, sign)``,
+    gathered here when not given."""
+    if l > 1:
+        out = np.zeros(cells.shape[:2], dtype=np.int64)
+        for p, (a, b) in enumerate(batch.pairs):
+            bm = np.asarray(b.members, dtype=np.int64)
+            for u in np.flatnonzero(cells[p].any(1)).tolist():
+                c = GroupSet(a.group, tuple(bm[cells[p, u, :len(bm)]].tolist()))
+                out[p, u] = diag_shift_size(a, c, l, sign)
+        return out
+    return _row_sizes(_hits(cells, _spread_hits(batch, sign) if hit is None else hit))
+
+
+def _cell_profiles(pairs, k: int, l: int, signs: str, every: bool = False):
     """(coords, sizes, spreads, bounds) for the nonempty cells A^B_x, x in
     Gr^k, of every (A, B) in ``pairs``: ``coords`` and ``bounds`` as from
-    ``_shift_cells``, the int64 sizes |A^B_x| on the same rows, and for
+    ``_shift_levels``, the int64 sizes |A^B_x| on the same rows, and for
     each sign in ``signs`` the int64 spreads |A^l ∓ Δ_l(A^B_x)|, each
-    spread taken once per distinct cell."""
+    spread taken once per distinct cell.  With ``every``, the list of them
+    at each level 1, ..., k, from one pass: one batch serves every level,
+    and for l = 1 each sign's spread targets are gathered once."""
     batch = _pair_batch(pairs)
-    coords, cells, sizes, inv, bounds = _shift_cells(batch, k)
-    sizes = sizes.ravel()[inv]
-    spreads = {s: _spreads(batch, cells, l, s).ravel()[inv] for s in signs}
-    return coords, sizes, spreads, bounds
+    hits, out = {}, []
+    for level, (coords, cells, sizes, inv, bounds) in enumerate(_shift_levels(batch, k), 1):
+        if every or level == k:
+            if l == 1 and not hits:  # after the cap check, before any spread
+                hits = {s: _spread_hits(batch, s) for s in signs}
+            spreads = {s: _spreads(batch, cells, l, s, hits.get(s)).ravel()[inv] for s in signs}
+            out.append((coords, sizes.ravel()[inv], spreads, bounds))
+    return out if every else out[0]
 
 
 def build_shift_profiles(sets, k: int):
     """Cache on each set of ``sets`` (one modulus) that lacks it its shift
-    profile at k, from one kernel call for all of them: the x of Gr^k with
-    A_x nonempty as the rows of an int64 array in row-major order, the
-    sizes |A_x| and both l = 1 spreads |A ∓ A_x|, all read-only int64.
+    profile at k, and at every level below k that it lacks, from one kernel
+    pass for all of them: the x of Gr^j with A_x nonempty as the rows of an
+    int64 array in row-major order, the sizes |A_x| and both l = 1 spreads
+    |A ∓ A_x|, all read-only int64.  A level a set holds is kept.
 
-    Returns the profiles of ``sets`` laid end to end: (coords, sizes,
+    Returns the profiles at k of ``sets`` laid end to end: (coords, sizes,
     {sign: spreads}, bounds, owner), the rows of set i running from
     bounds[i] to bounds[i + 1] and owner[r] the set of row r."""
     todo = [a for a in sets if k not in a._shift_profiles]
-    if todo:
-        coords, sizes, spreads, bounds = _cell_profiles([(a, a) for a in todo], k, 1, "+-")
+    levels = _cell_profiles([(a, a) for a in todo], k, 1, "+-", every=True) if todo else ()
+    for level, (coords, sizes, spreads, bounds) in enumerate(levels, 1):
         for arr in (coords, sizes, *spreads.values()):
             arr.flags.writeable = False
         for a, lo, hi in zip(todo, bounds, bounds[1:]):
-            a._shift_profiles[k] = {
-                s: (coords[lo:hi], sizes[lo:hi], spreads[s][lo:hi]) for s in "+-"
-            }
+            if level not in a._shift_profiles:
+                a._shift_profiles[level] = {
+                    s: (coords[lo:hi], sizes[lo:hi], spreads[s][lo:hi]) for s in "+-"
+                }
     parts = [a._shift_profiles[k] for a in sets]
     lens = [len(part["+"][1]) for part in parts]
     coords, sizes = (np.concatenate([part["+"][j] for part in parts]) for j in (0, 1))
@@ -572,22 +596,6 @@ def check_ap_bound(a: GroupSet, alpha: float, p: float, sign: str = "-") -> Ineq
     )
 
 
-class Family(NamedTuple):
-    """One family of the inequality battery over a block of sets:
-    ``passed[i]`` and ``slacks[i]`` are set i's exact decision and its
-    ``slack_float()``, and ``row(i)`` builds set i's record with the
-    family's per-set check.  ``weight`` is the arity of the weight the
-    family reads (0 for none); an ``equality`` family is recorded for the
-    equality cases only."""
-
-    name: str
-    passed: list
-    slacks: list
-    row: Callable
-    weight: int = 0
-    equality: bool = False
-
-
 def block_families(sets, weights) -> list[Family]:
     """The exact families of ``verify``'s inequality battery over a block of
     nonempty sets on one modulus, with one integer weight q over Gr per set
@@ -608,9 +616,9 @@ def block_families(sets, weights) -> list[Family]:
         raise TypeError("block weights must be integer tables over Gr")
     count, sizes, out = len(sets), [len(a) for a in sets], []
 
-    def family(name, nums, dens, row, weight=0):
+    def family(name, nums, dens, row, reads=""):
         out.append(Family(name, [v >= 0 for v in nums], [v / d for v, d in zip(nums, dens)],
-                          row, weight))
+                          row, reads))
 
     def equality(*fams):
         for f in fams:
@@ -623,7 +631,8 @@ def block_families(sets, weights) -> list[Family]:
 
     auto = np.concatenate([a.autocorrelation.table for a in sets])
     e2, e3, e4 = (_segment_sums(list(range(0, count * n + 1, n)), *(auto,) * j) for j in (2, 3, 4))
-    profiles = {k: build_shift_profiles(sets, k) for k in (1, 2)}
+    # the k = 2 build caches level 1 as well
+    profiles = {k: build_shift_profiles(sets, k) for k in (2, 1)}
     coords, counts, spreads, bounds, owner = profiles[1]
     quotients = {}  # sum_x |A_x|^2 / d_x = q / lcm, the lhs of both quotient bounds
 
@@ -659,7 +668,7 @@ def block_families(sets, weights) -> list[Family]:
                    lambda i, k=k, sign=sign: check_weight_inequality(
                        sets[i], sets[i], weights[i] if k == 1 else weights[i].outer(weights[i]),
                        k, 1, sign),
-                   k)
+                   f"q{k}")
 
     for sign in "+-":
         d, (q, lcm) = spreads[sign], quotients[sign]

@@ -17,13 +17,14 @@ psi = h ∘ h for real h, which forces the hypothesis instead of testing it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .checks import IneqCheck
+from .checks import Family, IneqCheck
 from .config import TOL
 from .groups import (
     GroupFn,
@@ -183,7 +184,9 @@ def check_traces(op: SpectralOperator, spectrum: Spectrum) -> list[IneqCheck]:
 
 
 def triangle_sum(a: GroupSet, psi: GroupFn) -> int | float:
-    """sum_{x,y,z in A} psi(x-y) psi(x-z) psi(y-z), exact for integer psi."""
+    """sum_{x,y,z in A} psi(x-y) psi(x-z) psi(y-z), exact for integer psi:
+    tr M^3 for the restricted matrix M of an even psi, such as the
+    battery's kernels h ∘ h."""
     _require_same_group(a, psi)
     check_nonempty(a)
     return triple_product_sum(a, psi.table)
@@ -268,14 +271,15 @@ def check_cycle_sums(
         tol = 0.0 if isinstance(ray, Fraction) else TOL.cycle_rel * max(1.0, abs(ray) ** k)
         out.append(IneqCheck.from_ge(f"kernel-cycle-bound-k{k}", lhs, ray ** k, tol))
         if spectrum is not None:
-            ps = spectrum.power_sum(k)
-            scale = max(1.0, abs(ps), abs(lhs))
-            out.append(
-                IneqCheck.from_identity(
-                    f"kernel-cycle-eigen-k{k}", abs(lhs - ps) / scale, TOL.cycle_rel
-                )
-            )
+            out.append(IneqCheck.from_identity(
+                f"kernel-cycle-eigen-k{k}", _eigen_gap(lhs, spectrum.power_sum(k)), TOL.cycle_rel
+            ))
     return out
+
+
+def _eigen_gap(trace, power_sum: float) -> float:
+    """|tr M^k - sum_j mu_j^k|, relative to the larger of 1 and either side."""
+    return abs(trace - power_sum) / max(1.0, abs(power_sum), abs(trace))
 
 
 _POWER_ITERS = 4000  # power-iteration steps before the Jacobi fallback
@@ -296,7 +300,9 @@ def top_eigenpair(matrix: np.ndarray) -> tuple[float, np.ndarray]:
         return 0.0, v
     w = matrix @ v
     for _ in range(_POWER_ITERS):
-        nw = float(np.linalg.norm(w))
+        # each norm is numpy's own 1-D real norm, sqrt(x.dot(x)), without
+        # the np.linalg.norm wrapper
+        nw = math.sqrt(float(w.dot(w)))
         if nw == 0.0:
             return 0.0, v
         v = w / nw
@@ -304,7 +310,8 @@ def top_eigenpair(matrix: np.ndarray) -> tuple[float, np.ndarray]:
         # the next iterate
         w = matrix @ v
         mu = float(v @ w)
-        if float(np.linalg.norm(w - mu * v)) <= 1e-12 * max(1.0, abs(mu)):
+        r = w - mu * v
+        if math.sqrt(float(r.dot(r))) <= 1e-12 * max(1.0, abs(mu)):
             return mu, np.abs(v)
     eigs, vecs, _ = jacobi_eigh(matrix)
     mu = float(eigs[0])
@@ -332,42 +339,123 @@ def first_eigenfunction_bounds(a: GroupSet, h: GroupFn) -> EigBoundReport:
     if any(v < 0 for v in h.values):
         raise ValueError("kernel factor must be nonnegative")
     op = build_restricted_operator(a, psi)
-    mu0, f0 = top_eigenpair(op.matrix)
+    mu0, g, degenerate, sides = _top_vector_sides(
+        op.matrix, len(a), max(abs(v) for v in psi.values), psi.l2_norm_sq(), h.l2_norm_sq()
+    )
+    return EigBoundReport(mu0, g, [IneqCheck.from_le(*side) for side in sides], degenerate)
+
+
+def _top_vector_sides(matrix: np.ndarray, size: int, psi_inf, psi_sq, h_sq):
+    """(mu0, g, degenerate, sides) for the top eigenpair (mu0, f0) of the
+    float restricted matrix of psi = h ∘ h on a set of ``size`` members,
+    g = sum f0, given max |psi|, ||psi||^2 and ||h||^2.  Each side
+    (name, lo, hi, tol) is the row ``IneqCheck.from_le(name, lo, hi, tol)``;
+    the rows past the first need a nondegenerate top eigenvalue."""
+    mu0, f0 = top_eigenpair(matrix)
     g = float(f0.sum())
-    checks = [
-        IneqCheck.from_ge(
-            "top-vector-sum-upper", len(a), g * g, TOL.spectrum_rel * max(1.0, g * g)
-        )
-    ]
-    degenerate = mu0 <= TOL.spectrum_rel * max(1.0, float(np.abs(op.matrix).max()))
-    psi_inf = max(abs(v) for v in psi.values)
-    psi_l2 = math.sqrt(float(psi.l2_norm_sq()))
+    sides = [("top-vector-sum-upper", g * g, size, TOL.spectrum_rel * max(1.0, g * g))]
+    degenerate = mu0 <= TOL.spectrum_rel * max(1.0, float(np.abs(matrix).max()))
     if not degenerate:
+        psi_l2 = math.sqrt(float(psi_sq))
         lower = max(
             mu0 / psi_inf if psi_inf else 0.0,
             mu0 ** 2 / psi_l2 ** 2 if psi_l2 else 0.0,
         )
-        checks.append(
-            IneqCheck.from_ge(
-                "top-vector-sum-lower", g * g, lower, TOL.spectrum_rel * max(1.0, lower)
-            )
-        )
         f_inf = float(np.abs(f0).max())
-        checks.append(
-            IneqCheck.from_le(
-                "top-vector-sup-kernel",
-                f_inf,
-                psi_l2 / mu0,
-                TOL.spectrum_rel * max(1.0, psi_l2 / mu0),
-            )
-        )
-        h_l2 = math.sqrt(float(h.l2_norm_sq()))
-        checks.append(
-            IneqCheck.from_le(
-                "top-vector-sup-factor",
-                f_inf,
-                h_l2 / math.sqrt(mu0),
-                TOL.spectrum_rel * max(1.0, h_l2 / math.sqrt(mu0)),
-            )
-        )
-    return EigBoundReport(mu0, g, checks, degenerate)
+        kernel_sup = psi_l2 / mu0
+        factor_sup = math.sqrt(float(h_sq)) / math.sqrt(mu0)
+        sides += [
+            ("top-vector-sum-lower", lower, g * g, TOL.spectrum_rel * max(1.0, lower)),
+            ("top-vector-sup-kernel", f_inf, kernel_sup, TOL.spectrum_rel * max(1.0, kernel_sup)),
+            ("top-vector-sup-factor", f_inf, factor_sup, TOL.spectrum_rel * max(1.0, factor_sup)),
+        ]
+    return mu0, g, degenerate, sides
+
+
+def block_kernel_families(sets, factors, spectral) -> list[Family]:
+    """The kernel rows of ``verify``'s inequality battery over a block of
+    nonempty sets on one modulus, each with a nonnegative integer kernel
+    factor h (psi = h ∘ h) and a flag for the instances whose spectrum is
+    taken, as families in record order: the triangle bound; the cycle
+    bounds k = 3, 4, 5, each followed by its eigenvalue row on the spectral
+    instances; the top-vector rows, all but the first on the instances
+    whose top eigenvalue is not degenerate.  A family's ``row`` is the
+    per-set check's.
+
+    One zero-padded stack holds every M = psi(a_x - a_y) in the dtype
+    ``_exact_operands`` picks for tr M^5.  psi is even, so M is symmetric:
+    tr M^3 is the triangle sum, tr M^4 = ||M^2||_F^2, tr M^5 = <M^2, M^3>.
+    Each exact row is decided by cross-multiplication and its slack
+    num / den rounded once, as ``float`` of the Fraction does; the float
+    rows come from each instance's float M, as the per-set checks take it.
+    """
+    n = _require_same_group(*sets, *factors).modulus
+    for a in sets:
+        check_nonempty(a)
+    if any(h.kind != "int" or h.arity != 1 or h.table.min() < 0 for h in factors):
+        raise ValueError("kernel factors must be nonnegative integer tables over Gr")
+    count, sizes = len(sets), [len(a) for a in sets]
+    width = max(sizes)
+    psi = np.stack([correlation_kernel(h).table for h in factors])
+    hs = np.stack([h.table for h in factors])
+    real = np.arange(width) < np.array(sizes)[:, None]
+    mem = np.zeros((count, width), dtype=np.int64)
+    mem[real] = list(itertools.chain.from_iterable(a.members for a in sets))
+    m = psi[np.arange(count)[:, None, None], (mem[:, :, None] - mem[:, None, :]) % n]
+    m *= real[:, :, None] & real[:, None, :]
+    m = _exact_operands((m,) * 5, width ** 5)[0]
+    m2 = m @ m
+    traces = {k: (m2 * x).sum((1, 2)).tolist() for k, x in ((3, m), (4, m2), (5, m2 @ m))}
+    s1, s2 = (x.sum((1, 2)).tolist() for x in (m, m * m))
+    psi0, psi_inf = psi[:, 0].tolist(), np.abs(psi).max(1).tolist()
+    psi_sq, h_sq = ((t * t).sum(1).tolist()
+                    for t in (_exact_operands((x,) * 2, n)[0] for x in (psi, hs)))
+
+    names = ["kernel-triangle-bound",
+             *(f"kernel-cycle-{r}-k{k}" for k in (3, 4, 5) for r in ("bound", "eigen")),
+             "top-vector-sum-upper", "top-vector-sum-lower",
+             "top-vector-sup-kernel", "top-vector-sup-factor"]
+    passed, slacks = ({name: [None] * count for name in names} for _ in range(2))
+    spectra = [None] * count
+
+    def put(name, i, ok, slack):
+        passed[name][i], slacks[name][i] = ok, slack
+
+    for i, (a, z, ray) in enumerate(zip(sets, sizes, s1)):
+        # the triangle bound: of (s1/|A|)^3, |psi(0)|^3 |A| and s2^1.5 / |A|^0.5,
+        # the first largest as a float, as max(bounds, key=float) takes it
+        tri, third = traces[3][i], float(s2[i]) ** 1.5 / math.sqrt(z)
+        keys = [ray ** 3 / z ** 3, float(abs(psi0[i]) ** 3 * z), third]
+        win = keys.index(max(keys))
+        if win == 2:
+            slack = tri - third
+            put(names[0], i, slack >= -TOL.spectrum_rel * max(1.0, third), slack)
+        else:
+            num, den = ((tri * z ** 3 - ray ** 3, z ** 3) if win == 0
+                        else (tri - abs(psi0[i]) ** 3 * z, 1))
+            put(names[0], i, num >= 0, num / den)
+        mat = m[i, :z, :z].astype(float)
+        if spectral[i]:
+            psi_i = correlation_kernel(factors[i])
+            spectra[i] = eigendecompose(SpectralOperator(a, psi_i, mat, True))
+        for k in (3, 4, 5):
+            num = traces[k][i] * z ** k - ray ** k  # tr M^k >= (s1 / |A|)^k
+            put(f"kernel-cycle-bound-k{k}", i, num >= 0, num / z ** k)
+            if spectra[i] is not None:
+                gap = _eigen_gap(traces[k][i], spectra[i].power_sum(k))
+                put(f"kernel-cycle-eigen-k{k}", i, -gap >= -TOL.cycle_rel, -gap)
+        for name, lo, hi, tol in _top_vector_sides(mat, z, psi_inf[i], psi_sq[i], h_sq[i])[3]:
+            put(name, i, hi - lo >= -tol, hi - lo)
+
+    def row(i, name):
+        a, h = sets[i], factors[i]
+        if name == names[0]:
+            return check_triangle_inequality(a, h)
+        if name.startswith("kernel-cycle"):
+            rows = check_cycle_sums(a, h, spectra[i] if "eigen" in name else None)
+        else:
+            rows = first_eigenfunction_bounds(a, h).checks
+        return next(c for c in rows if c.name == name)
+
+    return [Family(name, passed[name], slacks[name], lambda i, name=name: row(i, name), "h")
+            for name in names]

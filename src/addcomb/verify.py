@@ -6,8 +6,9 @@ sets, function tables, seed) so the counterexample can be replayed.
 Reports are reproducible byte-for-byte from (version, seed): wall-clock
 runtime is printed, never serialized.
 
-The inequality battery decides its exact families a block of 8 instances
-at a time (``energy.block_families``).  When every row of a block passes,
+The inequality battery decides its exact families and its kernel rows a
+block of 8 instances at a time (``energy.block_families`` and
+``spectral.block_kernel_families``).  When every row of a block passes,
 each family adds the block's trial count and builds its worst row only;
 a block with a failing row is replayed instance by instance in the
 battery's row order, so a halted report is the one recorded row by row.
@@ -35,12 +36,9 @@ from .energy import (
 from .experiments import divisors
 from .groups import CyclicGroup, GroupFn, GroupSet
 from .spectral import (
+    block_kernel_families,
     build_restricted_operator,
-    check_cycle_sums,
-    check_triangle_inequality,
-    correlation_kernel,
     eigendecompose,
-    first_eigenfunction_bounds,
     triangle_sum,
 )
 from .subgroup import (
@@ -396,7 +394,7 @@ def _conv_power_discrepancy(fs, l: int) -> int:
 
 
 _SPECTRAL_EVERY = 20  # every this many random trials also diagonalize h ∘ h on A
-_BLOCK = 8  # instances whose shift profiles are built by one kernel call per level
+_BLOCK = 8  # instances whose families are decided together
 
 
 def run_inequality_suite(seed: int = 1, trials: int = 1000) -> CheckSuite:
@@ -405,8 +403,8 @@ def run_inequality_suite(seed: int = 1, trials: int = 1000) -> CheckSuite:
     every exact-arithmetic check).
 
     Instances run in blocks of ``_BLOCK``: each block's sets, weights and
-    kernel factors are drawn in instance order, and its k = 1 and k = 2
-    shift profiles are built together (see ``_inequality_block``)."""
+    kernel factors are drawn in instance order, and its families are
+    decided together (see ``_inequality_block``)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     suite = CheckSuite(
@@ -448,48 +446,36 @@ def _draw_weights(rng: random.Random, group: CyclicGroup) -> tuple[GroupFn, Grou
 def _inequality_block(suite: CheckSuite, block: list) -> None:
     """Record a block of instances (A, trial, spectral, equality_case, q, h).
 
-    Every exact family is decided for the whole block by one reduction
-    (``energy.block_families``) and every spectral row is computed.  When
-    all of them pass, each family adds its trial count and builds only its
-    worst row, with the per-set check, which gives the stats of recording
-    every row in order.  Otherwise the block is replayed one instance at a
-    time in that order, so the suite halts where, and records what, it
-    would row by row."""
-    families = block_families([inst[0] for inst in block], [inst[4] for inst in block])
-    spectral = [_spectral_rows(a, h, sp) for a, _, sp, _, _, h in block]
-    # the instances each family records: its equality rows the equality cases only
-    takes = [[i for i, inst in enumerate(block) if inst[3] or not f.equality] for f in families]
-    if (all(f.passed[i] for f, take in zip(families, takes) for i in take)
-            and all(c.passed for c in itertools.chain.from_iterable(spectral))):
+    Every family is decided for the whole block at once: the exact
+    families by ``energy.block_families`` and the kernel rows by
+    ``spectral.block_kernel_families``.  When all of them pass, each family
+    adds its trial count and builds only its worst row, with the per-set
+    check, which gives the stats of recording every row in order.
+    Otherwise the block is replayed one instance at a time in that order,
+    so the suite halts where, and records what, it would row by row."""
+    sets = [inst[0] for inst in block]
+    families = [*block_families(sets, [inst[4] for inst in block]),
+                *block_kernel_families(sets, [inst[5] for inst in block],
+                                       [inst[2] for inst in block])]
+    # the instances each family records: those that have its row, and for
+    # an equality row the equality cases only
+    takes = [[i for i, inst in enumerate(block)
+              if f.slacks[i] is not None and (inst[3] or not f.equality)] for f in families]
+    if all(f.passed[i] for f, take in zip(families, takes) for i in take):
         for f, take in zip(families, takes):
             if take:
                 suite.stats.setdefault(f.name, EqStats()).add_block(
                     [f.slacks[i] for i in take], lambda j, f=f, take=take: f.row(take[j]))
-        for c in itertools.chain.from_iterable(spectral):
-            suite.record(c)
         return
     for i, (a, trial, _, equality_case, q, h) in enumerate(block):
         inst = {"N": a.group.modulus, "A": list(a.members), "trial": trial,
                 "equality_case": equality_case}
         # payloads built once per instance, read only when a row fails
-        q_inst = {k: {**inst, "q": list(q.values), "k": k} for k in (1, 2)}
+        payloads = {"": inst, "h": {**inst, "h": list(h.values)},
+                    **{f"q{k}": {**inst, "q": list(q.values), "k": k} for k in (1, 2)}}
         for f, take in zip(families, takes):
             if i in take:
-                suite.record(f.row(i), q_inst[f.weight] if f.weight else inst)
-        h_inst = {**inst, "h": list(h.values)}
-        for c in spectral[i]:
-            suite.record(c, h_inst)
-
-
-def _spectral_rows(a: GroupSet, h: GroupFn, spectral: bool) -> list[IneqCheck]:
-    """The kernel rows of an instance: the triangle bound, the cycle sums
-    (against the spectrum of h ∘ h on A when ``spectral``) and the top
-    eigenvector bounds."""
-    spectrum = None
-    if spectral:
-        spectrum = eigendecompose(build_restricted_operator(a, correlation_kernel(h)))
-    return [check_triangle_inequality(a, h), *check_cycle_sums(a, h, spectrum),
-            *first_eigenfunction_bounds(a, h).checks]
+                suite.record(f.row(i), payloads[f.reads])
 
 
 # ---------------------------------------------------------------------------

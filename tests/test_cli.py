@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from addcomb.cli import main
+from addcomb.cli import build_parser, main
 from addcomb.config import FIELD_PRIME_CAP, SCAN_PRIME_CAP
 
 
@@ -127,6 +127,11 @@ def test_empty_scan_exits_1(argv, capsys):
     ["expansion-scan", "--p", "13", "--t", "4", "--trials", "-3"],
     ["verify", "--trials", "-1"],
     ["doubling-stats", "--file", "{oversize}"],
+    ["verify", "--primes", "-1,20"],
+    ["level-profile", "--p", "1", "--t", "1"],
+    ["ap-scan", "--pmax", "x"],
+    ["ap-scan"],
+    ["no-such-scan"],
 ])
 def test_bad_input_exits_2(argv, capsys, monkeypatch, tmp_path):
     # bad input is rejected before any suite runs, any scan starts or any
@@ -154,6 +159,24 @@ def test_bad_input_exits_2(argv, capsys, monkeypatch, tmp_path):
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("addcomb: error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--trials", "-1"],
+    ["subgroup-scan", "--pmax", "10001"],
+    ["level-profile", "--p", "1000003", "--t", "2"],
+    ["level-profile", "--p", "7", "--t", "0"],
+    ["coverage-6gamma", "--pmax", "13", "--cap", "1"],
+    ["expansion-scan", "--p", "13", "--t", "4", "--trials", "-3"],
+    ["convex-scan", "--nmax", "1"],
+    ["convex-scan", "--nmax", "1025"],
+    ["ap-scan", "--pmax", "10001"],
+])
+def test_numeric_ranges_checked_while_parsing(argv):
+    # the parser itself refuses each out-of-range value, before any
+    # subcommand is dispatched
+    with pytest.raises(ValueError, match=r"^argument --\w+: must be [<>]= -?\d+, got -?\d+$"):
+        build_parser().parse_args(argv)
 
 
 # Each scan at a small size, and the sha256 of the CSV it writes.  The
@@ -245,10 +268,9 @@ def cli_argv(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=cli_argv())
 def test_every_subcommand_takes_edge_integers_without_a_traceback(case, tmp_path):
-    """Each run exits 0, 1 or 2 and raises nothing else; when ``main``
-    rejects the input, stderr is one ``addcomb: error:`` line.  An
-    argparse rejection (``--primes -1,20`` reads as an option) is a
-    SystemExit(2)."""
+    """Each run exits 0, 1 or 2 and raises nothing else; when the input is
+    rejected, by argparse (``--primes -1,20`` reads as an option) or by the
+    library, stderr is one ``addcomb: error:`` line."""
     argv, text = case
     if text is not None:
         sets = tmp_path / "sets.txt"
@@ -256,11 +278,7 @@ def test_every_subcommand_takes_edge_integers_without_a_traceback(case, tmp_path
         argv = [str(sets) if v == "{file}" else v for v in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            rc = main(argv)
-        except SystemExit as exc:
-            assert exc.code == 2, argv
-            return
+        rc = main(argv)
     assert rc in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue()
     if rc == 2:

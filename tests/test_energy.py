@@ -435,6 +435,31 @@ def test_spread_cache_interleaved_signs_and_moduli():
         assert copy._shift_profiles == {}  # an equal B reads A's cache
 
 
+def test_shift_profiles_build_each_level_once_and_no_level_past_k(monkeypatch):
+    """One pass builds levels 1..k and caches each of them; a single-set
+    call at k = 1 (the counting queries' path) extends no cell to level 2,
+    and a later call at k = 2 keeps the cached level 1.  Each level takes
+    one ``_hits`` per sign for its spreads, and each level past 1 one more
+    to extend its cells."""
+    hits = []
+    real = energy_module._hits
+    monkeypatch.setattr(energy_module, "_hits", lambda *args: hits.append(1) or real(*args))
+    g = CyclicGroup(16)
+    a, b = GroupSet.of(g, [0, 1, 3, 7, 8]), GroupSet.of(g, [2, 5, 6, 11])
+    energy_module.build_shift_profiles([a], 1)
+    assert len(hits) == 2 and list(a._shift_profiles) == [1]
+    level1 = a._shift_profiles[1]
+    energy_module.build_shift_profiles([a, b], 2)
+    assert len(hits) == 2 + 5 and list(b._shift_profiles) == [1, 2]
+    assert a._shift_profiles[1] is level1 and sorted(a._shift_profiles) == [1, 2]
+    for s in "+-":
+        for level in (1, 2):
+            lone = GroupSet.of(g, b.members)
+            energy_module.build_shift_profiles([lone], level)
+            assert all((x == y).all() for x, y in zip(lone._shift_profiles[level][s],
+                                                     b._shift_profiles[level][s]))
+
+
 def test_k2_shift_profile_signs_and_zero_weights(monkeypatch):
     """check_weight_inequality at k = 2, l = 1 on a fresh set, called as
     +, -, + with a weight that vanishes on some nonempty cells, gives the
@@ -451,9 +476,9 @@ def test_k2_shift_profile_signs_and_zero_weights(monkeypatch):
     assert any(c and not w for w, (c, _) in zip(q, cells["-"]))
     e4 = sum(v ** 4 for v in oracle.correlation(a.members, a.members, n))  # E_4(A, A)
     builds = []
-    real = energy_module._shift_cells
+    real = energy_module._shift_levels
     monkeypatch.setattr(
-        energy_module, "_shift_cells",
+        energy_module, "_shift_levels",
         lambda batch, k: builds.append((batch.pairs, k)) or real(batch, k),
     )
     for sign in "+-+":
@@ -462,8 +487,9 @@ def test_k2_shift_profile_signs_and_zero_weights(monkeypatch):
         for b in (a, copy):
             c = check_weight_inequality(a, b, weight, 2, 1, sign)
             assert (c.lhs, c.rhs) == (len(a) ** 2 * lin * lin, e4 * quad)
+    # one pass builds level 2 and caches level 1 on the way
     assert builds == [([(a, a)], 2)]
-    assert list(a._shift_profiles) == [2] and sorted(a._shift_profiles[2]) == ["+", "-"]
+    assert list(a._shift_profiles) == [1, 2] and sorted(a._shift_profiles[2]) == ["+", "-"]
     assert copy._shift_profiles == {}
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 import warnings
 
 import numpy as np
@@ -8,8 +9,16 @@ import pytest
 from addcomb import spectral as spectral_module
 from addcomb.config import TOL
 from addcomb.energy import correlation_counts
-from addcomb.groups import CyclicGroup, GroupSet, _exact_operands, indicator, restricted_matrix
+from addcomb.groups import (
+    CyclicGroup,
+    GroupSet,
+    _exact_operands,
+    indicator,
+    restricted_matrix,
+    triple_product_sum,
+)
 from addcomb.spectral import (
+    block_kernel_families,
     build_restricted_operator,
     check_cycle_sums,
     check_traces,
@@ -254,6 +263,75 @@ def test_triangle_random_vs_enumeration():
             a.members, psi.values, a.group.modulus
         )
         assert check_triangle_inequality(a, h).passed
+
+
+def test_triangle_sum_is_the_cube_trace_for_even_kernels():
+    """For psi = h ∘ h, psi(-x) = psi(x), so the restricted matrix M is
+    symmetric and the triple sum is tr M^3, the value the block kernel
+    rows take as both the triangle lhs and the k = 3 cycle sum."""
+    rng = random.Random(14)
+    for _ in range(30):
+        n = rng.choice([5, 8, 13, 16])
+        g = CyclicGroup(n)
+        a = GroupSet.of(g, rng.sample(range(n), rng.randint(1, n)))
+        psi = correlation_kernel(GroupFn(g, np.array([rng.randint(-4, 4) for _ in range(n)])))
+        m = restricted_matrix(a, psi.table)
+        assert (m == m.T).all()
+        assert triangle_sum(a, psi) == triple_product_sum(a, psi.table) == int(np.trace(m @ m @ m))
+
+
+def _triangle_winner(a, h):
+    """Index of the bound ``check_triangle_inequality`` compares against:
+    (s1/|A|)^3, |psi(0)|^3 |A| or s2^1.5 / |A|^0.5, the first largest."""
+    psi, aa, na = correlation_kernel(h).values, a.autocorrelation.values, len(a)
+    s1 = sum(p * c for p, c in zip(psi, aa))
+    s2 = sum(p * p * c for p, c in zip(psi, aa))
+    keys = [s1 ** 3 / na ** 3, float(abs(psi[0]) ** 3 * na), float(s2) ** 1.5 / math.sqrt(na)]
+    return keys.index(max(keys))
+
+
+def test_block_kernel_families_match_the_per_set_checks_row_by_row():
+    """Every kernel family of a block agrees with the per-set checks on
+    each instance: the same rows exist, with the same decision, the same
+    slack_float() bits and the same record from ``row``.  The blocks hold
+    instances where each triangle bound wins, a zero kernel (degenerate
+    top eigenvalue) and mixed spectral flags."""
+    rng = random.Random(29)
+    g = CyclicGroup(5)
+    fixed = [([2, 3], [0, 2, 0, 0, 0]), ([1, 2, 3], [0, 0, 2, 0, 1]), ([0, 1, 3], [0] * 5)]
+    blocks = [[(GroupSet.of(g, m), GroupFn(g, np.array(h))) for m, h in fixed]]
+    for n in (5, 7, 12, 16):
+        g = CyclicGroup(n)
+        blocks += [[(GroupSet.of(g, rng.sample(range(n), rng.randint(1, n))),
+                     GroupFn(g, np.array([rng.choice([0, 0, 1, 2, 3]) for _ in range(n)])))
+                    for _ in range(8)] for _ in range(3)]
+    winners, degenerate, names = set(), 0, set()
+    bits = lambda v: struct.pack("<d", v)  # noqa: E731
+    for block in blocks:
+        sets, factors = [a for a, _ in block], [h for _, h in block]
+        spectral = [rng.random() < 0.5 for _ in block]
+        families = block_kernel_families(sets, factors, spectral)
+        for i, (a, h) in enumerate(block):
+            winners.add(_triangle_winner(a, h))
+            spectrum = None
+            if spectral[i]:
+                spectrum = eigendecompose(build_restricted_operator(a, correlation_kernel(h)))
+            report = first_eigenfunction_bounds(a, h)
+            degenerate += report.degenerate
+            rows = {c.name: c for c in (check_triangle_inequality(a, h),
+                                        *check_cycle_sums(a, h, spectrum), *report.checks)}
+            assert {f.name for f in families if f.slacks[i] is not None} == set(rows)
+            for f in families:
+                if f.name not in rows:
+                    assert f.passed[i] is None
+                    continue
+                want, got = rows[f.name], f.row(i)
+                names.add(f.name)
+                assert f.passed[i] == want.passed, (f.name, i)
+                assert bits(f.slacks[i]) == bits(want.slack_float()), (f.name, i)
+                assert (got.lhs, got.rhs, got.slack, got.passed) == (
+                    want.lhs, want.rhs, want.slack, want.passed)
+    assert winners == {0, 1, 2} and degenerate and len(names) == 11
 
 
 def test_triangle_sum_non_even_kernels():

@@ -213,7 +213,8 @@ def _plant_fault(monkeypatch, fault):
 
     "spreads": every |A - A_x| of its k = 1 shift profile reads 1, which
     breaks shift-quotient-bound- (the first row that reads them).
-    "spectral": its triangle-bound row reads lhs = rhs + 1."""
+    "spectral": its triangle-bound row, as the block's kernel families
+    decide and build it, reads lhs = rhs + 1."""
     from addcomb.checks import IneqCheck
 
     energy_mod = importlib.import_module("addcomb.energy")
@@ -234,15 +235,23 @@ def _plant_fault(monkeypatch, fault):
 
     monkeypatch.setattr(verify_mod, "random_subset", subset)
     if fault == "spectral":
-        real_triangle = verify_mod.check_triangle_inequality
+        real_families = verify_mod.block_kernel_families
 
-        def triangle(a, h):
-            c = real_triangle(a, h)
-            if len(drawn) > HALT_TRIAL and a is drawn[HALT_TRIAL]:
-                return IneqCheck.from_le(c.name, c.rhs + 1, c.rhs, c.tol)
-            return c
+        def kernel_families(sets, factors, spectral):
+            families = real_families(sets, factors, spectral)
+            at = [i for i, a in enumerate(sets) if len(drawn) > HALT_TRIAL and a is drawn[HALT_TRIAL]]
+            if at:
+                (i,), tri = at, families[0]
+                assert tri.name == "kernel-triangle-bound"
+                c = tri.row(i)
+                bad = IneqCheck.from_le(c.name, c.rhs + 1, c.rhs, c.tol)
+                families[0] = tri._replace(
+                    passed=[ok and j != i for j, ok in enumerate(tri.passed)],
+                    slacks=[bad.slack_float() if j == i else v for j, v in enumerate(tri.slacks)],
+                    row=lambda j: bad if j == i else tri.row(j))
+            return families
 
-        monkeypatch.setattr(verify_mod, "check_triangle_inequality", triangle)
+        monkeypatch.setattr(verify_mod, "block_kernel_families", kernel_families)
     return drawn
 
 
