@@ -235,6 +235,12 @@ def _row_block(shape) -> int:
     return max(1, _BLOCK_ENTRIES // max(1, math.prod(shape[:-2]) * shape[-1]))
 
 
+def _check_float32_exact(terms: int) -> None:
+    """Raise unless a float32 sum of ``terms`` 0/1 products is exact."""
+    if terms >= 2 ** 24:
+        raise ValueError(f"{terms} terms: float32 sums are exact only below 2**24")
+
+
 def _hits(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x @ y > 0 for 0/1 matrices x, y, or for stacks of them, a block of
     rows of x at a time.
@@ -242,7 +248,7 @@ def _hits(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Runs in float32 BLAS: every product is 0 or 1 and every sum an integer
     at most x.shape[-1], exact while that is below 2**24.
     """
-    assert x.shape[-1] < 2 ** 24
+    _check_float32_exact(x.shape[-1])
     yf = y.astype(np.float32)
     out = np.empty(x.shape[:-1] + y.shape[-1:], dtype=bool)
     step = _row_block(out.shape)
@@ -257,7 +263,7 @@ def _row_sizes(m: np.ndarray) -> np.ndarray:
     as int64, a block of rows at a time: float32 products with a ones
     vector, exact below 2**24, and several times faster than a bool sum
     over a short axis."""
-    assert m.shape[-1] < 2 ** 24
+    _check_float32_exact(m.shape[-1])
     ones = np.ones(m.shape[-1], dtype=np.float32)
     out = np.empty(m.shape[:-1], dtype=np.int64)
     step = _row_block(m.shape)

@@ -9,8 +9,11 @@ preallocated buffer and one sum of its halves; c x + (-s) y equals the
 textbook c x - s y exactly, so eigenvalues, eigenvectors and residual are
 bit-identical to the separate row, column and vector updates that
 tests/oracle.py keeps as the reference.  The pivot and the two diagonal
-entries are read as Python floats with ``item``.  A kernel with no complex
-value gives a float64 operator.
+entries are read as Python floats with ``item``.  ``jacobi_eigh_stack``
+runs the same sweeps on many matrices at once, each pair one set of ufunc
+calls for every matrix that has it, and returns the same eigenvalue bytes
+without eigenvectors; ``verify``'s inequality battery diagonalizes with it.
+A kernel with no complex value gives a float64 operator.
 Kernels with nonnegative Fourier transform are always *constructed* as
 psi = h ∘ h for real h, which forces the hypothesis instead of testing it.
 """
@@ -73,6 +76,26 @@ def build_restricted_operator(a: GroupSet, psi: GroupFn) -> SpectralOperator:
     return SpectralOperator(a, psi, mat, symmetric)
 
 
+def _jacobi_start(matrix) -> tuple[np.ndarray, float | None]:
+    """A float copy of a symmetric matrix and the off-diagonal norm that
+    ends its sweeps, or None when no rotation is needed: n <= 1, or a zero
+    matrix, returned as +0.0 throughout.  Raises on non-symmetric input and
+    on a Frobenius norm that overflows."""
+    m = np.array(matrix, dtype=float)
+    n = m.shape[0]
+    if m.shape != (n, n) or not np.allclose(m, m.T, atol=1e-12 * (1 + np.abs(m).max(initial=0))):
+        raise ValueError("jacobi_eigh needs a symmetric square matrix")
+    if n <= 1:
+        return m, None
+    with np.errstate(over="ignore"):  # an overflow is the error raised below
+        fro = math.sqrt(float((m * m).sum()))
+    if not math.isfinite(fro):
+        # (m * m) overflows at entries near 1.3e154, and an inf target would
+        # end the sweep before any rotation
+        raise ValueError("jacobi_eigh needs a matrix with a finite Frobenius norm")
+    return (m, TOL.jacobi_off * fro) if fro else (np.zeros((n, n)), None)
+
+
 def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Cyclic Jacobi diagonalization of a real symmetric matrix.
 
@@ -80,21 +103,10 @@ def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     residual).  Raises on non-symmetric input and on a Frobenius norm that
     overflows; reports the residual if the sweep budget runs out.
     """
-    m = np.array(matrix, dtype=float)
+    m, target = _jacobi_start(matrix)
     n = m.shape[0]
-    if m.shape != (n, n) or not np.allclose(m, m.T, atol=1e-12 * (1 + np.abs(m).max(initial=0))):
-        raise ValueError("jacobi_eigh needs a symmetric square matrix")
-    if n <= 1:
+    if target is None:
         return m.diagonal().copy(), np.eye(n), 0.0
-    with np.errstate(over="ignore"):  # an overflow is the error raised below
-        fro = math.sqrt(float((m * m).sum()))
-    if not math.isfinite(fro):
-        # (m * m) overflows at entries near 1.3e154, and an inf target would
-        # end the sweep before any rotation
-        raise ValueError("jacobi_eigh needs a matrix with a finite Frobenius norm")
-    if fro == 0.0:
-        return np.zeros(n), np.eye(n), 0.0
-    target = TOL.jacobi_off * fro
     # the off-diagonal norm sums the off-diagonal squares directly:
     # sum(m^2) - sum(diag^2) cancels down to about sqrt(eps) ||m||
     off_diag = ~np.eye(n, dtype=bool)
@@ -142,6 +154,70 @@ def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     eigs = m.diagonal().copy()
     order = np.argsort(-eigs, kind="stable")
     return eigs[order], w[order, n:].T, off
+
+
+def jacobi_eigh_stack(matrices) -> list[np.ndarray]:
+    """The eigenvalues, descending, of each real symmetric matrix: the bytes
+    ``jacobi_eigh`` returns, from the same sweeps run on one zero-padded
+    stack sorted by size, without eigenvectors.
+
+    Pair (p, q) rotates, in one set of ufunc calls, the prefix of matrices
+    with n > q; a matrix whose pivot the skip rule passes over is masked
+    out of the writes.  Each matrix takes its own convergence test on its
+    n x n block and leaves the stack once it passes.  Raises as
+    ``jacobi_eigh`` does.
+    """
+    starts = [_jacobi_start(x) for x in matrices]
+    out = [m.diagonal().copy() for m, _ in starts]  # for those needing no rotation
+    live = sorted((i for i, (_, t) in enumerate(starts) if t is not None),
+                  key=lambda i: -len(starts[i][0]))
+    sizes = [len(starts[i][0]) for i in live]
+    width = sizes[0] if sizes else 0
+    stack = np.zeros((len(live), width, width))
+    for j, i in enumerate(live):
+        stack[j, :sizes[j], :sizes[j]] = starts[i][0]
+    # a skipped pivot's lane, which is never written, may divide by zero
+    # or overflow
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for sweep in range(TOL.jacobi_sweeps + 1):
+            keep = []
+            for j, (i, n) in enumerate(zip(live, sizes)):
+                m = stack[j, :n, :n]
+                off = math.sqrt(float(np.square(m[~np.eye(n, dtype=bool)]).sum()))
+                if sweep == TOL.jacobi_sweeps or off <= starts[i][1]:
+                    eigs = m.diagonal().copy()
+                    out[i] = eigs[np.argsort(-eigs, kind="stable")]
+                else:
+                    keep.append(j)
+            live, sizes = [live[j] for j in keep], [sizes[j] for j in keep]
+            if not live:
+                break
+            width = sizes[0]
+            stack = stack[keep, :width, :width]
+            # jacobi_eigh's R = [[c, -s], [s, c]] and product buffer, a lane
+            # per matrix; pair (p, q) exists in the first prefix[q] lanes
+            rot = np.empty((len(keep), 2, 2, 1))
+            buf = np.empty((len(keep), 2, 2, width))
+            prefix = [sum(n > q for n in sizes) for q in range(width)]
+            for p in range(width - 1):
+                for q in range(p + 1, width):
+                    k = prefix[q]
+                    g = stack[:k, p:q + 1:q - p, p:q + 1:q - p]
+                    app, apq, aqq = g[:, 0, 0], g[:, 0, 1], g[:, 1, 1]
+                    # the lanes that rotate; True, no mask, when all of them do
+                    turn = ~(abs(apq) <= 1e-40 * (abs(app) + abs(aqq) + 1e-300))
+                    turn = True if turn.all() else turn[:, None, None]
+                    theta = (aqq - app) / (2.0 * apq)
+                    t = np.copysign(1.0, theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                    r = rot[:k, :, :, 0]
+                    r[:, 0, 0] = r[:, 1, 1] = c = 1.0 / np.sqrt(t * t + 1.0)
+                    r[:, 1, 0] = s = t * c
+                    r[:, 0, 1] = -s
+                    for x in (stack, stack.transpose(0, 2, 1)):  # rows, then columns
+                        pair = x[:k, p:q + 1:q - p]
+                        b = np.multiply(rot[:k], pair[:, None], buf[:k])
+                        np.add(b[:, :, 0], b[:, :, 1], pair, where=turn)
+    return out
 
 
 def eigendecompose(op: SpectralOperator) -> Spectrum:
@@ -372,13 +448,13 @@ def _top_vector_sides(matrix: np.ndarray, size: int, psi_inf, psi_sq, h_sq):
     return mu0, g, degenerate, sides
 
 
-def block_kernel_families(sets, factors, spectral) -> list[Family]:
+def block_kernel_families(sets, factors, spectra) -> list[Family]:
     """The kernel rows of ``verify``'s inequality battery over a block of
     nonempty sets on one modulus, each with a nonnegative integer kernel
-    factor h (psi = h ∘ h) and a flag for the instances whose spectrum is
-    taken, as families in record order: the triangle bound; the cycle
-    bounds k = 3, 4, 5, each followed by its eigenvalue row on the spectral
-    instances; the top-vector rows, all but the first on the instances
+    factor h (psi = h ∘ h) and the ``Spectrum`` of its restricted operator
+    or None, as families in record order: the triangle bound; the cycle
+    bounds k = 3, 4, 5, each followed by its eigenvalue row on the
+    instances with a spectrum; the top-vector rows, all but the first on the instances
     whose top eigenvalue is not degenerate.  A family's ``row`` is the
     per-set check's.
 
@@ -416,12 +492,11 @@ def block_kernel_families(sets, factors, spectral) -> list[Family]:
              "top-vector-sum-upper", "top-vector-sum-lower",
              "top-vector-sup-kernel", "top-vector-sup-factor"]
     passed, slacks = ({name: [None] * count for name in names} for _ in range(2))
-    spectra = [None] * count
 
     def put(name, i, ok, slack):
         passed[name][i], slacks[name][i] = ok, slack
 
-    for i, (a, z, ray) in enumerate(zip(sets, sizes, s1)):
+    for i, (z, ray) in enumerate(zip(sizes, s1)):
         # the triangle bound: of (s1/|A|)^3, |psi(0)|^3 |A| and s2^1.5 / |A|^0.5,
         # the first largest as a float, as max(bounds, key=float) takes it
         tri, third = traces[3][i], float(s2[i]) ** 1.5 / math.sqrt(z)
@@ -434,16 +509,13 @@ def block_kernel_families(sets, factors, spectral) -> list[Family]:
             num, den = ((tri * z ** 3 - ray ** 3, z ** 3) if win == 0
                         else (tri - abs(psi0[i]) ** 3 * z, 1))
             put(names[0], i, num >= 0, num / den)
-        mat = m[i, :z, :z].astype(float)
-        if spectral[i]:
-            psi_i = correlation_kernel(factors[i])
-            spectra[i] = eigendecompose(SpectralOperator(a, psi_i, mat, True))
         for k in (3, 4, 5):
             num = traces[k][i] * z ** k - ray ** k  # tr M^k >= (s1 / |A|)^k
             put(f"kernel-cycle-bound-k{k}", i, num >= 0, num / z ** k)
             if spectra[i] is not None:
                 gap = _eigen_gap(traces[k][i], spectra[i].power_sum(k))
                 put(f"kernel-cycle-eigen-k{k}", i, -gap >= -TOL.cycle_rel, -gap)
+        mat = m[i, :z, :z].astype(float)
         for name, lo, hi, tol in _top_vector_sides(mat, z, psi_inf[i], psi_sq[i], h_sq[i])[3]:
             put(name, i, hi - lo >= -tol, hi - lo)
 

@@ -34,11 +34,14 @@ from .energy import (
     energy_k,
 )
 from .experiments import divisors
-from .groups import CyclicGroup, GroupFn, GroupSet
+from .groups import CyclicGroup, GroupFn, GroupSet, restricted_matrix
 from .spectral import (
+    Spectrum,
     block_kernel_families,
     build_restricted_operator,
+    correlation_kernel,
     eigendecompose,
+    jacobi_eigh_stack,
     triangle_sum,
 )
 from .subgroup import (
@@ -102,7 +105,9 @@ class EqStats:
                 self.worst_slack, worst = s, i
         if worst is not None:
             self.worst = row(worst)
-            assert self.worst.passed and self.worst.slack_float() == self.worst_slack
+            if not (self.worst.passed and self.worst.slack_float() == self.worst_slack):
+                raise RuntimeError(f"{self.worst.name}: the built row does not pass at "
+                                   f"the block's slack {self.worst_slack}")
 
 
 @dataclass
@@ -395,6 +400,10 @@ def _conv_power_discrepancy(fs, l: int) -> int:
 
 _SPECTRAL_EVERY = 20  # every this many random trials also diagonalize h ∘ h on A
 _BLOCK = 8  # instances whose families are decided together
+# instances drawn ahead of their blocks: the default battery's 6 + 1000 fit
+# one window, so its 56 spectral instances form one Jacobi stack
+_WINDOW = 126 * _BLOCK
+_DENSITIES = [0.1 + 0.8 * i / 8 for i in range(9)]  # by trial, cyclically
 
 
 def run_inequality_suite(seed: int = 1, trials: int = 1000) -> CheckSuite:
@@ -402,9 +411,11 @@ def run_inequality_suite(seed: int = 1, trials: int = 1000) -> CheckSuite:
     additive-subgroup equality cases (those must have exactly zero slack on
     every exact-arithmetic check).
 
-    Instances run in blocks of ``_BLOCK``: each block's sets, weights and
-    kernel factors are drawn in instance order, and its families are
-    decided together (see ``_inequality_block``)."""
+    Instances are drawn ``_WINDOW`` at a time, in instance order, and held
+    as int8 rows; a window's spectral instances are diagonalized in one
+    ``jacobi_eigh_stack`` call.  The window then runs in blocks of
+    ``_BLOCK`` whose families are decided together (see
+    ``_inequality_block``)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     suite = CheckSuite(
@@ -413,24 +424,59 @@ def run_inequality_suite(seed: int = 1, trials: int = 1000) -> CheckSuite:
     rng = random.Random(seed)
     group = CyclicGroup(_INEQUALITY_MODULUS)
     t0 = time.monotonic()
-    densities = [0.1 + 0.8 * i / 8 for i in range(9)]
-    # (A, trial, spectral, equality_case), A drawn lazily in instance order
-    sets = itertools.chain(
-        ((a, idx, True, True) for idx, a in enumerate(additive_subgroups(group))),
-        (
-            (random_subset(rng, group, densities[trial % len(densities)]), trial,
-             trial % _SPECTRAL_EVERY == 0, False)
-            for trial in range(trials)
-        ),
+    subgroups = additive_subgroups(group)
+    # (trial, spectral, equality_case) of each instance, in instance order
+    insts = itertools.chain(
+        ((idx, True, True) for idx in range(len(subgroups))),
+        ((trial, trial % _SPECTRAL_EVERY == 0, False) for trial in range(trials)),
     )
     try:
-        while block := [(*inst, *_draw_weights(rng, group))
-                        for inst in itertools.islice(sets, _BLOCK)]:
-            _inequality_block(suite, block)
+        while window := list(itertools.islice(insts, _WINDOW)):
+            rows = _draw_rows(rng, group, subgroups, window)
+            spectra = _window_spectra(group, rows, window)
+            for lo in range(0, len(window), _BLOCK):
+                block = []
+                for j in range(lo, min(lo + _BLOCK, len(window))):
+                    (trial, _, equality_case), (a, q, h) = window[j], _instance(group, rows[j])
+                    block.append((a, trial, spectra[j], equality_case, q, h))
+                _inequality_block(suite, block)
     except CheckFailure:
         pass
     suite.runtime = time.monotonic() - t0
     return suite
+
+
+def _draw_rows(rng: random.Random, group: CyclicGroup, subgroups, window) -> np.ndarray:
+    """The int8 rows [1_A, q, h] of a window's instances (trial, spectral,
+    equality_case), drawn in instance order: A unless it is a subgroup,
+    then q and h."""
+    rows = np.zeros((len(window), 3, group.modulus), dtype=np.int8)
+    for row, (trial, _, equality_case) in zip(rows, window):
+        a = (subgroups[trial] if equality_case
+             else random_subset(rng, group, _DENSITIES[trial % len(_DENSITIES)]))
+        row[0, list(a.members)] = 1
+        row[1:] = [f.table for f in _draw_weights(rng, group)]
+    return rows
+
+
+def _instance(group: CyclicGroup, row: np.ndarray) -> tuple[GroupSet, GroupFn, GroupFn]:
+    """A, q and h from an instance's int8 row [1_A, q, h]."""
+    q, h = (GroupFn(group, x.astype(np.int64)) for x in row[1:])
+    return GroupSet(group, tuple(np.flatnonzero(row[0]).tolist())), q, h
+
+
+def _window_spectra(group: CyclicGroup, rows: np.ndarray, window) -> list:
+    """The ``Spectrum`` of psi = h ∘ h on A for each spectral instance of
+    a window, None for the others, from one ``jacobi_eigh_stack`` call."""
+    take = [j for j, (_, spectral, _) in enumerate(window) if spectral]
+    mats = []
+    for j in take:
+        a, _, h = _instance(group, rows[j])
+        mats.append(restricted_matrix(a, correlation_kernel(h).table))
+    spectra = [None] * len(window)
+    for j, eigs in zip(take, jacobi_eigh_stack(mats)):
+        spectra[j] = Spectrum(tuple(eigs.tolist()))
+    return spectra
 
 
 def _draw_weights(rng: random.Random, group: CyclicGroup) -> tuple[GroupFn, GroupFn]:
@@ -444,7 +490,8 @@ def _draw_weights(rng: random.Random, group: CyclicGroup) -> tuple[GroupFn, Grou
 
 
 def _inequality_block(suite: CheckSuite, block: list) -> None:
-    """Record a block of instances (A, trial, spectral, equality_case, q, h).
+    """Record a block of instances (A, trial, spectrum, equality_case, q, h),
+    the spectrum a ``Spectrum`` or None.
 
     Every family is decided for the whole block at once: the exact
     families by ``energy.block_families`` and the kernel rows by

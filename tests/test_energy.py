@@ -681,6 +681,26 @@ def test_block_worst_row_is_the_first_minimum_by_float():
     assert block.worst is rows[0] and block.trials == 5
 
 
+def test_block_worst_row_off_its_slack_raises():
+    """The worst row a block builds must pass at the slack it was recorded
+    with; a row that fails, or passes at another slack, raises (also under
+    ``python -O``)."""
+    passing, failing = IneqCheck.from_le("x", 0, 1), IneqCheck.from_le("x", 1, 0)
+    for slack, row in ((0.5, passing), (-1.0, failing)):
+        with pytest.raises(RuntimeError, match="does not pass"):
+            EqStats().add_block([slack], lambda i, row=row: row)
+
+
+def test_float32_count_guards_raise_from_2_to_the_24_terms():
+    """``_hits`` and ``_row_sizes`` sum 0/1 products in float32, exact below
+    2**24 terms; a wider operand raises before any product is formed."""
+    wide = np.broadcast_to(np.zeros(1, dtype=bool), (1, 2 ** 24))  # no memory
+    with pytest.raises(ValueError, match="2\\*\\*24"):
+        energy_module._hits(wide, wide.T)
+    with pytest.raises(ValueError, match="2\\*\\*24"):
+        energy_module._row_sizes(wide)
+
+
 def test_block_families_read_every_cell_size():
     """Flipping one cell size of one set's cached k = 1 and k = 2 profiles
     moves that set's slack in every family that reads cell sizes, and no

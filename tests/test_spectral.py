@@ -3,10 +3,13 @@ import random
 import struct
 import warnings
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from addcomb import spectral as spectral_module
+from addcomb import verify as verify_module
 from addcomb.config import TOL
 from addcomb.energy import correlation_counts
 from addcomb.groups import (
@@ -28,6 +31,7 @@ from addcomb.spectral import (
     eigendecompose,
     first_eigenfunction_bounds,
     jacobi_eigh,
+    jacobi_eigh_stack,
     rayleigh_indicator,
     top_eigenpair,
     triangle_sum,
@@ -295,7 +299,7 @@ def test_block_kernel_families_match_the_per_set_checks_row_by_row():
     each instance: the same rows exist, with the same decision, the same
     slack_float() bits and the same record from ``row``.  The blocks hold
     instances where each triangle bound wins, a zero kernel (degenerate
-    top eigenvalue) and mixed spectral flags."""
+    top eigenvalue) and a mix of instances with and without a spectrum."""
     rng = random.Random(29)
     g = CyclicGroup(5)
     fixed = [([2, 3], [0, 2, 0, 0, 0]), ([1, 2, 3], [0, 0, 2, 0, 1]), ([0, 1, 3], [0] * 5)]
@@ -310,16 +314,15 @@ def test_block_kernel_families_match_the_per_set_checks_row_by_row():
     for block in blocks:
         sets, factors = [a for a, _ in block], [h for _, h in block]
         spectral = [rng.random() < 0.5 for _ in block]
-        families = block_kernel_families(sets, factors, spectral)
+        spectra = [eigendecompose(build_restricted_operator(a, correlation_kernel(h)))
+                   if flag else None for (a, h), flag in zip(block, spectral)]
+        families = block_kernel_families(sets, factors, spectra)
         for i, (a, h) in enumerate(block):
             winners.add(_triangle_winner(a, h))
-            spectrum = None
-            if spectral[i]:
-                spectrum = eigendecompose(build_restricted_operator(a, correlation_kernel(h)))
             report = first_eigenfunction_bounds(a, h)
             degenerate += report.degenerate
             rows = {c.name: c for c in (check_triangle_inequality(a, h),
-                                        *check_cycle_sums(a, h, spectrum), *report.checks)}
+                                        *check_cycle_sums(a, h, spectra[i]), *report.checks)}
             assert {f.name for f in families if f.slacks[i] is not None} == set(rows)
             for f in families:
                 if f.name not in rows:
@@ -630,3 +633,77 @@ def _assert_same_sweep(m):
     assert np.array_equal(vecs, want_vecs)
     assert vecs.strides == want_vecs.strides
     assert off == want_off
+
+
+def _assert_stack_matches(mats):
+    got = jacobi_eigh_stack(mats)
+    assert len(got) == len(mats)
+    for m, eigs in zip(mats, got):
+        want = jacobi_eigh(m)[0]
+        assert eigs.dtype == want.dtype and eigs.tobytes() == want.tobytes()
+
+
+def test_jacobi_stack_bit_identical_on_the_seed_1_battery(monkeypatch):
+    """The default seed-1 inequality battery diagonalizes its 56 spectral
+    instances (sizes 1 to 32) in one stack, with jacobi_eigh's eigenvalue
+    bytes for each."""
+    stacks = []
+    real = verify_module.jacobi_eigh_stack
+    monkeypatch.setattr(verify_module, "jacobi_eigh_stack",
+                        lambda mats: stacks.append(mats) or real(mats))
+    verify_module.run_inequality_suite(1, 1000)
+    (mats,) = stacks
+    assert len(mats) == 56 and {len(m) for m in mats} >= {1, 2, 32}
+    _assert_stack_matches(mats)
+
+
+def _stack_members():
+    """Members every mixed stack holds: 0 x 0, 1 x 1, all-zero (with -0.0
+    entries), diagonal (converged before any sweep), 2 x 2 (one sweep), two
+    interleaved blocks whose exact-zero pivots are skipped while other
+    members rotate, a matrix off symmetry by 1e-15, and one at scale 1e-30,
+    whose own convergence target is far below every other member's."""
+    rng = np.random.default_rng(5)
+    blocks = rng.standard_normal((2, 6, 6))
+    interleaved = np.zeros((12, 12))
+    for b, idx in zip(blocks, (np.arange(0, 12, 2), np.arange(1, 12, 2))):
+        interleaved[np.ix_(idx, idx)] = b + b.T
+    a = rng.standard_normal((9, 9))
+    nearly = a + a.T
+    nearly[2, 5] += 1e-15
+    zero = np.zeros((5, 5))
+    zero[1, 2] = zero[2, 1] = zero[3, 3] = -0.0
+    tiny = 1e-30 * (a[:4, :4] + a[:4, :4].T)
+    return [np.zeros((0, 0)), np.array([[-2.5]]), zero, np.diag([3.0, -1.0, 2.0]),
+            np.array([[1.0, 2.0], [2.0, -1.0]]), interleaved, nearly, tiny]
+
+
+@st.composite
+def _symmetric_matrices(draw):
+    n = draw(st.integers(0, 12))
+    entries = draw(st.sampled_from([st.integers(-4, 4).map(float),
+                                    st.floats(-1e3, 1e3, allow_nan=False)]))
+    a = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n)), dtype=float)
+    a = a.reshape(n, n)
+    return np.where(np.triu(np.ones((n, n), dtype=bool)), a, a.T)  # -0.0 kept
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_symmetric_matrices(), max_size=6), st.randoms(use_true_random=False))
+def test_jacobi_stack_bit_identical_on_mixed_stacks(mats, rnd):
+    """Stacks of mixed sizes 0 to 12, in any order, whose members converge
+    at different sweeps: each member's eigenvalue bytes are jacobi_eigh's."""
+    members = mats + _stack_members()
+    rnd.shuffle(members)
+    _assert_stack_matches(members)
+
+
+def test_jacobi_stack_raises_as_jacobi_eigh_does():
+    """A non-symmetric member, or one whose Frobenius norm overflows, raises
+    jacobi_eigh's ValueError, with no overflow warning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="symmetric square"):
+            jacobi_eigh_stack([np.eye(3), np.array([[0.0, 1.0], [2.0, 0.0]])])
+        with pytest.raises(ValueError, match="finite Frobenius norm"):
+            jacobi_eigh_stack([np.eye(3), np.array([[0.0, 1e200], [1e200, 0.0]])])

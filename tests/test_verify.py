@@ -191,6 +191,25 @@ def test_inequality_battery_memory_stays_small():
     assert peak <= 2.5e6, peak
 
 
+def test_inequality_battery_memory_does_not_grow_with_trials(monkeypatch):
+    """Instances are drawn a window at a time and held as int8 rows, so
+    memory is bounded by the window: with a 16-instance window, the traced
+    peak of a battery four windows long (58 trials and the six subgroups)
+    stays within 0.25 MB of a one-window battery.  Keeping each block's
+    sets and functions alive instead adds about 2 MB here."""
+    monkeypatch.setattr(importlib.import_module("addcomb.verify"), "_WINDOW", 16)
+    peaks = []
+    for trials in (10, 58):
+        run_inequality_suite(1, trials)
+        tracemalloc.start()
+        try:
+            run_inequality_suite(1, trials)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 0.25e6, peaks
+
+
 # Halted batteries.  Seed 2, trial 11 is the second instance of the third
 # block of 8 (the six subgroups come first).  A planted fault there halts
 # the suite; the sha256 of Report([run_inequality_suite(2, 20)]).to_json()
@@ -209,7 +228,8 @@ HALT_ROWS = {
 
 
 def _plant_fault(monkeypatch, fault):
-    """Plant ``fault`` on the set of trial HALT_TRIAL; return its members.
+    """Plant ``fault`` on the set of trial HALT_TRIAL, as its block gets it;
+    return the random sets the blocks get, in trial order.
 
     "spreads": every |A - A_x| of its k = 1 shift profile reads 1, which
     breaks shift-quotient-bound- (the first row that reads them).
@@ -221,24 +241,26 @@ def _plant_fault(monkeypatch, fault):
     verify_mod = importlib.import_module("addcomb.verify")
 
     drawn = []
-    real_subset = verify_mod.random_subset
+    real_block = verify_mod._inequality_block
 
-    def subset(rng, group, density):
-        a = real_subset(rng, group, density)
-        drawn.append(a)
-        if fault == "spreads" and len(drawn) == HALT_TRIAL + 1:
-            energy_mod.build_shift_profiles([a], 1)
-            profile = a._shift_profiles[1]
-            coords, sizes, spreads = profile["-"]
-            profile["-"] = (coords, sizes, spreads * 0 + 1)
-        return a
+    def block_with_fault(suite, block):
+        for a, _, _, equality_case, _, _ in block:
+            if equality_case:
+                continue
+            drawn.append(a)
+            if fault == "spreads" and len(drawn) == HALT_TRIAL + 1:
+                energy_mod.build_shift_profiles([a], 1)
+                profile = a._shift_profiles[1]
+                coords, sizes, spreads = profile["-"]
+                profile["-"] = (coords, sizes, spreads * 0 + 1)
+        real_block(suite, block)
 
-    monkeypatch.setattr(verify_mod, "random_subset", subset)
+    monkeypatch.setattr(verify_mod, "_inequality_block", block_with_fault)
     if fault == "spectral":
         real_families = verify_mod.block_kernel_families
 
-        def kernel_families(sets, factors, spectral):
-            families = real_families(sets, factors, spectral)
+        def kernel_families(sets, factors, spectra):
+            families = real_families(sets, factors, spectra)
             at = [i for i, a in enumerate(sets) if len(drawn) > HALT_TRIAL and a is drawn[HALT_TRIAL]]
             if at:
                 (i,), tri = at, families[0]
